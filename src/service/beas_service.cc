@@ -8,7 +8,6 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "service/result_cache.h"
-#include "sql/canonical_template.h"
 
 namespace beas {
 
@@ -20,16 +19,6 @@ std::string BoundedExplanation(uint64_t bound, bool cached) {
       WithCommas(bound);
   if (cached) out += " (cached template plan)";
   return out;
-}
-
-/// Cross-checks the hot-path masker against the reference lexer lifting:
-/// same parameter values, in the same order. Run once per template.
-bool ParamsAgree(const std::vector<Value>& a, const std::vector<Value>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type() != b[i].type() || a[i] != b[i]) return false;
-  }
-  return true;
 }
 
 /// Case-insensitive "does the SQL mention the stats table" check — cheap
@@ -137,6 +126,7 @@ BeasService::BeasService(ServiceOptions options)
           options_.result_cache_max_bytes, options_.cache_shards)),
       result_cache_enabled_(options_.enable_result_cache &&
                             options_.result_cache_max_bytes > 0),
+      canonical_forms_(options_.cache_capacity),
       // At least one worker, or Submit() futures would never resolve.
       pool_(std::max<size_t>(1, options_.num_workers)) {
   // (b) incremental index maintenance: inserts/deletes update AC indices
@@ -370,29 +360,11 @@ Result<QueryResponse> BeasService::QueryAuto(const QueryRequest& request,
   return resp;
 }
 
-BeasService::TemplateInfo BeasService::PrepareTemplate(const std::string& sql) {
-  TemplateInfo info;
-  info.sql = sql;
-  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
-  if (!masked.ok()) return info;
-  info.have = true;
-  info.masked = std::move(*masked);
-  CanonicalizedTemplate canon = CanonicalizeTemplate(info.masked);
-  if (!canon.changed) return info;
-  // Self-check before trusting a rewrite: render the canonical template
-  // back to SQL and re-mask it; anything short of an exact round trip
-  // (text AND parameters) falls back to the original spelling.
-  Result<std::string> rendered = RenderTemplate(canon.tmpl);
-  if (!rendered.ok()) return info;
-  Result<SqlTemplate> remasked = MaskSqlLiterals(*rendered);
-  if (!remasked.ok() || remasked->text != canon.tmpl.text ||
-      !ParamsAgree(remasked->params, canon.tmpl.params)) {
-    return info;
+TemplateInfo BeasService::PrepareTemplate(const std::string& sql) {
+  TemplateInfo info = beas::PrepareTemplate(sql, &canonical_forms_);
+  if (info.canonicalized) {
+    template_canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   }
-  info.masked = std::move(canon.tmpl);
-  info.sql = std::move(*rendered);
-  info.canonicalized = true;
-  template_canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   return info;
 }
 
@@ -789,6 +761,10 @@ Status BeasService::RefreshStatsTable() {
   add("template_canonicalizations_total",
       static_cast<double>(
           template_canonicalizations_.load(std::memory_order_relaxed)));
+  add("template_memo_entries",
+      static_cast<double>(canonical_forms_.entries()));
+  add("template_memo_misses_total",
+      static_cast<double>(canonical_forms_.misses()));
   add("maintenance_updates_applied",
       static_cast<double>(maintenance_.updates_applied()));
   add("constraints_registered",

@@ -410,6 +410,10 @@ class BeasService {
   uint64_t template_canonicalizations() const {
     return template_canonicalizations_.load(std::memory_order_relaxed);
   }
+  /// Masked spellings held by the canonical-form memo (at most
+  /// cache_capacity), and spellings canonicalized on first sight.
+  size_t template_memo_entries() const { return canonical_forms_.entries(); }
+  uint64_t template_memo_misses() const { return canonical_forms_.misses(); }
   /// @}
 
   /// \name Setup escape hatches.
@@ -452,22 +456,11 @@ class BeasService {
   /// empty/anonymous tenant).
   TenantState* TenantFor(const std::string& tenant);
 
-  /// One request's template identity: the masked template in canonical
-  /// form plus the SQL actually executed — the canonical rendering when
-  /// normalization changed the text (so every equivalent spelling
-  /// executes, and caches, the identical query), the original otherwise.
-  /// `have == false` when masking failed; both caches are then bypassed.
-  struct TemplateInfo {
-    bool have = false;
-    SqlTemplate masked;
-    std::string sql;
-    bool canonicalized = false;
-  };
-
-  /// Masks and canonicalizes `sql`. A changed canonical form is accepted
-  /// only after the render-and-re-mask self-check: rendering it back to
-  /// SQL and re-masking must reproduce the canonical template exactly,
-  /// otherwise the original text is kept (fail-safe, counted nowhere).
+  /// This request's template identity (TemplateInfo, template_key.h): the
+  /// masked text, its canonical form from `canonical_forms_` (the
+  /// canonicalizer runs once per masked spelling, not per request), and
+  /// the per-request render-and-re-mask self-check. Counts one
+  /// canonicalization per request served in canonical form.
   TemplateInfo PrepareTemplate(const std::string& sql);
 
   /// \name Result-cache plumbing (see ResultCache).
@@ -577,6 +570,8 @@ class BeasService {
   std::unique_ptr<ResultCache> result_cache_;
   std::atomic<bool> result_cache_enabled_;
   std::atomic<uint64_t> template_canonicalizations_{0};
+  /// Canonical forms by masked text, bounded by cache_capacity.
+  CanonicalFormMemo canonical_forms_;
 
   /// Serializes stats-table refreshes (each beas_stats query triggers
   /// one). Leaf ordering: taken before any Database lock, never inside.

@@ -49,4 +49,60 @@ QueryTemplate BuildQueryTemplate(const SqlTemplate& sql_template,
   return out;
 }
 
+bool ParamsAgree(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type() || a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const CanonicalizedTemplate> CanonicalFormMemo::Get(
+    const std::string& masked_text) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    auto it = forms_.find(masked_text);
+    if (it != forms_.end()) return it->second;
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  auto form = std::make_shared<const CanonicalizedTemplate>(
+      CanonicalizeTemplateText(masked_text));
+  if (capacity_ == 0) return form;
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (forms_.size() >= capacity_ && forms_.count(masked_text) == 0) {
+    forms_.clear();
+  }
+  // A racing first sight may have inserted it already; either copy is the
+  // same pure function of the text.
+  return forms_.emplace(masked_text, std::move(form)).first->second;
+}
+
+size_t CanonicalFormMemo::entries() const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  return forms_.size();
+}
+
+TemplateInfo PrepareTemplate(const std::string& sql, CanonicalFormMemo* memo) {
+  TemplateInfo info;
+  info.sql = sql;
+  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
+  if (!masked.ok()) return info;
+  info.have = true;
+  info.masked = std::move(*masked);
+  CanonicalizedTemplate canon =
+      ApplyCanonicalForm(*memo->Get(info.masked.text), info.masked);
+  if (!canon.changed) return info;
+  Result<std::string> rendered = RenderTemplate(canon.tmpl);
+  if (!rendered.ok()) return info;
+  Result<SqlTemplate> remasked = MaskSqlLiterals(*rendered);
+  if (!remasked.ok() || remasked->text != canon.tmpl.text ||
+      !ParamsAgree(remasked->params, canon.tmpl.params)) {
+    return info;
+  }
+  info.masked = std::move(canon.tmpl);
+  info.sql = std::move(*rendered);
+  info.canonicalized = true;
+  return info;
+}
+
 }  // namespace beas

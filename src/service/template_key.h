@@ -1,11 +1,16 @@
 #ifndef BEAS_SERVICE_TEMPLATE_KEY_H_
 #define BEAS_SERVICE_TEMPLATE_KEY_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "binder/bound_query.h"
+#include "sql/canonical_template.h"
 #include "sql/sql_template.h"
 
 namespace beas {
@@ -42,6 +47,59 @@ struct QueryTemplate {
 /// form of the original SQL (MaskSqlLiterals / NormalizeSql).
 QueryTemplate BuildQueryTemplate(const SqlTemplate& sql_template,
                                  const BoundQuery& query);
+
+/// True iff `a` and `b` hold the same parameter values with the same
+/// types, in the same order.
+bool ParamsAgree(const std::vector<Value>& a, const std::vector<Value>& b);
+
+/// \brief Bounded memo of the canonicalizer, keyed by masked text.
+///
+/// Traffic is a handful of templates in one or two spellings each, so
+/// almost every request repeats a masked text seen before; the memo runs
+/// CanonicalizeTemplateText once per spelling instead of once per request.
+/// The canonical form is a pure function of the masked text, so an entry
+/// can never go stale and no catalog event invalidates the memo. When a
+/// new spelling arrives at a full memo the memo is cleared first, so it
+/// never holds more than `capacity` entries (0 disables it). Thread-safe.
+class CanonicalFormMemo {
+ public:
+  explicit CanonicalFormMemo(size_t capacity) : capacity_(capacity) {}
+
+  /// The CanonicalizeTemplateText result for `masked_text`; computed (and
+  /// counted as a miss) on first sight.
+  std::shared_ptr<const CanonicalizedTemplate> Get(
+      const std::string& masked_text);
+
+  size_t entries() const;
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+
+ private:
+  const size_t capacity_;
+  mutable std::shared_mutex mutex_;
+  std::unordered_map<std::string, std::shared_ptr<const CanonicalizedTemplate>>
+      forms_;
+  std::atomic<uint64_t> misses_{0};
+};
+
+/// One request's template identity: the masked template in canonical
+/// form plus the SQL actually executed — the canonical rendering when
+/// normalization changed the text (so every equivalent spelling executes,
+/// and caches, the identical query), the original otherwise. `have` is
+/// false when masking failed; the service then bypasses both caches.
+struct TemplateInfo {
+  bool have = false;
+  SqlTemplate masked;
+  std::string sql;
+  bool canonicalized = false;
+};
+
+/// Masks `sql` and binds its parameters to the memoized canonical form of
+/// its masked text (ApplyCanonicalForm). A changed form is accepted only
+/// after the render-and-re-mask self-check, which runs on every request
+/// because it depends on the parameter values: rendering the canonical
+/// template back to SQL and re-masking it must reproduce it exactly (text
+/// and parameters), otherwise the original spelling is kept.
+TemplateInfo PrepareTemplate(const std::string& sql, CanonicalFormMemo* memo);
 
 }  // namespace beas
 

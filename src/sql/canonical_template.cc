@@ -186,10 +186,13 @@ Piece OrientEquality(Piece conjunct) {
 }  // namespace
 
 CanonicalizedTemplate CanonicalizeTemplate(const SqlTemplate& masked) {
-  CanonicalizedTemplate unchanged;
-  unchanged.tmpl = masked;
+  return ApplyCanonicalForm(CanonicalizeTemplateText(masked.text), masked);
+}
 
-  const std::string& text = masked.text;
+CanonicalizedTemplate CanonicalizeTemplateText(const std::string& text) {
+  CanonicalizedTemplate unchanged;
+  unchanged.tmpl.text = text;
+
   std::vector<Word> words = ScanWords(text);
   if (words.empty() || words[0].upper != "SELECT" ||
       Trim(text.substr(0, words[0].start)) != "") {
@@ -340,14 +343,30 @@ CanonicalizedTemplate CanonicalizeTemplate(const SqlTemplate& masked) {
     param_order.insert(param_order.end(), tail_piece.params.begin(),
                        tail_piece.params.end());
   }
-  if (param_order.size() != masked.params.size()) return unchanged;
+  if (out == text) return unchanged;
 
   CanonicalizedTemplate result;
   result.tmpl.text = std::move(out);
-  result.tmpl.params.reserve(param_order.size());
-  for (size_t idx : param_order) result.tmpl.params.push_back(masked.params[idx]);
-  result.changed = result.tmpl.text != masked.text;
-  if (!result.changed) result.tmpl = masked;  // identity: keep exact params
+  result.changed = true;
+  result.param_order = std::move(param_order);
+  return result;
+}
+
+CanonicalizedTemplate ApplyCanonicalForm(const CanonicalizedTemplate& form,
+                                         const SqlTemplate& masked) {
+  if (!form.changed || form.param_order.size() != masked.params.size()) {
+    CanonicalizedTemplate unchanged;
+    unchanged.tmpl = masked;
+    return unchanged;
+  }
+  CanonicalizedTemplate result;
+  result.tmpl.text = form.tmpl.text;
+  result.tmpl.params.reserve(form.param_order.size());
+  for (size_t idx : form.param_order) {
+    result.tmpl.params.push_back(masked.params[idx]);
+  }
+  result.changed = true;
+  result.param_order = form.param_order;
   return result;
 }
 

@@ -1,7 +1,9 @@
 #ifndef BEAS_SQL_CANONICAL_TEMPLATE_H_
 #define BEAS_SQL_CANONICAL_TEMPLATE_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "sql/sql_template.h"
@@ -38,11 +40,32 @@ struct CanonicalizedTemplate {
   /// True iff normalization altered the template (callers count these and
   /// re-render the SQL they execute).
   bool changed = false;
+  /// The permutation behind `tmpl.params`: canonical '?' number i binds
+  /// the masked template's parameter param_order[i]. Derived from the
+  /// masked text alone, never from parameter values, so every instance of
+  /// one masked text shares it. Empty when `changed` is false.
+  std::vector<size_t> param_order;
 };
 
 /// Normalizes `masked` (a MaskSqlLiterals result). Total: never fails;
-/// unrecognized shapes come back unchanged.
+/// unrecognized shapes come back unchanged. Equivalent to
+/// ApplyCanonicalForm(CanonicalizeTemplateText(masked.text), masked).
 CanonicalizedTemplate CanonicalizeTemplate(const SqlTemplate& masked);
+
+/// The value-free half of CanonicalizeTemplate: the canonical text and
+/// `param_order` of a masked text, with `tmpl.params` left empty. A pure
+/// function of `masked_text` (it reads no parameter value and no catalog
+/// state), so callers may memoize it by masked text with no invalidation.
+CanonicalizedTemplate CanonicalizeTemplateText(const std::string& masked_text);
+
+/// Binds one instance's parameters to `form`, a CanonicalizeTemplateText
+/// result for `masked.text`: the canonical text with `masked.params`
+/// permuted by `form.param_order`. Returns `masked` unchanged when `form`
+/// is unchanged or the arities disagree (the masker copies a bare '?' of
+/// the source SQL verbatim, so one masked text can carry fewer parameters
+/// than '?' marks).
+CanonicalizedTemplate ApplyCanonicalForm(const CanonicalizedTemplate& form,
+                                         const SqlTemplate& masked);
 
 /// Renders a masked template back into executable SQL by substituting
 /// each '?' with its parameter's literal spelling (strings re-quoted with

@@ -170,6 +170,65 @@ TEST(CanonicalTemplateTest, RenderRoundTripsThroughTheMasker) {
   }
 }
 
+TEST(CanonicalTemplateTest, ParamOrderDependsOnTheTextAlone) {
+  // Two instances of one masked text, different values and types of
+  // value: the permutation is the same, and each instance's parameters
+  // travel through it to the same canonical slots.
+  std::string a = "SELECT t.x FROM u, t WHERE 'p' = t.b AND t.a = 1 "
+                  "AND u.k = t.k LIMIT 4";
+  std::string b = "SELECT t.x FROM u, t WHERE 'q''r' = t.b AND t.a = 99 "
+                  "AND u.k = t.k LIMIT 7";
+  CanonicalizedTemplate ca = Canon(a);
+  CanonicalizedTemplate cb = Canon(b);
+  ASSERT_TRUE(ca.changed);
+  EXPECT_EQ(ca.tmpl.text, cb.tmpl.text);
+  EXPECT_EQ(ca.param_order, cb.param_order);
+  EXPECT_EQ(ca.param_order, (std::vector<size_t>{1, 0, 2}));
+  EXPECT_EQ(cb.tmpl.params,
+            (std::vector<Value>{Value::Int64(99), Value::String("q'r"),
+                                Value::Int64(7)}));
+
+  // The value-free half agrees with the full canonicalization, and
+  // binding it to either instance reproduces that instance's result.
+  CanonicalizedTemplate form = CanonicalizeTemplateText(MaskSqlLiterals(a)->text);
+  EXPECT_TRUE(form.tmpl.params.empty());
+  EXPECT_EQ(form.tmpl.text, ca.tmpl.text);
+  EXPECT_EQ(form.param_order, ca.param_order);
+  CanonicalizedTemplate bound = ApplyCanonicalForm(form, *MaskSqlLiterals(b));
+  EXPECT_EQ(bound.tmpl.text, cb.tmpl.text);
+  EXPECT_EQ(bound.tmpl.params, cb.tmpl.params);
+  EXPECT_EQ(bound.param_order, cb.param_order);
+
+  // An unchanged form carries no permutation.
+  CanonicalizedTemplate same = Canon("SELECT t.x FROM t WHERE t.a = 1");
+  EXPECT_FALSE(same.changed);
+  EXPECT_TRUE(same.param_order.empty());
+}
+
+TEST(CanonicalTemplateTest, ArityMismatchKeepsTheOriginalSpelling) {
+  // A bare '?' in the source SQL is copied into the masked text without a
+  // parameter, so this text has two marks but one parameter; the same text
+  // with two literals canonicalizes.
+  std::string full = "SELECT t.x FROM t WHERE 7 = t.a AND t.b = 2";
+  std::string bare = "SELECT t.x FROM t WHERE ? = t.a AND t.b = 2";
+  Result<SqlTemplate> mfull = MaskSqlLiterals(full);
+  Result<SqlTemplate> mbare = MaskSqlLiterals(bare);
+  ASSERT_TRUE(mfull.ok() && mbare.ok());
+  ASSERT_EQ(mfull->text, mbare->text);
+  ASSERT_EQ(mbare->params.size(), 1u);
+
+  CanonicalizedTemplate form = CanonicalizeTemplateText(mfull->text);
+  ASSERT_TRUE(form.changed);
+  EXPECT_TRUE(ApplyCanonicalForm(form, *mfull).changed);
+  for (const CanonicalizedTemplate& c :
+       {ApplyCanonicalForm(form, *mbare), CanonicalizeTemplate(*mbare)}) {
+    EXPECT_FALSE(c.changed);
+    EXPECT_TRUE(c.param_order.empty());
+    EXPECT_EQ(c.tmpl.text, mbare->text);
+    EXPECT_EQ(c.tmpl.params, mbare->params);
+  }
+}
+
 TEST(CanonicalTemplateTest, RenderRejectsUnspeakableParameters) {
   SqlTemplate t;
   t.text = "SELECT t.x FROM t WHERE t.a = ?";

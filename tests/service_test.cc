@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +22,10 @@
 #include "service/plan_cache.h"
 #include "service/result_cache.h"
 #include "service/template_key.h"
+#include "sql/canonical_template.h"
 #include "sql/sql_template.h"
 #include "test_util.h"
+#include "workload/tlc_queries.h"
 
 namespace beas {
 namespace {
@@ -761,6 +764,294 @@ TEST_F(ServiceTest, ResultCacheGaugesExposedThroughBeasStats) {
   // In-process execution never touches the wire: the net-side hit gauge
   // stays zero (the in-process-zero convention for net_* gauges).
   EXPECT_EQ(value_of("net_result_cache_hits_total"), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical-form memo.
+// ---------------------------------------------------------------------------
+
+// The pre-memo PrepareTemplate, kept as the reference: canonicalize this
+// instance from scratch, then run the render-and-re-mask self-check.
+TemplateInfo FreshTemplate(const std::string& sql) {
+  TemplateInfo info;
+  info.sql = sql;
+  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
+  if (!masked.ok()) return info;
+  info.have = true;
+  info.masked = std::move(*masked);
+  CanonicalizedTemplate canon = CanonicalizeTemplate(info.masked);
+  if (!canon.changed) return info;
+  Result<std::string> rendered = RenderTemplate(canon.tmpl);
+  if (!rendered.ok()) return info;
+  Result<SqlTemplate> remasked = MaskSqlLiterals(*rendered);
+  if (!remasked.ok() || remasked->text != canon.tmpl.text ||
+      !ParamsAgree(remasked->params, canon.tmpl.params)) {
+    return info;
+  }
+  info.masked = std::move(canon.tmpl);
+  info.sql = std::move(*rendered);
+  info.canonicalized = true;
+  return info;
+}
+
+void ExpectSameTemplate(const TemplateInfo& got, const TemplateInfo& want,
+                        const std::string& sql) {
+  EXPECT_EQ(got.have, want.have) << sql;
+  EXPECT_EQ(got.masked.text, want.masked.text) << sql;
+  EXPECT_TRUE(ParamsAgree(got.masked.params, want.masked.params)) << sql;
+  EXPECT_EQ(got.sql, want.sql) << sql;
+  EXPECT_EQ(got.canonicalized, want.canonicalized) << sql;
+}
+
+// `sql` with every literal replaced by a random value of the same type.
+std::string RandomInstance(const std::string& sql, std::mt19937* rng) {
+  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
+  EXPECT_TRUE(masked.ok()) << sql;
+  static const char* const kStrings[] = {"bank", "R1", "2016-03-15",
+                                         "it's", "", "R 7"};
+  for (Value& v : masked->params) {
+    switch (v.type()) {
+      case TypeId::kInt64:
+        v = Value::Int64(1 + (*rng)() % 30000);
+        break;
+      case TypeId::kDouble:
+        v = Value::Double(((*rng)() % 400) + 0.5);
+        break;
+      default:
+        v = Value::String(kStrings[(*rng)() % 6]);
+        break;
+    }
+  }
+  Result<std::string> rendered = RenderTemplate(*masked);
+  EXPECT_TRUE(rendered.ok()) << sql;
+  return *rendered;
+}
+
+std::vector<std::string> SplitOn(const std::string& s, const std::string& sep) {
+  std::vector<std::string> out;
+  size_t begin = 0;
+  for (size_t at; (at = s.find(sep, begin)) != std::string::npos;) {
+    out.push_back(s.substr(begin, at - begin));
+    begin = at + sep.size();
+  }
+  out.push_back(s.substr(begin));
+  return out;
+}
+
+// Respells `sql` at the source level. Bit 0 reverses the WHERE
+// conjuncts, bit 1 flips `col = literal` equalities literal-first, bit 2
+// reverses the FROM list. A WHERE with BETWEEN is not split (its AND is
+// not a conjunction).
+std::string Respell(const std::string& sql, int variant) {
+  size_t from = sql.find(" FROM ");
+  size_t where = sql.find(" WHERE ");
+  size_t tail = std::string::npos;
+  for (const char* kw : {" GROUP BY ", " ORDER BY ", " LIMIT "}) {
+    tail = std::min(tail, sql.find(kw));
+  }
+  size_t from_end = std::min(where, tail);
+  if (from == std::string::npos) return sql;
+  std::vector<std::string> items =
+      SplitOn(sql.substr(from + 6, std::min(from_end, sql.size()) - from - 6),
+                  ", ");
+  std::vector<std::string> conjuncts;
+  if (where != std::string::npos) {
+    std::string w = sql.substr(where + 7, std::min(tail, sql.size()) - where - 7);
+    conjuncts = w.find("BETWEEN") == std::string::npos
+                    ? SplitOn(w, " AND ")
+                    : std::vector<std::string>{w};
+  }
+  if (variant & 1) std::reverse(conjuncts.begin(), conjuncts.end());
+  if (variant & 2) {
+    for (std::string& c : conjuncts) {
+      size_t eq = c.find(" = ");
+      if (eq == std::string::npos || c.find(" = ", eq + 1) != std::string::npos ||
+          c.find("BETWEEN") != std::string::npos) {
+        continue;
+      }
+      std::string rhs = c.substr(eq + 3);
+      if (rhs[0] == '\'' || std::isdigit(static_cast<unsigned char>(rhs[0]))) {
+        c = rhs + " = " + c.substr(0, eq);
+      }
+    }
+  }
+  if (variant & 4) std::reverse(items.begin(), items.end());
+  std::string out = sql.substr(0, from) + " FROM " + Join(items, ", ");
+  if (!conjuncts.empty()) out += " WHERE " + Join(conjuncts, " AND ");
+  if (tail != std::string::npos) out += sql.substr(tail);
+  return out;
+}
+
+TEST(CanonicalFormMemoTest, MemoHitMatchesAFreshCanonicalization) {
+  std::mt19937 rng(16);
+  CanonicalFormMemo memo(1024);
+  size_t canonicalized = 0;
+  for (const TlcQuery& q : TlcQueries()) {
+    std::string a = RandomInstance(q.sql, &rng);
+    std::string b = RandomInstance(q.sql, &rng);
+    std::string executed;
+    for (int variant = 0; variant < 8; ++variant) {
+      // Two instances of one spelling, different values: the first puts
+      // the spelling's canonical form in the memo, the second is a hit.
+      std::string first = Respell(a, variant);
+      std::string second = Respell(b, variant);
+      ASSERT_EQ(MaskSqlLiterals(first)->text, MaskSqlLiterals(second)->text)
+          << first << "\n" << second;
+      ExpectSameTemplate(PrepareTemplate(first, &memo), FreshTemplate(first),
+                         first);
+      uint64_t misses = memo.misses();
+      TemplateInfo hit = PrepareTemplate(second, &memo);
+      EXPECT_EQ(memo.misses(), misses) << second;
+      TemplateInfo fresh = FreshTemplate(second);
+      ExpectSameTemplate(hit, fresh, second);
+      canonicalized += fresh.canonicalized;
+      // Every spelling of one instance executes the identical SQL, which
+      // a wrong parameter permutation would break.
+      if (variant == 0) executed = hit.sql;
+      EXPECT_EQ(hit.sql, executed) << second;
+
+      EXPECT_EQ(CanonicalizeTemplate(*MaskSqlLiterals(first)).param_order,
+                CanonicalizeTemplate(*MaskSqlLiterals(second)).param_order)
+          << second;
+    }
+  }
+  // The spellings did exercise the rewrite: every multi-conjunct template
+  // has at least one non-canonical variant.
+  EXPECT_GT(canonicalized, TlcQueries().size() * 3);
+}
+
+TEST(CanonicalFormMemoTest, ArityMismatchOnAHitKeepsTheOriginalSpelling) {
+  CanonicalFormMemo memo(16);
+  std::string full = "SELECT call.region FROM call WHERE 7 = call.pnum AND "
+                     "call.date = '2016-03-15'";
+  std::string bare = "SELECT call.region FROM call WHERE ? = call.pnum AND "
+                     "call.date = '2016-03-15'";
+  EXPECT_TRUE(PrepareTemplate(full, &memo).canonicalized);
+  uint64_t misses = memo.misses();
+  TemplateInfo got = PrepareTemplate(bare, &memo);
+  EXPECT_EQ(memo.misses(), misses);  // same masked text: a memo hit
+  EXPECT_FALSE(got.canonicalized);
+  EXPECT_EQ(got.sql, bare);
+  EXPECT_EQ(got.masked.text, MaskSqlLiterals(bare)->text);
+  ASSERT_EQ(got.masked.params.size(), 1u);
+  ExpectSameTemplate(got, FreshTemplate(bare), bare);
+}
+
+TEST_F(ServiceTest, CanonicalFormMemoIsBoundedUnderConcurrentSpellings) {
+  // More distinct spellings than cache_capacity (64): ordered picks of one
+  // or two projected columns x conjunct order x literal-first flips.
+  const char* const kColumns[] = {"call.recnum", "call.region", "call.pnum",
+                                  "call.date"};
+  std::vector<std::string> projections;
+  for (const char* a : kColumns) {
+    projections.push_back(a);
+    for (const char* b : kColumns) {
+      if (a != b) projections.push_back(std::string(a) + ", " + b);
+    }
+  }
+  struct Request {
+    std::string sql;
+    std::vector<Row> expected;
+    bool canonicalized = false;
+  };
+  std::vector<Request> requests;
+  const char* const kDates[] = {"2016-03-15", "2016-03-16"};
+  for (size_t p = 0; p < projections.size(); ++p) {
+    for (int variant = 0; variant < 8; ++variant) {
+      int pnum = 7 + static_cast<int>((p + variant) % 3);
+      std::string pc = (variant & 2) ? StringPrintf("%d = call.pnum", pnum)
+                                     : StringPrintf("call.pnum = %d", pnum);
+      const char* date = kDates[(p + variant) % 2];
+      std::string dc = (variant & 4) ? StringPrintf("'%s' = call.date", date)
+                                     : StringPrintf("call.date = '%s'", date);
+      Request r;
+      r.sql = "SELECT " + projections[p] + " FROM call WHERE " +
+              ((variant & 1) ? dc + " AND " + pc : pc + " AND " + dc);
+      auto reference = service_->session().Execute(r.sql);
+      ASSERT_TRUE(reference.ok()) << r.sql << ": "
+                                  << reference.status().ToString();
+      r.expected = Sorted(reference->rows);
+      r.canonicalized = FreshTemplate(r.sql).canonicalized;
+      requests.push_back(std::move(r));
+    }
+  }
+  const size_t kCapacity = 64;
+  ASSERT_GT(requests.size(), kCapacity);
+
+  constexpr int kThreads = 4;
+  constexpr size_t kRounds = 2;
+  uint64_t canon_before = service_->template_canonicalizations();
+  uint64_t misses_before = service_->template_memo_misses();
+  std::atomic<int> mismatches{0}, failures{0}, over_bound{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kRounds * requests.size(); ++i) {
+        const Request& r = requests[(i * 7 + t * 31) % requests.size()];
+        auto resp = service_->Execute(r.sql);
+        if (!resp.ok()) {
+          ++failures;
+        } else if (Sorted(resp->result.rows) != r.expected) {
+          ++mismatches;
+        }
+        if (service_->template_memo_entries() > kCapacity) ++over_bound;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(over_bound.load(), 0);
+  EXPECT_LE(service_->template_memo_entries(), kCapacity);
+  // Each thread visits every request kRounds times (7 is coprime to the
+  // request count), so the expected count is exact.
+  ASSERT_NE(requests.size() % 7, 0u);
+  uint64_t canonical_requests = 0;
+  for (const Request& r : requests) canonical_requests += r.canonicalized;
+  EXPECT_GT(canonical_requests, 0u);
+  EXPECT_EQ(service_->template_canonicalizations() - canon_before,
+            canonical_requests * kThreads * kRounds);
+  // Every spelling missed the memo at least once: more spellings than
+  // entries, so the memo was cleared along the way.
+  EXPECT_GE(service_->template_memo_misses() - misses_before, requests.size());
+}
+
+TEST_F(ServiceTest, TemplateMemoGaugesExposedThroughBeasStats) {
+  // One hot spelling (literal-first, so it is served canonicalized):
+  // its first request misses the memo, every later instance hits.
+  uint64_t misses0 = service_->template_memo_misses();
+  uint64_t canon0 = service_->template_canonicalizations();
+  auto hot = [](int pnum) {
+    return StringPrintf(
+        "SELECT call.region FROM call WHERE call.date = '2016-03-15' AND "
+        "%d = call.pnum",
+        pnum);
+  };
+  MustExecute(hot(7));
+  EXPECT_EQ(service_->template_memo_misses(), misses0 + 1);
+  for (int i = 0; i < 6; ++i) MustExecute(hot(7 + i % 3));
+  EXPECT_EQ(service_->template_memo_misses(), misses0 + 1);
+  EXPECT_EQ(service_->template_canonicalizations(), canon0 + 7);
+
+  // The stats refresh runs before the stats query prepares its own
+  // template, so the gauges read exactly the values above.
+  uint64_t entries = service_->template_memo_entries();
+  uint64_t misses = service_->template_memo_misses();
+  EXPECT_GE(entries, 1u);
+  ServiceResponse resp =
+      MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
+  auto value_of = [&](const std::string& metric) -> double {
+    for (const Row& row : resp.result.rows) {
+      if (row[0].AsString() == metric) return row[1].AsDouble();
+    }
+    ADD_FAILURE() << "metric not exported: " << metric;
+    return -1.0;
+  };
+  EXPECT_EQ(value_of("template_memo_entries"), static_cast<double>(entries));
+  EXPECT_EQ(value_of("template_memo_misses_total"),
+            static_cast<double>(misses));
+  EXPECT_EQ(value_of("template_canonicalizations_total"),
+            static_cast<double>(canon0 + 7));
 }
 
 TEST_F(ServiceTest, ApproximateExecutionThroughTheService) {

@@ -1,5 +1,5 @@
 // beas_client: CLI for the BEAS wire protocol, plus the loopback selftest
-// storm the net-smoke CI job runs under sanitizers.
+// storm (a ctest, and the net-smoke CI job runs it under sanitizers).
 //
 //   beas_client --port 7687 "SELECT call.region FROM call WHERE ..."
 //   beas_client --port 7687 --mode check "SELECT ..."
@@ -9,9 +9,10 @@
 // The selftest is the acceptance harness for the network front door: it
 // boots a BeasService with an underprovisioned tenant, serves it on an
 // ephemeral loopback port, and drives 8 concurrent connections of mixed
-// reads and writes across two tenants — verifying bit-identical answers
-// against the in-process reference, typed errors for the over-budget
-// tenant, and live wire gauges. Exits non-zero on any violation.
+// reads (two spellings of one template) and writes across two tenants —
+// verifying bit-identical answers against the in-process reference, typed
+// errors for the over-budget tenant, and live wire gauges. Exits non-zero
+// on any violation. ctest runs it as beas_client_selftest.
 
 #include <algorithm>
 #include <atomic>
@@ -175,9 +176,15 @@ int RunSelftest() {
         bool burst_ok = true;
         for (int b = 0; b < kBurst; ++b) {
           keys[b] = static_cast<int>(rng() % kStableKeys);
+          // Two spellings of one template: the literal-first one is
+          // served in canonical form, so the storm also drives the
+          // canonical-form memo and its per-request self-check.
           QueryRequest request;
           request.sql =
-              "SELECT t.v FROM t WHERE t.k = " + std::to_string(keys[b]);
+              b % 2 == 0
+                  ? "SELECT t.v FROM t WHERE t.k = " + std::to_string(keys[b])
+                  : "SELECT t.v FROM t WHERE " + std::to_string(keys[b]) +
+                        " = t.k";
           request.tenant = tenant;
           auto id = client.SendQuery(request);
           if (!id.ok()) {
@@ -266,6 +273,11 @@ int RunSelftest() {
       gauges->bytes_in_total.load() == 0 ||
       gauges->bytes_out_total.load() == 0) {
     std::fprintf(stderr, "selftest: net gauges did not move\n");
+    failures.fetch_add(1);
+  }
+  if (service.template_canonicalizations() == 0 ||
+      service.template_memo_entries() == 0) {
+    std::fprintf(stderr, "selftest: no request was served canonicalized\n");
     failures.fetch_add(1);
   }
   beas::TenantCounters beta = service.tenant_counters("beta");

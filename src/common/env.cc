@@ -1,13 +1,14 @@
 #include "common/env.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-
-#include "common/file_util.h"
 
 namespace beas {
 
@@ -17,27 +18,107 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-/// Env::Default(): delegates to the file_util primitives, so the posix
-/// behavior of the durability protocol is byte-identical to the
-/// pre-seam code paths.
+/// Raw write(2) over an fd: bytes are in the kernel page cache (and
+/// survive a process kill) the moment Append returns; Sync is fsync(2).
+/// No userspace buffering, so a crash can tear at most the last write.
 class PosixWritableFile : public WritableFile {
  public:
-  Status Append(const void* data, size_t len) override {
-    return file_.Append(data, len);
+  PosixWritableFile() = default;
+  PosixWritableFile(const PosixWritableFile&) = delete;
+  PosixWritableFile& operator=(const PosixWritableFile&) = delete;
+  ~PosixWritableFile() override {
+    if (fd_ >= 0) ::close(fd_);
   }
-  Status Sync() override { return file_.Sync(); }
-  Status Truncate(uint64_t size) override { return file_.Truncate(size); }
-  uint64_t size() const override { return file_.size(); }
 
-  AppendFile file_;
+  Status Open(const std::string& path) {
+    path_ = path;
+    fd_ = ::open(path.c_str(), O_CREAT | O_RDWR, 0644);
+    if (fd_ < 0) return Errno("open", path);
+    off_t end = ::lseek(fd_, 0, SEEK_END);
+    if (end < 0) return Errno("lseek", path);
+    offset_ = static_cast<uint64_t>(end);
+    return Status::OK();
+  }
+
+  Status Append(const void* data, size_t len) override {
+    const char* p = static_cast<const char*>(data);
+    size_t remaining = len;
+    while (remaining > 0) {
+      ssize_t n = ::write(fd_, p, remaining);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Errno("write", path_);
+      }
+      p += n;
+      remaining -= static_cast<size_t>(n);
+    }
+    offset_ += len;
+    return Status::OK();
+  }
+
+  Status Sync() override {
+    if (::fsync(fd_) != 0) return Errno("fsync", path_);
+    return Status::OK();
+  }
+
+  Status Truncate(uint64_t size) override {
+    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+      return Errno("ftruncate", path_);
+    }
+    if (::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0) {
+      return Errno("lseek", path_);
+    }
+    offset_ = size;
+    return Status::OK();
+  }
+
+  uint64_t size() const override { return offset_; }
+
+ private:
+  int fd_ = -1;
+  uint64_t offset_ = 0;
+  std::string path_;
 };
 
+/// A read-only mmap of the whole file: no read loop, no copy, and a file
+/// larger than RAM pages in lazily. An empty file holds no mapping.
 class PosixRandomAccessFile : public RandomAccessFile {
  public:
-  const char* data() const override { return file_.data(); }
-  size_t size() const override { return file_.size(); }
+  PosixRandomAccessFile() = default;
+  PosixRandomAccessFile(const PosixRandomAccessFile&) = delete;
+  PosixRandomAccessFile& operator=(const PosixRandomAccessFile&) = delete;
+  ~PosixRandomAccessFile() override {
+    if (data_ != nullptr) ::munmap(data_, size_);
+  }
 
-  MmapFile file_;
+  Status Open(const std::string& path) {
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) return Errno("open", path);
+    struct stat st;
+    Status s = Status::OK();
+    if (::fstat(fd, &st) != 0) {
+      s = Errno("fstat", path);
+    } else if (st.st_size > 0) {
+      void* p = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+                       MAP_PRIVATE, fd, 0);
+      if (p == MAP_FAILED) {
+        s = Errno("mmap", path);
+      } else {
+        data_ = static_cast<char*>(p);
+        size_ = static_cast<size_t>(st.st_size);
+      }
+    }
+    // The mapping keeps the pages alive; the fd is not needed afterwards.
+    ::close(fd);
+    return s;
+  }
+
+  const char* data() const override { return data_; }
+  size_t size() const override { return size_; }
+
+ private:
+  char* data_ = nullptr;
+  size_t size_ = 0;
 };
 
 class PosixEnv : public Env {
@@ -45,19 +126,20 @@ class PosixEnv : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
     auto file = std::make_unique<PosixWritableFile>();
-    BEAS_RETURN_NOT_OK(file->file_.Open(path));
+    BEAS_RETURN_NOT_OK(file->Open(path));
     return std::unique_ptr<WritableFile>(std::move(file));
   }
 
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
     auto file = std::make_unique<PosixRandomAccessFile>();
-    BEAS_RETURN_NOT_OK(file->file_.Open(path));
+    BEAS_RETURN_NOT_OK(file->Open(path));
     return std::unique_ptr<RandomAccessFile>(std::move(file));
   }
 
   bool FileExists(const std::string& path) override {
-    return PathExists(path);
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
   }
 
   bool IsDirectory(const std::string& path) override {
@@ -66,11 +148,22 @@ class PosixEnv : public Env {
   }
 
   Result<std::vector<std::string>> ListDir(const std::string& path) override {
-    return ::beas::ListDir(path);
+    DIR* dir = ::opendir(path.c_str());
+    if (dir == nullptr) return Errno("opendir", path);
+    std::vector<std::string> names;
+    while (struct dirent* entry = ::readdir(dir)) {
+      std::string name = entry->d_name;
+      if (name != "." && name != "..") names.push_back(std::move(name));
+    }
+    ::closedir(dir);
+    return names;
   }
 
   Status CreateDir(const std::string& path) override {
-    return EnsureDir(path);
+    if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
+      return Status::OK();
+    }
+    return Errno("mkdir", path);
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {
@@ -91,7 +184,12 @@ class PosixEnv : public Env {
   }
 
   Status SyncDir(const std::string& path) override {
-    return ::beas::SyncDir(path);
+    int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) return Errno("open dir", path);
+    Status s = Status::OK();
+    if (::fsync(fd) != 0) s = Errno("fsync dir", path);
+    ::close(fd);
+    return s;
   }
 };
 

@@ -13,10 +13,10 @@ namespace beas {
 
 /// \brief An append-only file handle (the WAL/segment write surface).
 ///
-/// Same contract as file_util's AppendFile: Append puts bytes where a
-/// process kill cannot lose them (kernel page cache for the posix
-/// implementation), Sync marks the machine-crash durability boundary, and
-/// Truncate repositions the append offset (WAL reset / torn-tail repair).
+/// Append puts bytes where a process kill cannot lose them (kernel page
+/// cache for the posix implementation), Sync marks the machine-crash
+/// durability boundary, and Truncate repositions the append offset (WAL
+/// reset / torn-tail repair).
 class WritableFile {
  public:
   virtual ~WritableFile() = default;

@@ -94,50 +94,11 @@ void ParseSpec(Config* config, const char* spec) {
   }
 }
 
-/// Legacy BEAS_CRASH_POINT syntax: `<site>[:N]`, comma-separated, firing
-/// once at the N-th hit. The two historical IO-fault sites keep their
-/// error action; everything else is a kill point.
-void ParseLegacySpec(Config* config, const char* spec) {
-  config->points.clear();
-  if (spec == nullptr || *spec == '\0') return;
-  std::string s = spec;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    std::string entry = s.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!entry.empty()) {
-      auto armed = std::make_unique<ArmedPoint>();
-      size_t colon = entry.find(':');
-      if (colon == std::string::npos) {
-        armed->site = entry;
-      } else {
-        armed->site = entry.substr(0, colon);
-        armed->nth = std::strtoul(entry.c_str() + colon + 1, nullptr, 10);
-        if (armed->nth == 0) armed->nth = 1;
-      }
-      armed->action = (armed->site == "wal_group_io" ||
-                       armed->site == "wal_repair_fail")
-                          ? Action::kError
-                          : Action::kCrash;
-      config->points.push_back(std::move(armed));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-}
-
-/// Parsed once per process, BEAS_FAIL_POINTS taking precedence over the
-/// legacy variable when both are set.
+/// Parsed once per process from BEAS_FAIL_POINTS.
 Config& GlobalConfig() {
   static Config config;
   static bool parsed = [] {
-    const char* spec = std::getenv("BEAS_FAIL_POINTS");
-    if (spec != nullptr && *spec != '\0') {
-      ParseSpec(&config, spec);
-    } else {
-      ParseLegacySpec(&config, std::getenv("BEAS_CRASH_POINT"));
-    }
+    ParseSpec(&config, std::getenv("BEAS_FAIL_POINTS"));
     return true;
   }();
   (void)parsed;
@@ -169,10 +130,6 @@ bool Fires(ArmedPoint* armed) {
 
 void ArmForTesting(const char* spec) { ParseSpec(&GlobalConfig(), spec); }
 
-void ArmLegacyCrashSpec(const char* spec) {
-  ParseLegacySpec(&GlobalConfig(), spec);
-}
-
 Status Point(const char* site) {
   Config& config = GlobalConfig();
   if (config.points.empty()) return Status::OK();
@@ -185,7 +142,7 @@ Status Point(const char* site) {
       case Action::kError:
         return Status::IoError(std::string("injected failure at ") + site);
       case Action::kErrorNoSpace:
-        // The strerror(ENOSPC) shape file_util errors carry, so
+        // The strerror(ENOSPC) shape posix Env errors carry, so
         // disk-full handling (IsNoSpace) triggers on injected faults too.
         return Status::IoError(std::string("injected failure at ") + site +
                                ": No space left on device");

@@ -39,17 +39,9 @@ namespace fail {
 /// with probability P in [0,1] (deterministic per-process LCG stream, so
 /// a seed-free sweep is still reproducible).
 ///
-/// ## Legacy syntax (`BEAS_CRASH_POINT`)
-///
-/// The durability kill-point variable keeps working unchanged:
-/// `<site>[:N]` entries, comma-separated, fire once at the N-th hit. The
-/// two historical IO-fault sites (`wal_group_io`, `wal_repair_fail`) map
-/// to the `error` action; every other name maps to `crash` — exactly the
-/// pre-migration behavior of MaybeCrash/MaybeFail.
-///
-/// Both variables are parsed once per process, at the first Point() call.
+/// The variable is parsed once per process, at the first Point() call.
 /// A fork()ed test child inherits the parsed config; the harness re-arms
-/// with ArmForTesting()/ArmLegacyCrashSpec() right after fork instead.
+/// with ArmForTesting() right after fork instead.
 Status Point(const char* site);
 
 /// Exit code used by injected crashes, distinguishable from aborts and
@@ -60,11 +52,6 @@ constexpr int kCrashExitCode = 42;
 /// BEAS_FAIL_POINTS syntax above (null or "" disarms everything). Resets
 /// every hit counter.
 void ArmForTesting(const char* spec);
-
-/// Replaces the armed configuration with a legacy BEAS_CRASH_POINT spec
-/// (`<site>[:N]`, comma-separated; null or "" disarms). Used by the
-/// fork-based recovery harness, which predates the general facility.
-void ArmLegacyCrashSpec(const char* spec);
 
 }  // namespace fail
 }  // namespace beas

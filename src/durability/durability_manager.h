@@ -172,10 +172,9 @@ struct ScrubReport {
 /// ## Fail points (fault-injection testing)
 ///
 /// Every protocol boundary of interest is a fail::Point site (see
-/// common/failpoint.h for the BEAS_FAIL_POINTS / legacy BEAS_CRASH_POINT
-/// syntax): wal_append (group written, not fsynced), wal_group_io (the
-/// failed-fsync shape), wal_pre_fsync, wal_post_fsync (durable, not
-/// applied), wal_repair_fail (truncate-repair of a failed group),
+/// common/failpoint.h for the BEAS_FAIL_POINTS syntax): wal_append
+/// (group written, not fsynced), wal_group_io (the failed-fsync shape),
+/// wal_pre_fsync, wal_post_fsync (durable, not applied), wal_repair_fail (truncate-repair of a failed group),
 /// ckpt_write (each segment file write — the ENOSPC simulation site),
 /// ckpt_mid (segments written, manifest not committed), ckpt_verify (the
 /// read-back verification pass) and ckpt_post_truncate (WALs rotated,

@@ -65,8 +65,7 @@ class TableHeap {
  public:
   explicit TableHeap(Schema schema)
       : schema_(std::move(schema)),
-        shards_(ConfiguredShardCount()),
-        dict_enabled_(default_dict_enabled()) {
+        shards_(ConfiguredShardCount()) {
     for (const Column& c : schema_.columns()) {
       has_string_cols_ |= c.type == TypeId::kString;
     }
@@ -86,16 +85,9 @@ class TableHeap {
   }
 
   /// Disables/enables interning for rows inserted *from now on*; only
-  /// meaningful on an empty heap (benches use it to measure the encoded
-  /// path against the inline baseline). On by default.
+  /// meaningful on an empty heap (the `beas_stats` table and recovery of
+  /// a dictionary-less checkpoint turn it off). On by default.
   void set_dict_enabled(bool enabled) { dict_enabled_ = enabled; }
-
-  /// Process-wide default for new heaps (bench ablation knob; not
-  /// thread-safe — flip it only during single-threaded setup).
-  static bool& default_dict_enabled() {
-    static bool enabled = true;
-    return enabled;
-  }
 
   /// \name Shard surface.
   /// @{

@@ -451,14 +451,6 @@ TEST(FailPointTest, MultipleEntriesAndMalformedOnesAreDropped) {
   EXPECT_TRUE(fail::Point("site_c").ok());
 }
 
-TEST(FailPointTest, LegacyCrashSpecMapsIoSitesToErrors) {
-  fail::ArmLegacyCrashSpec("wal_group_io:2,wal_repair_fail");
-  EXPECT_TRUE(fail::Point("wal_group_io").ok());   // hit 1, armed for N=2
-  EXPECT_FALSE(fail::Point("wal_group_io").ok());  // hit 2 fires as error
-  EXPECT_FALSE(fail::Point("wal_repair_fail").ok());
-  fail::ArmLegacyCrashSpec(nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // ExecControl.
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -19,10 +20,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "common/shard_config.h"
 #include "durability/durability_manager.h"
 #include "durability/segment.h"
@@ -57,7 +59,7 @@ struct TempDir {
     if (made != nullptr) path = made;
   }
   ~TempDir() {
-    if (!path.empty()) RemoveAll(path);
+    if (!path.empty()) Env::Default()->RemoveAll(path);
   }
 };
 
@@ -147,8 +149,9 @@ TEST(DurabilityWalTest, RoundTripAndTornTailRepair) {
   durability::EncodeWalRecord(&group, MakeRecord(1, "alpha"));
   durability::EncodeWalRecord(&group, MakeRecord(2, "beta"));
   durability::EncodeWalRecord(&group, MakeRecord(3, std::string("\0x\0", 3)));
-  AppendFile file;
-  ASSERT_TRUE(file.Open(path).ok());
+  auto opened = env->NewWritableFile(path);
+  ASSERT_TRUE(opened.ok());
+  WritableFile& file = **opened;
   ASSERT_TRUE(file.Append(group.str().data(), group.size()).ok());
 
   auto read = durability::ReadWalFile(env, path);
@@ -185,9 +188,9 @@ TEST(DurabilityWalTest, CorruptedRecordStopsTheParse) {
   std::string bytes = group.Take();
   // Flip one payload byte of the second record (its CRC now mismatches).
   bytes[bytes.size() - 1] ^= 0x5A;
-  AppendFile file;
-  ASSERT_TRUE(file.Open(path).ok());
-  ASSERT_TRUE(file.Append(bytes.data(), bytes.size()).ok());
+  auto file = env->NewWritableFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(bytes.data(), bytes.size()).ok());
 
   auto read = durability::ReadWalFile(env, path);
   ASSERT_TRUE(read.ok());
@@ -204,7 +207,7 @@ TEST(DurabilityWalTest, MissingFileIsEmptyForeignMagicIsError) {
   EXPECT_EQ(missing->valid_bytes, 0u);
 
   std::string foreign = tmp.path + "/foreign.wal";
-  ASSERT_TRUE(WriteFileAtomic(foreign, "NOTAWALFILE!").ok());
+  ASSERT_TRUE(env->WriteFileAtomic(foreign, "NOTAWALFILE!").ok());
   auto bad = durability::ReadWalFile(env, foreign);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
@@ -249,7 +252,7 @@ TEST(DurabilitySegmentTest, RoundTripValidatesKindAndCrc) {
     ss << in.rdbuf();
     std::string bytes = ss.str();
     bytes[bytes.size() - 1] ^= 0x5A;
-    ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+    ASSERT_TRUE(env->WriteFileAtomic(path, bytes).ok());
   }
   auto flipped =
       durability::OpenSegment(env, path, durability::SegmentKind::kDict);
@@ -511,7 +514,7 @@ TEST(DurabilityRecoveryTest, RecoveryAcrossShardCountChange) {
 /// Returns the exit code (the injected crash _exit(42)s from within).
 int RunChild(const std::string& data_dir, const std::string& ack_path,
              const char* crash_spec) {
-  fail::ArmLegacyCrashSpec(crash_spec);
+  fail::ArmForTesting(crash_spec);
   int ack_fd = ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (ack_fd < 0) return 3;
   {
@@ -603,12 +606,12 @@ void RunKillPointCase(const char* crash_spec, size_t shards) {
 TEST(DurabilityKillPointTest, RecoversCommittedPrefixAtEveryCrashSite) {
   const char* specs[] = {
       nullptr,             // control: clean run, full recovery
-      "wal_append",        // group written, not fsynced
-      "wal_pre_fsync",     // about to fsync
-      "wal_post_fsync",    // durable but not applied or acked
-      "wal_append:4",      // a later group: post-DDL, mid-stream
-      "ckpt_mid",          // segments written, manifest not committed
-      "ckpt_post_truncate",  // WALs gone, old segments not yet GC'd
+      "wal_append=crash",      // group written, not fsynced
+      "wal_pre_fsync=crash",   // about to fsync
+      "wal_post_fsync=crash",  // durable but not applied or acked
+      "wal_append=crash@4",    // a later group: post-DDL, mid-stream
+      "ckpt_mid=crash",        // segments written, manifest not committed
+      "ckpt_post_truncate=crash",  // WALs gone, old segments not yet GC'd
   };
   for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
     for (const char* spec : specs) {
@@ -762,8 +765,35 @@ TEST(DurabilityCountersTest, WalAndCheckpointCountersAdvance) {
     ASSERT_TRUE(
         svc->Insert("call", {I(i), I(i), Dt("2016-01-01"), S("r")}).ok());
   }
+  // Concurrent writers share group commits: every insert acks and the
+  // table reads back exactly the acked rows, before and after recovery.
+  constexpr int kWriters = 4;
+  constexpr int kRowsPerWriter = 32;
+  constexpr int64_t kRows = 8 + kWriters * kRowsPerWriter;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kRowsPerWriter; ++i) {
+        int64_t pnum = 100 + w * kRowsPerWriter + i;
+        Status st = svc->Insert("call", {I(pnum), I(i), Dt("2016-01-01"),
+                                         S("w")});
+        if (!st.ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto count_rows = [](BeasService* s) {
+    auto count = s->Execute("SELECT count(*) AS n FROM call");
+    EXPECT_TRUE(count.ok());
+    return count.ok() && count->result.rows.size() == 1
+               ? count->result.rows[0][0].AsInt64()
+               : -1;
+  };
+  EXPECT_EQ(count_rows(svc.get()), kRows);
   durability::DurabilityCounters counters = svc->durability_counters();
-  EXPECT_GE(counters.wal_records_total, 8u);
+  EXPECT_GE(counters.wal_records_total, static_cast<uint64_t>(kRows));
   EXPECT_GT(counters.wal_bytes_total, 0u);
   EXPECT_GE(counters.wal_group_commits_total, 1u);
   EXPECT_GE(counters.wal_fsyncs_total, counters.wal_group_commits_total);
@@ -777,6 +807,7 @@ TEST(DurabilityCountersTest, WalAndCheckpointCountersAdvance) {
   ASSERT_TRUE(recovered->durable());
   // Checkpoint emptied the WALs: nothing to replay.
   EXPECT_EQ(recovered->durability_counters().recovery_replayed_records, 0u);
+  EXPECT_EQ(count_rows(recovered.get()), kRows);
   ASSERT_TRUE(
       recovered->Insert("call", {I(99), I(99), Dt("2016-01-02"), S("r")})
           .ok());

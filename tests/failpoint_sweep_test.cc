@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "common/shard_config.h"
 #include "common/test_env.h"
 #include "durability/durability_manager.h"
@@ -50,7 +50,7 @@ struct TempDir {
     if (made != nullptr) path = made;
   }
   ~TempDir() {
-    if (!path.empty()) RemoveAll(path);
+    if (!path.empty()) Env::Default()->RemoveAll(path);
   }
 };
 

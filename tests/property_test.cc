@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <tuple>
 
 #include "bounded/beas_session.h"
 #include "common/exec_control.h"
@@ -346,7 +348,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedScalarDifferential,
 // (dictionary) vectorized path is fuzzed exactly where it engages:
 // code-column gathers, canonicalized probe constants, encoded predicate
 // kernels. Checked against the scalar reference bit-for-bit and against
-// the conventional engines for multiset agreement.
+// the conventional engines for multiset agreement. Each seed also runs
+// with interning disabled on every heap, where the inline-string
+// vectorized path must be bit-identical to the encoded one.
 // ---------------------------------------------------------------------------
 
 /// Low-cardinality pool: lots of duplicate keys and Y-values (includes
@@ -364,8 +368,10 @@ std::string HighCardString(Rng* rng) {
 
 /// Two tables with string key columns: t0(c0 lo, c1 hi, c2 int, c3 lo),
 /// t1(c0 lo, c1 hi, c2 int). Constraints mined from the data like the
-/// integer RandomDb's.
-RandomDb BuildRandomStringDb(Rng* rng) {
+/// integer RandomDb's. With `dict_enabled` false every heap stores inline
+/// strings; the rng draws are the same either way, so one seed yields the
+/// same data in both representations.
+RandomDb BuildRandomStringDb(Rng* rng, bool dict_enabled = true) {
   RandomDb out;
   out.db = std::make_unique<Database>();
   auto build = [&](const std::string& name, bool four_cols) {
@@ -374,7 +380,9 @@ RandomDb BuildRandomStringDb(Rng* rng) {
     schema.AddColumn({"c1", TypeId::kString});
     schema.AddColumn({"c2", TypeId::kInt64});
     if (four_cols) schema.AddColumn({"c3", TypeId::kString});
-    EXPECT_TRUE(out.db->CreateTable(name, schema).ok());
+    auto info = out.db->CreateTable(name, schema);
+    EXPECT_TRUE(info.ok());
+    if (info.ok()) (*info)->heap()->set_dict_enabled(dict_enabled);
     size_t rows = static_cast<size_t>(rng->Uniform(20, 50));
     std::vector<Row> batch;
     for (size_t r = 0; r < rows; ++r) {
@@ -493,12 +501,24 @@ std::string BuildRandomStringQuery(Rng* rng, bool* aggregate) {
   return select;
 }
 
-class StringChainDifferential : public ::testing::TestWithParam<uint64_t> {};
+/// Parameters: (seed, dict_enabled). A dict-off case also builds the
+/// dict-on twin of its database and requires the two vectorized fragments
+/// to be bit-identical: the dictionary must be invisible in answers.
+class StringChainDifferential
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(StringChainDifferential, EncodedAndScalarPathsAgreeBitForBit) {
-  Rng rng(GetParam() * 60257 + 11);
-  RandomDb env = BuildRandomStringDb(&rng);
+  const auto [seed, dict_enabled] = GetParam();
+  Rng rng(seed * 60257 + 11);
+  RandomDb env = BuildRandomStringDb(&rng, dict_enabled);
   BoundedExecutor executor(env.catalog.get());
+  RandomDb twin;
+  std::unique_ptr<BoundedExecutor> twin_executor;
+  if (!dict_enabled) {
+    Rng twin_rng(seed * 60257 + 11);
+    twin = BuildRandomStringDb(&twin_rng, /*dict_enabled=*/true);
+    twin_executor = std::make_unique<BoundedExecutor>(twin.catalog.get());
+  }
   const uint64_t budgets[] = {0, 1, 3, 17};
 
   for (int q = 0; q < 8; ++q) {
@@ -534,12 +554,27 @@ TEST_P(StringChainDifferential, EncodedAndScalarPathsAgreeBitForBit) {
       ASSERT_TRUE(frag_s.ok()) << frag_s.status().ToString();
       ASSERT_TRUE(frag_v.ok()) << frag_v.status().ToString();
       ExpectFragmentsIdentical(*frag_s, *frag_v);
+      if (twin_executor != nullptr) {
+        auto twin_coverage = twin.session->Check(sql);
+        auto twin_bound = twin.db->Bind(sql);
+        ASSERT_TRUE(twin_coverage.ok() && twin_coverage->covered);
+        ASSERT_TRUE(twin_bound.ok());
+        auto frag_dict = twin_executor->ExecuteFragment(
+            *twin_bound, twin_coverage->plan, vec_opts);
+        ASSERT_TRUE(frag_dict.ok()) << frag_dict.status().ToString();
+        ExpectFragmentsIdentical(*frag_dict, *frag_v);
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StringChainDifferential,
-                         ::testing::Range<uint64_t>(0, 15));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, StringChainDifferential,
+    ::testing::Combine(::testing::Range<uint64_t>(0, 15), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_dict" : "_nodict");
+    });
 
 // ---------------------------------------------------------------------------
 // P7. Shard-count differential: hash-partitioned storage (BEAS_SHARDS)

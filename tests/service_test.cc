@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "bounded/bounded_plan.h"
+#include "common/env.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/shard_config.h"
 #include "common/string_util.h"
@@ -1657,7 +1657,7 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
     // The post-checkpoint insert replays from the WAL tail.
     EXPECT_GE(value_of(resp, "recovery_replayed_records"), 1.0);
   }
-  RemoveAll(dir);
+  Env::Default()->RemoveAll(dir);
 }
 
 TEST_F(ServiceTest, BeasStatsPollingDoesNotGrowStorageForever) {
@@ -2167,7 +2167,7 @@ TEST(ServiceWalRetryStatsTest, WalRetryGaugesAdvanceThroughBeasStats) {
     EXPECT_GE(retries, 1.0);
     EXPECT_EQ(latched, 0.0) << "a transient fault must not latch the shard";
   }
-  RemoveAll(dir);
+  Env::Default()->RemoveAll(dir);
 }
 
 }  // namespace

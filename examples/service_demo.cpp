@@ -12,6 +12,9 @@
 //   4. show what invalidates the cache (bound adjustments) and what does
 //      not (plain inserts, kept fresh by incremental index maintenance);
 //   5. push a concurrent batch through the worker pool.
+//
+// Every read goes through BeasService::Query (or Submit, its queued
+// form). Exits non-zero on any error, so it doubles as a smoke test.
 
 #include <cinttypes>
 #include <cstdio>
@@ -25,14 +28,21 @@ using namespace beas;  // examples favor brevity
 
 namespace {
 
-void Show(const char* tag, const Result<ServiceResponse>& resp) {
+int errors = 0;
+
+/// Prints one answer: which cache served it — the materialized result
+/// cache, the template plan cache, or neither — and the plan decision.
+void Show(const char* tag, const Result<QueryResponse>& resp) {
   if (!resp.ok()) {
+    ++errors;
     std::printf("%-28s ERROR %s\n", tag, resp.status().ToString().c_str());
     return;
   }
-  std::printf("%-28s %4zu rows  %-9s  %s\n", tag, resp->result.rows.size(),
-              resp->cache_hit ? "cache-hit" : "miss",
-              resp->decision.explanation.c_str());
+  const char* served = resp->result_cache_hit ? "result-hit"
+                       : resp->cache_hit      ? "plan-hit"
+                                              : "miss";
+  std::printf("%-28s %4zu rows  %-10s  %s\n", tag, resp->result.rows.size(),
+              served, resp->decision.explanation.c_str());
 }
 
 }  // namespace
@@ -65,7 +75,7 @@ int main() {
         "SELECT DISTINCT call.recnum FROM call WHERE call.pnum = %" PRId64
         " AND call.date = '2016-03-15'",
         pnum);
-    Show(("pnum=" + std::to_string(pnum)).c_str(), service.Execute(sql));
+    Show(("pnum=" + std::to_string(pnum)).c_str(), service.Query({sql}));
   }
 
   // --- 4a. Plain inserts do NOT invalidate (indices maintained). ---
@@ -75,30 +85,36 @@ int main() {
                Value::DateFromString("2016-03-15").ValueOrDie(),
                Value::String("R1"), Value::Int64(60), Value::Double(0.25),
                Value::Int64(17), Value::Int64(12345678)});
-  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  if (!st.ok()) {
+    ++errors;
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  }
   Show("pnum=10001 after insert",
-       service.Execute("SELECT DISTINCT call.recnum FROM call WHERE "
-                       "call.pnum = 10001 AND call.date = '2016-03-15'"));
+       service.Query({"SELECT DISTINCT call.recnum FROM call WHERE "
+                      "call.pnum = 10001 AND call.date = '2016-03-15'"}));
 
   // --- 4b. Maintenance bound adjustment DOES invalidate. ---
   std::printf("\n-- maintenance adjustment: affected templates evicted --\n");
   size_t changed = 0;
   st = service.RunAdjustmentCycle(1.2, &changed);
-  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  if (!st.ok()) {
+    ++errors;
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  }
   std::printf("adjusted %zu declared bounds\n", changed);
   Show("pnum=10001 after adjust",
-       service.Execute("SELECT DISTINCT call.recnum FROM call WHERE "
-                       "call.pnum = 10001 AND call.date = '2016-03-15'"));
+       service.Query({"SELECT DISTINCT call.recnum FROM call WHERE "
+                      "call.pnum = 10001 AND call.date = '2016-03-15'"}));
 
   // --- 5. A concurrent batch through the worker pool. ---
   std::printf("\n-- worker pool --\n");
-  std::vector<std::future<Result<ServiceResponse>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(service.Submit(StringPrintf(
+    futures.push_back(service.Submit({StringPrintf(
         "SELECT call.region, count(*) AS calls FROM call "
         "WHERE call.pnum = %d AND call.date = '2016-03-15' "
         "GROUP BY call.region ORDER BY calls DESC LIMIT 3",
-        10001 + i % 8)));
+        10001 + i % 8)}));
   }
   size_t ok = 0;
   for (auto& f : futures) {
@@ -107,5 +123,5 @@ int main() {
   std::printf("%zu/%zu concurrent queries answered\n", ok, futures.size());
 
   std::printf("\n%s\n", service.cache_stats().ToString().c_str());
-  return 0;
+  return errors == 0 && ok == futures.size() ? 0 : 1;
 }

@@ -22,8 +22,8 @@ std::string BoundedExplanation(uint64_t bound, bool cached) {
 }
 
 /// Case-insensitive "does the SQL mention the stats table" check — cheap
-/// enough to run on every Execute, and a false positive (the name inside
-/// a string literal) merely refreshes the table needlessly.
+/// enough to run on every kAuto request, and a false positive (the name
+/// inside a string literal) merely refreshes the table needlessly.
 bool MentionsStatsTable(const std::string& sql) {
   const char* name = BeasService::kStatsTableName;
   size_t n = std::strlen(name);
@@ -121,11 +121,9 @@ BeasService::BeasService(ServiceOptions options)
       maintenance_(&db_, &catalog_),
       session_(&db_, &catalog_),
       cache_(options_.cache_capacity, options_.cache_shards),
-      cache_enabled_(options_.enable_plan_cache),
       result_cache_(std::make_unique<ResultCache>(
           options_.result_cache_max_bytes, options_.cache_shards)),
-      result_cache_enabled_(options_.enable_result_cache &&
-                            options_.result_cache_max_bytes > 0),
+      result_cache_enabled_(options_.result_cache_max_bytes > 0),
       canonical_forms_(options_.cache_capacity),
       // At least one worker, or Submit() futures would never resolve.
       pool_(std::max<size_t>(1, options_.num_workers)) {
@@ -263,10 +261,9 @@ std::vector<MaintenanceManager::Adjustment> BeasService::RevalidateAndSuggest(
 }
 
 // ---------------------------------------------------------------------------
-// Read side: Query() is the single entry point. Every named method below
-// builds a QueryRequest and funnels through it, so admission, tenant
+// Read side: Query() is the single entry point, so admission, tenant
 // accounting, and telemetry behave identically no matter which transport
-// or shim a request arrived through.
+// or mode a request arrived through.
 // ---------------------------------------------------------------------------
 
 const char* QueryModeName(QueryMode mode) {
@@ -297,33 +294,17 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
   if (tenant != nullptr) {
     tenant->requests.fetch_add(1, std::memory_order_relaxed);
   }
-  switch (request.mode) {
-    case QueryMode::kAuto:
-      return QueryAuto(request, tenant);
-    case QueryMode::kBoundedOnly:
-      return QueryBoundedOnly(request, tenant);
-    case QueryMode::kApproximate:
-      return QueryApproximate(request, tenant);
-    case QueryMode::kCheckOnly:
-      return QueryCheckOnly(request);
+  const QueryMode mode = request.mode;
+  if (mode > QueryMode::kCheckOnly) {
+    // Unknown byte off the wire: typed client error, never a crash.
+    return Status::InvalidArgument(
+        "unknown query mode " + std::to_string(static_cast<unsigned>(mode)));
   }
-  // Unknown byte off the wire: typed client error, never a crash.
-  return Status::InvalidArgument(
-      "unknown query mode " +
-      std::to_string(static_cast<unsigned>(request.mode)));
-}
-
-Result<ServiceResponse> BeasService::Execute(const std::string& sql,
-                                             const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.options = qopts;
-  return Query(request);
-}
-
-Result<QueryResponse> BeasService::QueryAuto(const QueryRequest& request,
-                                             TenantState* tenant) {
-  if (MentionsStatsTable(request.sql)) {
+  if (mode == QueryMode::kApproximate && request.approx_budget == 0) {
+    return Status::InvalidArgument(
+        "approximate mode requires a positive approx_budget");
+  }
+  if (mode == QueryMode::kAuto && MentionsStatsTable(request.sql)) {
     // Materialize fresh serving-health counters before answering; the
     // refresh takes the exclusive lock, the query itself runs shared.
     // (The refresh rewrites the stats table's rows, bumping its version
@@ -333,29 +314,98 @@ Result<QueryResponse> BeasService::QueryAuto(const QueryRequest& request,
   }
   TemplateInfo tinfo = PrepareTemplate(request.sql);
   Database::ReadScope lock(&db_);
-  // Result-cache hit: serve the materialized answer before binding,
-  // coverage checking, or any admission reservation — a hit consumes no
-  // cost grant and cannot be rejected by an exhausted pool.
+  // Result-cache hit (execution modes): serve the materialized answer
+  // before binding, coverage checking, or any admission reservation — a
+  // hit consumes no cost grant and cannot be rejected by an exhausted
+  // pool. The mode byte in the key keeps kAuto and kBoundedOnly answers
+  // of one template apart.
   std::string rkey;
   uint64_t rhash = 0;
-  if (tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
-    rkey = ResultKeyFor(tinfo, QueryMode::kAuto, request.options);
+  if ((mode == QueryMode::kAuto || mode == QueryMode::kBoundedOnly) &&
+      tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
+    rkey = ResultKeyFor(tinfo, mode, request.options);
     rhash = HashString(rkey);
     QueryResponse hit;
     if (LookupResult(rhash, rkey, &hit)) return hit;
   }
-  std::vector<std::string> tables;
-  Result<QueryResponse> resp = ExecuteLocked(request, tinfo, tenant, &tables);
-  if (resp.ok()) {
-    resp->covered =
-        resp->decision.mode == BeasSession::ExecutionDecision::Mode::kBounded;
-    // Still under the shared lock: no rebuild can race the detach.
-    DetachResultStrings(&resp->result);
-    if (!rkey.empty()) {
-      // Same ReadScope the answer was computed under: the epochs captured
-      // here are exactly the epochs the answer was evaluated at.
-      MaybeStoreResult(rhash, rkey, *resp, request.options, tables);
+
+  BEAS_ASSIGN_OR_RETURN(ResolvedPlan plan,
+                        ResolvePlan(tinfo, mode == QueryMode::kAuto));
+  const CoverageResult& coverage = plan.coverage;
+  QueryResponse resp;
+  resp.cache_hit = plan.cache_hit;
+  resp.cacheable = plan.cacheable;
+  resp.template_hash = plan.template_hash;
+  resp.covered = coverage.covered;
+  switch (mode) {
+    case QueryMode::kCheckOnly:
+      resp.unsatisfiable = coverage.unsatisfiable;
+      resp.reason = coverage.reason;
+      resp.decision.deduced_bound =
+          coverage.covered ? coverage.plan.total_access_bound : 0;
+      return resp;
+    case QueryMode::kApproximate: {
+      // Self-bounded by its budget: no admission reservation.
+      if (!coverage.covered) {
+        return Status::NotCovered("approximation requires a covered query: " +
+                                  coverage.reason);
+      }
+      BEAS_ASSIGN_OR_RETURN(ApproxResult approx,
+                            session_.ExecuteApproximate(plan.query,
+                                                        coverage.plan,
+                                                        request.approx_budget));
+      resp.result = std::move(approx.result);
+      resp.eta = approx.eta;
+      resp.approx_exact = approx.exact;
+      resp.approx_budget = approx.budget;
+      resp.tuples_fetched = approx.tuples_fetched;
+      resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
+      resp.decision.deduced_bound = coverage.plan.total_access_bound;
+      resp.decision.explanation =
+          "budgeted approximation (budget " + WithCommas(approx.budget) + ")";
+      break;
     }
+    case QueryMode::kBoundedOnly:
+    case QueryMode::kAuto:
+      if (coverage.covered) {
+        BEAS_RETURN_NOT_OK(RunCoveredAdmitted(plan.query, coverage.plan,
+                                              ExecOptionsFor(plan),
+                                              request.options, tenant, &resp));
+        resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
+        resp.decision.deduced_bound = coverage.plan.total_access_bound;
+        resp.decision.explanation =
+            plan.cache_hit ? plan.entry->covered_explanation
+                           : BoundedExplanation(
+                                 coverage.plan.total_access_bound, false);
+      } else if (mode == QueryMode::kBoundedOnly) {
+        return Status::NotCovered(coverage.reason);
+      } else {
+        BEAS_ASSIGN_OR_RETURN(
+            PartialPlanResult partial,
+            session_.ExecutePartialChoice(plan.query, plan.partial,
+                                          options_.fallback_profile,
+                                          ExecOptionsFor(plan)));
+        resp.result = std::move(partial.result);
+        resp.decision.mode =
+            partial.any_bounded
+                ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
+                : BeasSession::ExecutionDecision::Mode::kConventional;
+        resp.decision.deduced_bound = partial.fragment_access_bound;
+        resp.decision.explanation = coverage.reason + "; " +
+                                    partial.description;
+        if (plan.cache_hit) {
+          resp.decision.explanation += " (cached template plan)";
+        }
+      }
+      break;
+  }
+  // Still under the shared lock: no rebuild can race the detach.
+  DetachResultStrings(&resp.result);
+  if (!rkey.empty()) {
+    // Same ReadScope the answer was computed under: the epochs captured
+    // here are exactly the epochs the answer was evaluated at.
+    MaybeStoreResult(rhash, rkey, resp, request.options,
+                     TablesReadBy(plan.query));
   }
   return resp;
 }
@@ -868,122 +918,110 @@ Status BeasService::RefreshStatsTable() {
   return Status::OK();
 }
 
-Result<ServiceResponse> BeasService::ExecuteUncachedQuery(
-    const BoundQuery& query) {
-  ServiceResponse resp;
-  resp.cacheable = false;
-  BEAS_ASSIGN_OR_RETURN(
-      resp.result,
-      session_.Execute(query, &resp.decision, options_.fallback_profile));
-  return resp;
-}
-
-Result<QueryResponse> BeasService::ExecuteLocked(
-    const QueryRequest& request, const TemplateInfo& tinfo,
-    TenantState* tenant, std::vector<std::string>* tables_out) {
+Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(
+    const TemplateInfo& tinfo, bool want_partial) {
+  ResolvedPlan out;
   // The canonical rendering when normalization changed the text (every
-  // equivalent spelling then executes the identical query), the client's
+  // equivalent spelling then binds the identical query), the client's
   // original otherwise.
   const std::string& sql = tinfo.sql;
-  const QueryOptions& qopts = request.options;
-  if (!cache_enabled_.load(std::memory_order_relaxed) || !tinfo.have) {
-    // Plan cache off, or malformed literal syntax (masking failed): let
-    // the real front end handle it.
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    if (tables_out != nullptr) *tables_out = TablesReadBy(query);
-    return ExecuteUncachedQuery(query);
-  }
-  const SqlTemplate& masked = tinfo.masked;
-
+  const bool use_cache =
+      tinfo.have && cache_enabled_.load(std::memory_order_relaxed);
   QueryTemplate key;
-  key.canonical = masked.text;
-  key.hash = HashString(key.canonical);
-
-  // --- Fast path: instantiate the cached template (the variant matching
-  // this instance's frozen parameters), skipping parse+bind and the
-  // coverage / partial-plan search. ---
-  std::shared_ptr<const PlanCache::Entry> entry =
-      cache_.Lookup(key, masked.params);
-  BoundQuery query;
   bool have_query = false;
-  if (entry != nullptr && entry->prepared != nullptr) {
-    Result<BoundQuery> inst =
-        InstantiatePrepared(*entry->prepared, masked.params);
-    if (inst.ok()) {
-      query = std::move(*inst);
-      have_query = true;
-      if (tables_out != nullptr) *tables_out = TablesReadBy(query);
-      if (entry->covered) {
-        Result<BoundedPlan> plan = RebindPlanConstants(entry->plan, query);
-        if (plan.ok()) {
-          ServiceResponse resp;
-          resp.cache_hit = true;
-          resp.template_hash = key.hash;
-          BEAS_RETURN_NOT_OK(RunCoveredAdmitted(
-              query, *plan, FastPathOptions(*entry), qopts, tenant, &resp));
-          resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-          resp.decision.deduced_bound = plan->total_access_bound;
-          resp.decision.explanation = entry->covered_explanation;
-          return resp;
-        }
-      } else if (entry->partial_computed) {
-        // Copy only the cheap choice fields; the plan skeleton is copied
-        // once, inside RebindPlanConstants.
-        PartialPlanChoice choice;
-        choice.found = entry->partial.found;
-        choice.atom_enabled = entry->partial.atom_enabled;
-        choice.conjunct_enabled = entry->partial.conjunct_enabled;
-        bool rebound = true;
-        if (choice.found) {
-          Result<BoundedPlan> plan = RebindPlanConstants(
-              entry->partial.plan, query, choice.conjunct_enabled);
-          if (plan.ok()) {
-            choice.plan = std::move(*plan);
-          } else {
-            rebound = false;
+  if (use_cache) {
+    key.canonical = tinfo.masked.text;
+    key.hash = HashString(key.canonical);
+    out.template_hash = key.hash;
+    // Hit: instantiate the cached template (the variant matching this
+    // instance's frozen parameters) and rebind its plans, skipping
+    // parse + bind and the coverage / partial-plan search.
+    std::shared_ptr<const PlanCache::Entry> entry =
+        cache_.Lookup(key, tinfo.masked.params);
+    if (entry != nullptr && entry->prepared != nullptr) {
+      Result<BoundQuery> inst =
+          InstantiatePrepared(*entry->prepared, tinfo.masked.params);
+      if (inst.ok()) {
+        out.query = std::move(*inst);
+        have_query = true;
+        bool reused = true;
+        if (entry->covered) {
+          Result<BoundedPlan> plan =
+              RebindPlanConstants(entry->plan, out.query);
+          reused = plan.ok();
+          if (reused) out.coverage.plan = std::move(*plan);
+        } else if (want_partial) {
+          reused = entry->partial_computed;
+          // Copy only the cheap choice fields; the plan skeleton is copied
+          // once, inside RebindPlanConstants.
+          out.partial.found = entry->partial.found;
+          out.partial.atom_enabled = entry->partial.atom_enabled;
+          out.partial.conjunct_enabled = entry->partial.conjunct_enabled;
+          if (reused && out.partial.found) {
+            Result<BoundedPlan> plan = RebindPlanConstants(
+                entry->partial.plan, out.query, out.partial.conjunct_enabled);
+            reused = plan.ok();
+            if (reused) out.partial.plan = std::move(*plan);
           }
         }
-        if (rebound) {
-          BoundedExecOptions exec_options;
-          exec_options.collect_stats = false;
-          exec_options.probe_pool = &pool_;
-          BEAS_ASSIGN_OR_RETURN(
-              PartialPlanResult partial,
-              session_.ExecutePartialChoice(
-                  query, choice, options_.fallback_profile, exec_options));
-          ServiceResponse resp;
-          resp.cache_hit = true;
-          resp.template_hash = key.hash;
-          resp.result = std::move(partial.result);
-          resp.decision.mode =
-              partial.any_bounded
-                  ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
-                  : BeasSession::ExecutionDecision::Mode::kConventional;
-          resp.decision.deduced_bound = partial.fragment_access_bound;
-          resp.decision.explanation = entry->reason + "; " +
-                                      partial.description +
-                                      " (cached template plan)";
-          return resp;
+        if (reused) {
+          out.coverage.covered = entry->covered;
+          out.coverage.unsatisfiable = entry->unsatisfiable;
+          out.coverage.reason = entry->reason;
+          out.cache_hit = true;
+          out.entry = std::move(entry);
+          return out;
         }
+        // A rebind mismatch, or a not-covered entry whose fallback choice
+        // was never computed (a strict-bounded or check request populated
+        // it): re-plan below, reusing the instantiated query.
       }
-      // Covered rebind mismatch, or a not-covered entry whose fallback was
-      // never computed (strict-bounded / Check populated it): re-plan below
-      // reusing the instantiated query.
     }
   }
 
+  // Miss (or no cache): bind, check, and — cacheable templates only —
+  // build and insert the entry.
   if (!have_query) {
-    BEAS_ASSIGN_OR_RETURN(query, db_.Bind(sql));
-    if (tables_out != nullptr) *tables_out = TablesReadBy(query);
+    BEAS_ASSIGN_OR_RETURN(out.query, db_.Bind(sql));
   }
-  return ExecuteMiss(sql, masked, std::move(query), qopts, tenant);
+  BEAS_ASSIGN_OR_RETURN(out.coverage, session_.Check(out.query));
+  if (!out.coverage.covered && want_partial) {
+    BEAS_ASSIGN_OR_RETURN(out.partial, session_.ChoosePartialPlan(out.query));
+  }
+  if (!use_cache) {
+    // Plan cache off, or malformed literal syntax (masking failed).
+    out.cacheable = false;
+    return out;
+  }
+  QueryTemplate tmpl = BuildQueryTemplate(tinfo.masked, out.query);
+  if (!tmpl.cacheable) {
+    cache_.NoteUncacheable();
+    out.cacheable = false;
+    return out;
+  }
+  std::shared_ptr<PlanCache::Entry> entry =
+      MakeEntry(sql, tinfo.masked, tmpl, out.query, out.coverage);
+  if (!out.coverage.covered && want_partial) {
+    entry->partial_computed = true;
+    entry->partial = out.partial;
+  }
+  if (entry->prepared != nullptr) {
+    cache_.Insert(key, entry);
+  } else {
+    // Masker/lexer divergence: the template can never be served from the
+    // cache, so the response must not claim eligibility.
+    cache_.NoteUncacheable();
+    out.cacheable = false;
+  }
+  out.entry = std::move(entry);
+  return out;
 }
 
-BoundedExecOptions BeasService::FastPathOptions(
-    const PlanCache::Entry& entry) const {
+BoundedExecOptions BeasService::ExecOptionsFor(const ResolvedPlan& plan) const {
   BoundedExecOptions options;
-  options.collect_stats = false;
-  options.compiled = entry.compiled.get();
+  // A hit replays a cached plan: skip the diagnostic rendering.
+  options.collect_stats = !plan.cache_hit;
+  if (plan.entry != nullptr) options.compiled = plan.entry->compiled.get();
   options.probe_pool = &pool_;
   return options;
 }
@@ -1021,256 +1059,6 @@ std::shared_ptr<PlanCache::Entry> BeasService::MakeEntry(
   return entry;
 }
 
-Result<ServiceResponse> BeasService::ExecuteMiss(const std::string& sql,
-                                                 const SqlTemplate& masked,
-                                                 BoundQuery query,
-                                                 const QueryOptions& qopts,
-                                                 TenantState* tenant) {
-  QueryTemplate tmpl = BuildQueryTemplate(masked, query);
-  if (!tmpl.cacheable) {
-    cache_.NoteUncacheable();
-    ServiceResponse resp;
-    BEAS_ASSIGN_OR_RETURN(resp, ExecuteUncachedQuery(query));
-    resp.template_hash = tmpl.hash;
-    return resp;
-  }
-
-  ServiceResponse resp;
-  resp.template_hash = tmpl.hash;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, session_.Check(query));
-  std::shared_ptr<PlanCache::Entry> entry =
-      MakeEntry(sql, masked, tmpl, query, coverage);
-
-  if (coverage.covered) {
-    // First execution of the template: full telemetry, but already with
-    // the freshly compiled step programs and the probe pool.
-    BoundedExecOptions exec_options;
-    exec_options.compiled = entry->compiled.get();
-    exec_options.probe_pool = &pool_;
-    BEAS_RETURN_NOT_OK(RunCoveredAdmitted(query, coverage.plan, exec_options,
-                                          qopts, tenant, &resp));
-    resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-    resp.decision.deduced_bound = coverage.plan.total_access_bound;
-    resp.decision.explanation =
-        BoundedExplanation(coverage.plan.total_access_bound, false);
-  } else {
-    BEAS_ASSIGN_OR_RETURN(PartialPlanChoice choice,
-                          session_.ChoosePartialPlan(query));
-    entry->partial_computed = true;
-    entry->partial = choice;
-    BEAS_ASSIGN_OR_RETURN(
-        PartialPlanResult partial,
-        session_.ExecutePartialChoice(query, choice,
-                                      options_.fallback_profile));
-    resp.result = std::move(partial.result);
-    resp.decision.mode =
-        partial.any_bounded
-            ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
-            : BeasSession::ExecutionDecision::Mode::kConventional;
-    resp.decision.deduced_bound = partial.fragment_access_bound;
-    resp.decision.explanation = coverage.reason + "; " + partial.description;
-  }
-  if (entry->prepared != nullptr) {
-    QueryTemplate key;
-    key.canonical = masked.text;
-    key.hash = tmpl.hash;
-    cache_.Insert(key, std::move(entry));
-  } else {
-    // Masker/lexer divergence: the template can never be served from the
-    // cache, so the response must not claim eligibility.
-    cache_.NoteUncacheable();
-    resp.cacheable = false;
-  }
-  return resp;
-}
-
-Result<QueryResponse> BeasService::QueryBoundedOnly(
-    const QueryRequest& request, TenantState* tenant) {
-  TemplateInfo tinfo = PrepareTemplate(request.sql);
-  Database::ReadScope lock(&db_);
-  // Result-cache hit: short-circuit before the coverage check and before
-  // any admission reservation. The mode byte in the key keeps bounded
-  // answers separate from kAuto answers of the same template.
-  std::string rkey;
-  uint64_t rhash = 0;
-  if (tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
-    rkey = ResultKeyFor(tinfo, QueryMode::kBoundedOnly, request.options);
-    rhash = HashString(rkey);
-    QueryResponse hit;
-    if (LookupResult(rhash, rkey, &hit)) return hit;
-  }
-  bool cache_hit = false;
-  BoundQuery query;
-  std::shared_ptr<const PlanCache::Entry> entry;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage,
-                        CheckLocked(tinfo.sql, &cache_hit, &query, &entry));
-  if (!coverage.covered) return Status::NotCovered(coverage.reason);
-  // CheckLocked's plan is already rebound to this instance's constants.
-  QueryResponse resp;
-  resp.cache_hit = cache_hit;
-  resp.covered = true;
-  BoundedExecOptions exec_options;
-  exec_options.probe_pool = &pool_;
-  if (entry != nullptr) exec_options.compiled = entry->compiled.get();
-  BEAS_RETURN_NOT_OK(RunCoveredAdmitted(query, coverage.plan, exec_options,
-                                        request.options, tenant, &resp));
-  resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-  resp.decision.deduced_bound = coverage.plan.total_access_bound;
-  resp.decision.explanation =
-      BoundedExplanation(coverage.plan.total_access_bound, cache_hit);
-  DetachResultStrings(&resp.result);
-  if (!rkey.empty()) {
-    MaybeStoreResult(rhash, rkey, resp, request.options, TablesReadBy(query));
-  }
-  return resp;
-}
-
-Result<ServiceResponse> BeasService::ExecuteBounded(const std::string& sql,
-                                                    const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kBoundedOnly;
-  request.options = qopts;
-  return Query(request);
-}
-
-Result<QueryResponse> BeasService::QueryApproximate(const QueryRequest& request,
-                                                    TenantState* tenant) {
-  (void)tenant;  // counted by Query(); approximation self-bounds by budget
-  if (request.approx_budget == 0) {
-    return Status::InvalidArgument(
-        "approximate mode requires a positive approx_budget");
-  }
-  Database::ReadScope lock(&db_);
-  BoundQuery query;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage,
-                        CheckLocked(request.sql, nullptr, &query));
-  if (!coverage.covered) {
-    return Status::NotCovered("approximation requires a covered query: " +
-                              coverage.reason);
-  }
-  BEAS_ASSIGN_OR_RETURN(
-      ApproxResult approx,
-      session_.ExecuteApproximate(query, coverage.plan, request.approx_budget));
-  QueryResponse resp;
-  resp.result = std::move(approx.result);
-  resp.covered = true;
-  resp.eta = approx.eta;
-  resp.approx_exact = approx.exact;
-  resp.approx_budget = approx.budget;
-  resp.tuples_fetched = approx.tuples_fetched;
-  resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-  resp.decision.deduced_bound = coverage.plan.total_access_bound;
-  resp.decision.explanation =
-      "budgeted approximation (budget " + WithCommas(approx.budget) + ")";
-  DetachResultStrings(&resp.result);
-  return resp;
-}
-
-Result<ApproxResult> BeasService::ExecuteApproximate(const std::string& sql,
-                                                     uint64_t budget) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kApproximate;
-  request.approx_budget = budget;
-  BEAS_ASSIGN_OR_RETURN(QueryResponse resp, Query(request));
-  ApproxResult approx;
-  approx.result = std::move(resp.result);
-  approx.eta = resp.eta;
-  approx.budget = resp.approx_budget;
-  approx.tuples_fetched = resp.tuples_fetched;
-  approx.exact = resp.approx_exact;
-  return approx;
-}
-
-Result<QueryResponse> BeasService::QueryCheckOnly(const QueryRequest& request) {
-  Database::ReadScope lock(&db_);
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, CheckLocked(request.sql));
-  QueryResponse resp;
-  resp.covered = coverage.covered;
-  resp.unsatisfiable = coverage.unsatisfiable;
-  resp.reason = coverage.reason;
-  resp.decision.deduced_bound =
-      coverage.covered ? coverage.plan.total_access_bound : 0;
-  resp.coverage = std::move(coverage);
-  return resp;
-}
-
-Result<CoverageResult> BeasService::Check(const std::string& sql) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kCheckOnly;
-  BEAS_ASSIGN_OR_RETURN(QueryResponse resp, Query(request));
-  return std::move(resp.coverage);
-}
-
-Result<CoverageResult> BeasService::CheckLocked(
-    const std::string& sql, bool* cache_hit, BoundQuery* query_out,
-    std::shared_ptr<const PlanCache::Entry>* entry_out) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (entry_out != nullptr) entry_out->reset();
-  if (!cache_enabled_.load(std::memory_order_relaxed)) {
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    Result<CoverageResult> coverage = session_.Check(query);
-    if (query_out != nullptr) *query_out = std::move(query);
-    return coverage;
-  }
-  Result<SqlTemplate> masked_r = MaskSqlLiterals(sql);
-  if (!masked_r.ok()) {
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    Result<CoverageResult> coverage = session_.Check(query);
-    if (query_out != nullptr) *query_out = std::move(query);
-    return coverage;
-  }
-  SqlTemplate masked = std::move(*masked_r);
-  QueryTemplate key;
-  key.canonical = masked.text;
-  key.hash = HashString(key.canonical);
-
-  std::shared_ptr<const PlanCache::Entry> entry =
-      cache_.Lookup(key, masked.params);
-  if (entry != nullptr && entry->prepared != nullptr) {
-    Result<BoundQuery> inst =
-        InstantiatePrepared(*entry->prepared, masked.params);
-    if (inst.ok()) {
-      Result<BoundedPlan> plan =
-          entry->covered ? RebindPlanConstants(entry->plan, *inst)
-                         : Result<BoundedPlan>(BoundedPlan(entry->plan));
-      if (plan.ok()) {
-        CoverageResult coverage;
-        coverage.covered = entry->covered;
-        coverage.unsatisfiable = entry->unsatisfiable;
-        coverage.plan = std::move(*plan);
-        coverage.reason = entry->reason;
-        coverage.nodes_explored = entry->nodes_explored;  // search saved
-        if (cache_hit != nullptr) *cache_hit = true;
-        if (query_out != nullptr) *query_out = std::move(*inst);
-        if (entry_out != nullptr) *entry_out = std::move(entry);
-        return coverage;
-      }
-    }
-  }
-
-  BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-  QueryTemplate tmpl = BuildQueryTemplate(masked, query);
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, session_.Check(query));
-  if (tmpl.cacheable) {
-    std::shared_ptr<PlanCache::Entry> fresh =
-        MakeEntry(sql, masked, tmpl, query, coverage);
-    if (entry_out != nullptr) *entry_out = fresh;
-    if (fresh->prepared != nullptr) {
-      cache_.Insert(key, std::move(fresh));
-    } else {
-      cache_.NoteUncacheable();
-    }
-  } else {
-    // Keep stats consistent with ExecuteLocked's uncacheable accounting.
-    cache_.NoteUncacheable();
-  }
-  if (query_out != nullptr) *query_out = std::move(query);
-  return coverage;
-}
-
 std::future<Result<QueryResponse>> BeasService::Submit(QueryRequest request) {
   auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
   std::future<Result<QueryResponse>> future = promise->get_future();
@@ -1294,14 +1082,6 @@ std::future<Result<QueryResponse>> BeasService::Submit(QueryRequest request) {
     promise->set_value(Status::Unavailable("service is shutting down"));
   }
   return future;
-}
-
-std::future<Result<ServiceResponse>> BeasService::Submit(
-    const std::string& sql, const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.options = qopts;
-  return Submit(std::move(request));
 }
 
 }  // namespace beas

@@ -26,15 +26,10 @@ struct ServiceOptions {
   size_t num_workers = 4;      ///< threads serving Submit(); clamped to >= 1
   size_t cache_capacity = 1024;
   size_t cache_shards = 8;
-  bool enable_plan_cache = true;
-  /// \name Materialized result cache (see ResultCache).
-  /// @{
-  bool enable_result_cache = true;
-  /// Byte bound on cached answer payloads (row data + diagnostics), split
-  /// evenly across cache_shards; LRU answers are evicted past it. 0
-  /// disables the result cache outright.
+  /// Byte bound on the materialized result cache's answer payloads (row
+  /// data + diagnostics), split evenly across cache_shards; LRU answers
+  /// are evicted past it. 0 disables the result cache outright.
   size_t result_cache_max_bytes = 64u << 20;
-  /// @}
   EngineProfile fallback_profile = EngineProfile::PostgresLike();
   /// Durable mode: set `durability.dir` to a data directory and the
   /// service recovers it on construction and write-ahead-logs every write
@@ -133,10 +128,17 @@ const char* QueryModeName(QueryMode mode);
 Result<QueryMode> ParseQueryMode(const std::string& token);
 
 /// \brief The unified read-side request envelope: one serializable
-/// struct that every entry point — in-process shims and both wire
-/// protocols — funnels into, so there is exactly one admission path and
-/// one telemetry story.
+/// struct that every caller — in-process and both wire protocols — hands
+/// to BeasService::Query, so there is exactly one admission path and one
+/// telemetry story. Callers brace-initialize the common fields:
+/// `svc.Query({sql})`, `svc.Query({sql, QueryMode::kBoundedOnly, options})`.
 struct QueryRequest {
+  // A constructor rather than aggregate init, so the short brace forms
+  // compile without -Wmissing-field-initializers noise.
+  QueryRequest(std::string sql_in = {}, QueryMode mode_in = QueryMode::kAuto,
+               QueryOptions options_in = {})
+      : sql(std::move(sql_in)), mode(mode_in), options(options_in) {}
+
   std::string sql;
   QueryMode mode = QueryMode::kAuto;
   QueryOptions options;
@@ -148,11 +150,10 @@ struct QueryRequest {
 };
 
 /// \brief The unified response envelope: a query answer plus the
-/// service-level telemetry, for every mode. (`ServiceResponse` is the
-/// historical name; the two are one type.)
+/// service-level telemetry, for every mode.
 ///
 /// Mode-specific fields: kCheckOnly fills `covered`/`unsatisfiable`/
-/// `reason`/`coverage` and leaves `result` empty; kApproximate fills
+/// `reason` and leaves `result` empty; kApproximate fills
 /// `approx_exact`/`approx_budget`/`tuples_fetched`; the execution modes
 /// fill `result`/`decision` and the resilience telemetry.
 struct QueryResponse {
@@ -178,10 +179,6 @@ struct QueryResponse {
   bool covered = false;
   bool unsatisfiable = false;
   std::string reason;       ///< diagnosis when not covered
-  /// The full checker verdict incl. the bounded plan — populated in
-  /// kCheckOnly mode only (it does not serialize; the wire carries the
-  /// scalar summary above).
-  CoverageResult coverage;
   /// @}
   /// \name Approximation telemetry (kApproximate).
   /// @{
@@ -190,10 +187,6 @@ struct QueryResponse {
   uint64_t tuples_fetched = 0;
   /// @}
 };
-
-/// Historical name for the unified envelope, kept so existing callers
-/// (and their tests) compile unchanged.
-using ServiceResponse = QueryResponse;
 
 /// \brief Live wire-server gauges, owned by the service so beas_stats can
 /// report them uniformly: an in-process service (no server attached)
@@ -221,9 +214,9 @@ struct ResultCacheStats;  // service/result_cache.h
 /// concurrent clients over them under the engine's per-shard
 /// single-writer/multi-reader contract (see Database):
 ///
-///  * Read paths (Execute / ExecuteBounded / ExecuteApproximate / Check /
-///    Submit) bracket themselves with Database::ReadScope (structural +
-///    every storage shard, shared) and run concurrently.
+///  * Reads (Query, and Submit, its queued form) bracket themselves with
+///    Database::ReadScope (structural + every storage shard, shared) and
+///    run concurrently.
 ///  * Data writes (Insert / InsertBatch / Delete) go straight to the
 ///    Database, which locks only the shards the rows hash to — writers
 ///    to disjoint shards proceed in parallel.
@@ -236,12 +229,14 @@ struct ResultCacheStats;  // service/result_cache.h
 /// Real workloads are dominated by repeated parameterized templates, and
 /// for BEAS the expensive per-query work — the BE checker's coverage
 /// search and the partial-plan optimizer's subset search — depends only on
-/// the template, not the parameter values. Execute therefore normalizes
+/// the template, not the parameter values. Query therefore normalizes
 /// each query (token-level + bound-AST constant lifting), looks its
 /// template up in a sharded LRU cache, and on a hit skips straight to
 /// execution with the cached plan skeleton, rebinding fetch-key constants
-/// to the new parameters. Value-dependent templates (see
-/// QueryTemplate::cacheable) bypass the cache.
+/// to the new parameters. Every mode shares one template identity, so a
+/// check-mode miss warms the plan a later kAuto request hits.
+/// Value-dependent templates (see QueryTemplate::cacheable) bypass the
+/// cache but run the same admitted bounded pipeline.
 ///
 /// ## Maintenance-driven invalidation
 ///
@@ -288,44 +283,17 @@ class BeasService {
   /// @}
 
   /// \name Read side (shared lock; safe from many threads).
-  ///
-  /// Query() is THE read-side entry point: every mode, every tenant,
-  /// every transport funnels through it — one admission path, one
-  /// telemetry struct, one serialization. The named entry points below it
-  /// are documented thin shims kept for in-process callers.
   /// @{
+  /// THE read entry point: every mode, every tenant, every transport
+  /// funnels through it — one template identity, one plan resolution,
+  /// one admission path, one telemetry struct.
   Result<QueryResponse> Query(const QueryRequest& request);
-
-  /// Shim: Query() in kAuto mode with no tenant.
-  Result<ServiceResponse> Execute(const std::string& sql) {
-    return Execute(sql, QueryOptions{});
-  }
-  /// Shim: kAuto with per-request deadline / cancellation / budget / min-η.
-  Result<ServiceResponse> Execute(const std::string& sql,
-                                  const QueryOptions& qopts);
-  /// Shim: Query() in kBoundedOnly mode.
-  Result<ServiceResponse> ExecuteBounded(const std::string& sql) {
-    return ExecuteBounded(sql, QueryOptions{});
-  }
-  Result<ServiceResponse> ExecuteBounded(const std::string& sql,
-                                         const QueryOptions& qopts);
-  /// Shim: Query() in kApproximate mode, repackaged as an ApproxResult.
-  Result<ApproxResult> ExecuteApproximate(const std::string& sql,
-                                          uint64_t budget);
-  /// Shim: Query() in kCheckOnly mode, returning the checker verdict.
-  Result<CoverageResult> Check(const std::string& sql);
-  /// @}
 
   /// Enqueues the request on the worker pool; the future resolves to the
   /// same response Query() would produce. At max_queue_depth in-flight
   /// submissions the call resolves immediately with kResourceExhausted.
   std::future<Result<QueryResponse>> Submit(QueryRequest request);
-  /// Shims onto Submit(QueryRequest) in kAuto mode.
-  std::future<Result<ServiceResponse>> Submit(const std::string& sql) {
-    return Submit(sql, QueryOptions{});
-  }
-  std::future<Result<ServiceResponse>> Submit(const std::string& sql,
-                                              const QueryOptions& qopts);
+  /// @}
 
   /// \name Serving-health metadata table.
   /// Queries that mention `beas_stats` trigger a refresh of a real table
@@ -340,9 +308,9 @@ class BeasService {
   /// counters are sampled one shard at a time (ShardReadScope each) — the
   /// refresh never holds two shard locks at once, so it cannot invert
   /// lock order against per-shard writers; only the final row rebuild
-  /// takes the structural lock exclusively. Execute() calls this
-  /// automatically for queries that mention the table; exposed for tests
-  /// and manual refresh.
+  /// takes the structural lock exclusively. Query() calls this
+  /// automatically for kAuto requests that mention the table; exposed for
+  /// tests and manual refresh.
   Status RefreshStatsTable();
   /// @}
 
@@ -442,16 +410,6 @@ class BeasService {
     std::atomic<uint64_t> degraded{0};
   };
 
-  /// Mode dispatchers behind Query(); each assumes Query() already did
-  /// tenant accounting. `tenant` may be null (anonymous).
-  Result<QueryResponse> QueryAuto(const QueryRequest& request,
-                                  TenantState* tenant);
-  Result<QueryResponse> QueryBoundedOnly(const QueryRequest& request,
-                                         TenantState* tenant);
-  Result<QueryResponse> QueryApproximate(const QueryRequest& request,
-                                         TenantState* tenant);
-  Result<QueryResponse> QueryCheckOnly(const QueryRequest& request);
-
   /// Returns the tenant's state, creating it on first sight (null for the
   /// empty/anonymous tenant).
   TenantState* TenantFor(const std::string& tenant);
@@ -486,13 +444,37 @@ class BeasService {
                         const std::vector<std::string>& tables);
   /// @}
 
-  /// Cached-path Execute; caller holds the shared lock. `tinfo` is the
-  /// request's prepared template (PrepareTemplate); `tables_out` (may be
-  /// null) receives the lowercased names of the tables the query read.
-  Result<QueryResponse> ExecuteLocked(const QueryRequest& request,
-                                      const TemplateInfo& tinfo,
-                                      TenantState* tenant,
-                                      std::vector<std::string>* tables_out);
+  /// One request's plan, resolved once for every mode (ResolvePlan).
+  struct ResolvedPlan {
+    BoundQuery query;  ///< bound, or instantiated from the cached template
+    /// The checker verdict; a covered plan is rebound to this instance's
+    /// constants.
+    CoverageResult coverage;
+    /// Not covered, when the caller asked for it: the partially bounded
+    /// fallback choice, rebound to this instance.
+    PartialPlanChoice partial;
+    /// The resident plan-cache entry — hit or freshly built — whose
+    /// compiled step programs the executor runs; null when the request
+    /// bypassed the cache.
+    std::shared_ptr<const PlanCache::Entry> entry;
+    bool cache_hit = false;
+    bool cacheable = true;
+    uint64_t template_hash = 0;
+  };
+
+  /// The one plan-cache pipeline; caller holds the shared lock. A hit
+  /// instantiates the cached binding and rebinds the cached plans; a miss
+  /// binds, checks, builds the entry and inserts it. Plan cache off, a
+  /// masking failure or an uncacheable template bind and check without
+  /// caching. `want_partial` also resolves a not-covered query's
+  /// fallback choice (kAuto).
+  Result<ResolvedPlan> ResolvePlan(const TemplateInfo& tinfo,
+                                   bool want_partial);
+
+  /// Executor options for a resolved plan: the entry's compiled step
+  /// programs, probe fan-out over the worker pool, and per-step telemetry
+  /// off on a plan-cache hit.
+  BoundedExecOptions ExecOptionsFor(const ResolvedPlan& plan) const;
 
   /// One admitted reservation against max_inflight_cost (and, when the
   /// request names a tenant, that tenant's cap). `charged`/
@@ -522,40 +504,13 @@ class BeasService {
                             const QueryOptions& qopts, TenantState* tenant,
                             QueryResponse* resp);
 
-  /// Cached-path Check; caller holds the shared lock. `cache_hit` (may be
-  /// null) reports whether the verdict came from the template cache;
-  /// `query_out` (may be null) receives the bound or instantiated query
-  /// so callers can execute without re-binding; `entry_out` (may be null)
-  /// receives the resident cache entry — hit or freshly inserted — whose
-  /// compiled step programs callers pass to the executor.
-  Result<CoverageResult> CheckLocked(
-      const std::string& sql, bool* cache_hit = nullptr,
-      BoundQuery* query_out = nullptr,
-      std::shared_ptr<const PlanCache::Entry>* entry_out = nullptr);
-
-  /// Full per-query pipeline, bypassing the cache.
-  Result<ServiceResponse> ExecuteUncachedQuery(const BoundQuery& query);
-
-  /// Runs the full pipeline on a cache miss and populates the cache.
-  /// `query` is already bound (or instantiated); `masked` identifies the
-  /// template and carries this instance's parameters.
-  Result<ServiceResponse> ExecuteMiss(const std::string& sql,
-                                      const SqlTemplate& masked,
-                                      BoundQuery query,
-                                      const QueryOptions& qopts,
-                                      TenantState* tenant);
-
-  /// Builds the cache entry skeleton shared by the miss paths: coverage
-  /// fields plus the prepared template (null if validation failed).
+  /// Builds a miss's cache entry: coverage fields, compiled step programs
+  /// plus the prepared template (null if validation failed).
   std::shared_ptr<PlanCache::Entry> MakeEntry(const std::string& sql,
                                               const SqlTemplate& masked,
                                               const QueryTemplate& tmpl,
                                               const BoundQuery& query,
                                               const CoverageResult& coverage);
-
-  /// Execution options of the cached fast path: telemetry off, compiled
-  /// step programs from `entry`, probe fan-out over the worker pool.
-  BoundedExecOptions FastPathOptions(const PlanCache::Entry& entry) const;
 
   ServiceOptions options_;
   Database db_;
@@ -563,7 +518,7 @@ class BeasService {
   MaintenanceManager maintenance_;
   BeasSession session_;
   PlanCache cache_;
-  std::atomic<bool> cache_enabled_;
+  std::atomic<bool> cache_enabled_{true};
 
   /// Materialized answers (unique_ptr keeps result_cache.h out of this
   /// header; never null).

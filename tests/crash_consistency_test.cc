@@ -104,9 +104,10 @@ std::string StateFingerprint(BeasService* svc) {
     std::sort(buckets.begin(), buckets.end());
     for (const std::string& b : buckets) out << b << "\n";
   }
-  auto resp = svc->ExecuteBounded(
-      "SELECT call.region FROM call WHERE call.pnum = 2 AND "
-      "call.date = '2016-01-01'");
+  auto resp = svc->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 2 AND "
+       "call.date = '2016-01-01'",
+       QueryMode::kBoundedOnly});
   if (resp.ok()) {
     std::vector<Row> rows = resp->result.rows;
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {

@@ -402,9 +402,10 @@ std::string StateFingerprint(BeasService* svc) {
   }
   // End-to-end: a bounded query through the AC index (errors — e.g. "no
   // constraint registered yet" prefixes — render deterministically too).
-  auto resp = svc->ExecuteBounded(
-      "SELECT call.region FROM call WHERE call.pnum = 7 AND "
-      "call.date = '2016-03-15'");
+  auto resp = svc->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 7 AND "
+       "call.date = '2016-03-15'",
+       QueryMode::kBoundedOnly});
   if (resp.ok()) {
     std::vector<Row> rows = resp->result.rows;
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -785,7 +786,7 @@ TEST(DurabilityCountersTest, WalAndCheckpointCountersAdvance) {
   for (std::thread& t : writers) t.join();
   EXPECT_EQ(failures.load(), 0);
   auto count_rows = [](BeasService* s) {
-    auto count = s->Execute("SELECT count(*) AS n FROM call");
+    auto count = s->Query({"SELECT count(*) AS n FROM call"});
     EXPECT_TRUE(count.ok());
     return count.ok() && count->result.rows.size() == 1
                ? count->result.rows[0][0].AsInt64()

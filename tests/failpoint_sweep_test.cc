@@ -125,9 +125,10 @@ std::string StateFingerprint(BeasService* svc) {
     std::sort(buckets.begin(), buckets.end());
     for (const std::string& b : buckets) out << b << "\n";
   }
-  auto resp = svc->ExecuteBounded(
-      "SELECT call.region FROM call WHERE call.pnum = 2 AND "
-      "call.date = '2016-01-01'");
+  auto resp = svc->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 2 AND "
+       "call.date = '2016-01-01'",
+       QueryMode::kBoundedOnly});
   if (resp.ok()) {
     std::vector<Row> rows = resp->result.rows;
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -613,9 +614,10 @@ TEST(ScrubTest, CorruptionOnBothSidesStaysQuarantinedAndTyped) {
   Status write = fx.svc->Insert("call", {I(9), I(9), Dt("2016-01-02"), S("r2")});
   ASSERT_FALSE(write.ok());
   EXPECT_EQ(write.code(), StatusCode::kUnavailable) << write.ToString();
-  auto resp = fx.svc->ExecuteBounded(
-      "SELECT call.region FROM call WHERE call.pnum = 2 AND "
-      "call.date = '2016-01-01'");
+  auto resp = fx.svc->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 2 AND "
+       "call.date = '2016-01-01'",
+       QueryMode::kBoundedOnly});
   EXPECT_TRUE(resp.ok()) << resp.status().ToString();
 }
 

@@ -305,7 +305,7 @@ TEST_F(NetTest, PingAndQueryMatchInProcessAnswers) {
   Client client = ConnectedClient();
   ASSERT_TRUE(client.Ping().ok());
   for (int k = 0; k < kKeys; ++k) {
-    auto reference = service_->Execute(KeyQuery(k));
+    auto reference = service_->Query({KeyQuery(k)});
     ASSERT_TRUE(reference.ok());
     QueryRequest request;
     request.sql = KeyQuery(k);
@@ -476,7 +476,7 @@ TEST_F(NetTest, ConcurrentClientsMatchReference) {
   // Reference answers computed in-process before the storm.
   std::map<int, std::vector<std::string>> reference;
   for (int k = 0; k < kKeys; ++k) {
-    auto r = service_->Execute(KeyQuery(k));
+    auto r = service_->Query({KeyQuery(k)});
     ASSERT_TRUE(r.ok());
     reference[k] = RowStrings(r->result.rows);
   }
@@ -637,7 +637,7 @@ TEST_F(NetTest, PipelinedRequestsCorrelateByRequestId) {
     auto it = sent.find(reply->first);
     ASSERT_NE(it, sent.end());
     ASSERT_TRUE(reply->second.status.ok());
-    auto reference = service_->Execute(KeyQuery(it->second));
+    auto reference = service_->Query({KeyQuery(it->second)});
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(RowStrings(reply->second.response.result.rows),
               RowStrings(reference->result.rows));

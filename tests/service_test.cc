@@ -378,8 +378,8 @@ class ServiceTest : public ::testing::Test {
                     .ok());
   }
 
-  ServiceResponse MustExecute(const std::string& sql) {
-    auto resp = service_->Execute(sql);
+  QueryResponse MustExecute(const std::string& sql) {
+    auto resp = service_->Query({sql});
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
     return std::move(*resp);
   }
@@ -406,7 +406,7 @@ TEST_F(ServiceTest, CachedExecutionMatchesUncachedAcrossParameters) {
     for (int pass = 0; pass < 2; ++pass) {
       for (int pnum : {7, 8, 9}) {
         std::string sql = StringPrintf(fmt, pnum);
-        ServiceResponse cached = MustExecute(sql);
+        QueryResponse cached = MustExecute(sql);
         EXPECT_EQ(cached.decision.mode,
                   BeasSession::ExecutionDecision::Mode::kBounded);
         // Reference: the session pipeline, bypassing the cache.
@@ -434,8 +434,8 @@ TEST_F(ServiceTest, JoinTemplateIsCachedAndRebound) {
       "SELECT call.region FROM call, business WHERE business.type = 'school' "
       "AND business.region = 'R1' AND business.pnum = call.pnum AND "
       "call.date = '2016-03-15'";
-  ServiceResponse r1 = MustExecute(q1);
-  ServiceResponse r2 = MustExecute(q2);
+  QueryResponse r1 = MustExecute(q1);
+  QueryResponse r2 = MustExecute(q2);
   EXPECT_FALSE(r1.cache_hit);
   EXPECT_TRUE(r2.cache_hit);
   EXPECT_EQ(r1.decision.mode, BeasSession::ExecutionDecision::Mode::kBounded);
@@ -451,8 +451,8 @@ TEST_F(ServiceTest, NonCoveredTemplateCachesPartialChoice) {
   // bound, so the query is not covered and has no coverable fragment.
   std::string q = "SELECT business.pnum FROM business WHERE "
                   "business.region = 'R1'";
-  ServiceResponse r1 = MustExecute(q);
-  ServiceResponse r2 = MustExecute(q);
+  QueryResponse r1 = MustExecute(q);
+  QueryResponse r2 = MustExecute(q);
   EXPECT_FALSE(r1.cache_hit);
   EXPECT_TRUE(r2.cache_hit);
   EXPECT_EQ(r1.decision.mode,
@@ -466,24 +466,51 @@ TEST_F(ServiceTest, UncacheableTemplateBypassesTheCache) {
   service_->set_result_cache_enabled(false);  // plan-cache mechanics under test
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.pnum = 7 AND call.date = '2016-03-15'";
-  ServiceResponse r1 = MustExecute(q);
-  ServiceResponse r2 = MustExecute(q);
+  QueryResponse r1 = MustExecute(q);
+  QueryResponse r2 = MustExecute(q);
   EXPECT_FALSE(r1.cacheable);
   EXPECT_FALSE(r2.cache_hit);
   EXPECT_EQ(Sorted(r1.result.rows), Sorted({{S("R1")}, {S("R2")}}));
   EXPECT_EQ(service_->cache_stats().uncacheable, 2u);
 
+  // Strict bounded mode resolves the same plan and reports the same
+  // verdict: same answer, not eligible for the cache.
+  auto bounded = service_->Query({q, QueryMode::kBoundedOnly});
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  EXPECT_FALSE(bounded->cacheable);
+  EXPECT_FALSE(bounded->cache_hit);
+  EXPECT_EQ(Sorted(bounded->result.rows), Sorted(r1.result.rows));
+
   // The value-dependent twin with different constants: empty answer.
-  ServiceResponse r3 = MustExecute(
+  QueryResponse r3 = MustExecute(
       "SELECT call.region FROM call WHERE call.pnum = 7 AND "
       "call.pnum = 8 AND call.date = '2016-03-15'");
   EXPECT_TRUE(r3.result.rows.empty());
 }
 
+// Every mode keys the plan cache on the request's canonical template, so
+// a check-mode miss warms the plan that a kAuto request of the same
+// non-canonical spelling then hits.
+TEST_F(ServiceTest, CheckModeSharesTheTemplateIdentity) {
+  service_->set_result_cache_enabled(false);  // plan-cache mechanics under test
+  std::string q = "SELECT call.region FROM call WHERE 7 = call.pnum AND "
+                  "call.date = '2016-03-15'";
+  auto check = service_->Query({q, QueryMode::kCheckOnly});
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->covered);
+  EXPECT_FALSE(check->cache_hit);
+
+  QueryResponse executed = MustExecute(q);
+  EXPECT_TRUE(executed.cache_hit);
+  EXPECT_EQ(executed.template_hash, check->template_hash);
+  EXPECT_EQ(Sorted(executed.result.rows), Sorted({{S("R1")}, {S("R2")}}));
+  EXPECT_EQ(service_->cache_stats().entries, 1u);
+}
+
 TEST_F(ServiceTest, PlainInsertsDoNotInvalidateButAnswersStayFresh) {
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.date = '2016-03-16'";
-  ServiceResponse before = MustExecute(q);
+  QueryResponse before = MustExecute(q);
   EXPECT_EQ(Sorted(before.result.rows), Sorted({{S("R1")}}));
 
   // Incremental AC-index maintenance keeps the cached plan valid: no
@@ -491,7 +518,7 @@ TEST_F(ServiceTest, PlainInsertsDoNotInvalidateButAnswersStayFresh) {
   ASSERT_TRUE(
       service_->Insert("call", {I(7), I(400), Dt("2016-03-16"), S("R9")})
           .ok());
-  ServiceResponse after = MustExecute(q);
+  QueryResponse after = MustExecute(q);
   EXPECT_TRUE(after.cache_hit);
   EXPECT_EQ(Sorted(after.result.rows), Sorted({{S("R1")}, {S("R9")}}));
   EXPECT_EQ(service_->cache_stats().invalidations, 0u);
@@ -500,7 +527,7 @@ TEST_F(ServiceTest, PlainInsertsDoNotInvalidateButAnswersStayFresh) {
 TEST_F(ServiceTest, BoundAdjustmentInvalidatesAffectedTemplates) {
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.date = '2016-03-15'";
-  ServiceResponse before = MustExecute(q);
+  QueryResponse before = MustExecute(q);
   EXPECT_EQ(before.decision.deduced_bound, 500u);  // declared N of psi1
 
   // Maintenance observes max 2 distinct (recnum, region) per key and
@@ -510,7 +537,7 @@ TEST_F(ServiceTest, BoundAdjustmentInvalidatesAffectedTemplates) {
   ASSERT_GE(changed, 1u);
   EXPECT_GE(service_->cache_stats().invalidations, 1u);
 
-  ServiceResponse after = MustExecute(q);
+  QueryResponse after = MustExecute(q);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.decision.deduced_bound, 2u);
   EXPECT_EQ(Sorted(after.result.rows), Sorted(before.result.rows));
@@ -519,7 +546,7 @@ TEST_F(ServiceTest, BoundAdjustmentInvalidatesAffectedTemplates) {
 TEST_F(ServiceTest, ConstraintRegistrationInvalidatesAndEnablesCoverage) {
   std::string q = "SELECT package.pid FROM package WHERE package.pnum = 7 "
                   "AND package.year = 2016";
-  ServiceResponse before = MustExecute(q);
+  QueryResponse before = MustExecute(q);
   EXPECT_EQ(before.decision.mode,
             BeasSession::ExecutionDecision::Mode::kConventional);
   MustExecute(q);  // warm the not-covered entry
@@ -528,7 +555,7 @@ TEST_F(ServiceTest, ConstraintRegistrationInvalidatesAndEnablesCoverage) {
                   ->RegisterConstraint(
                       {"psi2", "package", {"pnum", "year"}, {"pid"}, 12})
                   .ok());
-  ServiceResponse after = MustExecute(q);
+  QueryResponse after = MustExecute(q);
   EXPECT_FALSE(after.cache_hit);  // entry was evicted by the registration
   EXPECT_EQ(after.decision.mode,
             BeasSession::ExecutionDecision::Mode::kBounded);
@@ -539,8 +566,8 @@ TEST_F(ServiceTest, ExecuteBoundedUsesTheCache) {
   service_->set_result_cache_enabled(false);  // plan-cache mechanics under test
   std::string covered = "SELECT call.region FROM call WHERE call.pnum = 8 "
                         "AND call.date = '2016-03-15'";
-  auto r1 = service_->ExecuteBounded(covered);
-  auto r2 = service_->ExecuteBounded(covered);
+  auto r1 = service_->Query({covered, QueryMode::kBoundedOnly});
+  auto r2 = service_->Query({covered, QueryMode::kBoundedOnly});
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_FALSE(r1->cache_hit);
   EXPECT_TRUE(r2->cache_hit);
@@ -548,8 +575,8 @@ TEST_F(ServiceTest, ExecuteBoundedUsesTheCache) {
 
   std::string uncovered = "SELECT business.pnum FROM business WHERE "
                           "business.region = 'R1'";
-  auto e1 = service_->ExecuteBounded(uncovered);
-  auto e2 = service_->ExecuteBounded(uncovered);
+  auto e1 = service_->Query({uncovered, QueryMode::kBoundedOnly});
+  auto e2 = service_->Query({uncovered, QueryMode::kBoundedOnly});
   EXPECT_FALSE(e1.ok());
   EXPECT_FALSE(e2.ok());  // cached not-covered verdict
 }
@@ -561,11 +588,11 @@ TEST_F(ServiceTest, ExecuteBoundedUsesTheCache) {
 TEST_F(ServiceTest, ResultCacheServesRepeatsUntilSourceTableWrites) {
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.date = '2016-03-15'";
-  ServiceResponse first = MustExecute(q);
+  QueryResponse first = MustExecute(q);
   EXPECT_FALSE(first.result_cache_hit);
   ASSERT_FALSE(first.result.rows.empty());
 
-  ServiceResponse hit = MustExecute(q);
+  QueryResponse hit = MustExecute(q);
   EXPECT_TRUE(hit.result_cache_hit);
   EXPECT_EQ(hit.result.rows, first.result.rows);  // bit-identical replay
   EXPECT_EQ(hit.eta, first.eta);
@@ -580,14 +607,14 @@ TEST_F(ServiceTest, ResultCacheServesRepeatsUntilSourceTableWrites) {
   ASSERT_TRUE(
       service_->Insert("call", {I(7), I(102), Dt("2016-03-15"), S("R9")})
           .ok());
-  ServiceResponse fresh = MustExecute(q);
+  QueryResponse fresh = MustExecute(q);
   EXPECT_FALSE(fresh.result_cache_hit);
   EXPECT_EQ(fresh.result.rows.size(), first.result.rows.size() + 1);
   EXPECT_GE(service_->result_cache_stats().invalidations, 1u);
 
   // Writes to unrelated tables leave the rebuilt entry warm.
   ASSERT_TRUE(service_->Insert("business", {I(10), S("bank"), S("R4")}).ok());
-  ServiceResponse warm = MustExecute(q);
+  QueryResponse warm = MustExecute(q);
   EXPECT_TRUE(warm.result_cache_hit);
   EXPECT_EQ(warm.result.rows, fresh.result.rows);
 
@@ -595,7 +622,7 @@ TEST_F(ServiceTest, ResultCacheServesRepeatsUntilSourceTableWrites) {
   ASSERT_TRUE(
       service_->Delete("call", {I(7), I(102), Dt("2016-03-15"), S("R9")})
           .ok());
-  ServiceResponse after_delete = MustExecute(q);
+  QueryResponse after_delete = MustExecute(q);
   EXPECT_FALSE(after_delete.result_cache_hit);
   EXPECT_EQ(after_delete.result.rows.size(), fresh.result.rows.size() - 1);
 }
@@ -608,8 +635,8 @@ TEST_F(ServiceTest, ResultCacheKeysSeparateModesAndBudgets) {
 
   // Bounded-only mode is its own budget class: it misses even though the
   // auto-mode answer is warm, then hits on its own repeat.
-  auto b1 = service_->ExecuteBounded(q);
-  auto b2 = service_->ExecuteBounded(q);
+  auto b1 = service_->Query({q, QueryMode::kBoundedOnly});
+  auto b2 = service_->Query({q, QueryMode::kBoundedOnly});
   ASSERT_TRUE(b1.ok() && b2.ok());
   EXPECT_FALSE(b1->result_cache_hit);
   EXPECT_TRUE(b2->result_cache_hit);
@@ -619,7 +646,7 @@ TEST_F(ServiceTest, ResultCacheKeysSeparateModesAndBudgets) {
   // complete under both.
   QueryOptions roomy;
   roomy.fetch_budget = 1000000;
-  auto r = service_->Execute(q, roomy);
+  auto r = service_->Query({q, QueryMode::kAuto, roomy});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->result_cache_hit);
 
@@ -639,9 +666,9 @@ TEST_F(ServiceTest, ResultCacheIsByteBoundedAndEvicts) {
 
   // Far more distinct frozen-parameter keys than 4 KiB can hold.
   for (int pnum = 0; pnum < 40; ++pnum) {
-    auto resp = service->Execute(
-        "SELECT call.region FROM call WHERE call.pnum = " +
-        std::to_string(pnum) + " AND call.date = '2016-03-15'");
+    auto resp = service->Query(
+        {"SELECT call.region FROM call WHERE call.pnum = " +
+         std::to_string(pnum) + " AND call.date = '2016-03-15'"});
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   }
   ResultCacheStats stats = service->result_cache_stats();
@@ -650,14 +677,14 @@ TEST_F(ServiceTest, ResultCacheIsByteBoundedAndEvicts) {
   EXPECT_LT(stats.entries, 40u);
 
   // The most recently used keys survive; ancient ones were evicted.
-  auto recent = service->Execute(
-      "SELECT call.region FROM call WHERE call.pnum = 39 AND "
-      "call.date = '2016-03-15'");
+  auto recent = service->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 39 AND "
+       "call.date = '2016-03-15'"});
   ASSERT_TRUE(recent.ok());
   EXPECT_TRUE(recent->result_cache_hit);
-  auto ancient = service->Execute(
-      "SELECT call.region FROM call WHERE call.pnum = 0 AND "
-      "call.date = '2016-03-15'");
+  auto ancient = service->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 0 AND "
+       "call.date = '2016-03-15'"});
   ASSERT_TRUE(ancient.ok());
   EXPECT_FALSE(ancient->result_cache_hit);
 }
@@ -677,8 +704,8 @@ TEST_F(ServiceTest, ZeroByteResultCacheStaysDisabled) {
 
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.date = '2016-03-15'";
-  auto first = service->Execute(q);
-  auto second = service->Execute(q);
+  auto first = service->Query({q});
+  auto second = service->Query({q});
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_FALSE(second->result_cache_hit);
   EXPECT_EQ(service->result_cache_stats().entries, 0u);
@@ -697,8 +724,8 @@ TEST_F(ServiceTest, CanonicalSpellingsShareOneResultCacheEntry) {
       "business.region = 'R1'";
 
   uint64_t before = service_->template_canonicalizations();
-  ServiceResponse ra = MustExecute(a);
-  ServiceResponse rb = MustExecute(b);
+  QueryResponse ra = MustExecute(a);
+  QueryResponse rb = MustExecute(b);
   EXPECT_GT(service_->template_canonicalizations(), before);
 
   // The second spelling is answered from the first spelling's entry,
@@ -714,8 +741,8 @@ TEST_F(ServiceTest, CanonicalSpellingsShareOneResultCacheEntry) {
                   "call.date = '2016-03-15'";
   std::string d = "SELECT call.region FROM call WHERE "
                   "call.date = '2016-03-15' AND 8 = call.pnum";
-  ServiceResponse rc = MustExecute(c);
-  ServiceResponse rd = MustExecute(d);
+  QueryResponse rc = MustExecute(c);
+  QueryResponse rd = MustExecute(d);
   EXPECT_FALSE(rc.result_cache_hit);
   EXPECT_TRUE(rd.result_cache_hit);
   EXPECT_EQ(rd.result.rows, rc.result.rows);
@@ -723,7 +750,7 @@ TEST_F(ServiceTest, CanonicalSpellingsShareOneResultCacheEntry) {
   // Different frozen parameters never collide.
   std::string e = "SELECT call.region FROM call WHERE "
                   "call.date = '2016-03-15' AND 9 = call.pnum";
-  ServiceResponse re = MustExecute(e);
+  QueryResponse re = MustExecute(e);
   EXPECT_FALSE(re.result_cache_hit);
   EXPECT_EQ(re.result.rows, (std::vector<Row>{{S("R3")}}));
 }
@@ -739,7 +766,7 @@ TEST_F(ServiceTest, ResultCacheGaugesExposedThroughBeasStats) {
   EXPECT_FALSE(MustExecute(q).result_cache_hit);  // lazily invalidated
 
   ResultCacheStats expect = service_->result_cache_stats();
-  ServiceResponse resp =
+  QueryResponse resp =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   auto value_of = [&](const std::string& metric) -> double {
     for (const Row& row : resp.result.rows) {
@@ -988,7 +1015,7 @@ TEST_F(ServiceTest, CanonicalFormMemoIsBoundedUnderConcurrentSpellings) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kRounds * requests.size(); ++i) {
         const Request& r = requests[(i * 7 + t * 31) % requests.size()];
-        auto resp = service_->Execute(r.sql);
+        auto resp = service_->Query({r.sql});
         if (!resp.ok()) {
           ++failures;
         } else if (Sorted(resp->result.rows) != r.expected) {
@@ -1038,7 +1065,7 @@ TEST_F(ServiceTest, TemplateMemoGaugesExposedThroughBeasStats) {
   uint64_t entries = service_->template_memo_entries();
   uint64_t misses = service_->template_memo_misses();
   EXPECT_GE(entries, 1u);
-  ServiceResponse resp =
+  QueryResponse resp =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   auto value_of = [&](const std::string& metric) -> double {
     for (const Row& row : resp.result.rows) {
@@ -1057,9 +1084,11 @@ TEST_F(ServiceTest, TemplateMemoGaugesExposedThroughBeasStats) {
 TEST_F(ServiceTest, ApproximateExecutionThroughTheService) {
   std::string q = "SELECT call.region FROM call WHERE call.pnum = 7 AND "
                   "call.date = '2016-03-15'";
-  auto approx = service_->ExecuteApproximate(q, /*budget=*/1000);
+  QueryRequest request{q, QueryMode::kApproximate};
+  request.approx_budget = 1000;
+  auto approx = service_->Query(request);
   ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-  EXPECT_TRUE(approx->exact);
+  EXPECT_TRUE(approx->approx_exact);
   EXPECT_EQ(approx->eta, 1.0);
 }
 
@@ -1067,8 +1096,8 @@ TEST_F(ServiceTest, ApproximateExecutionThroughTheService) {
 // constructs the binder treats value-sensitively. Every query is checked
 // against the session pipeline (which never touches the cache).
 TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
-  auto verify = [&](const std::string& sql) -> ServiceResponse {
-    ServiceResponse got = MustExecute(sql);
+  auto verify = [&](const std::string& sql) -> QueryResponse {
+    QueryResponse got = MustExecute(sql);
     auto want = service_->session().Execute(sql);
     EXPECT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
     if (want.ok()) {
@@ -1080,7 +1109,7 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
   // Negative literals: the parser folds the sign; substitution re-applies.
   verify("SELECT call.recnum FROM call WHERE call.pnum = 7 AND "
          "call.date = '2016-03-15' AND call.recnum > -1");
-  ServiceResponse neg = verify(
+  QueryResponse neg = verify(
       "SELECT call.recnum FROM call WHERE call.pnum = 8 AND "
       "call.date = '2016-03-15' AND call.recnum > -500");
   EXPECT_TRUE(neg.cache_hit);
@@ -1093,10 +1122,10 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
                   .cache_hit);
 
   // LIMIT is a substitutable parameter.
-  ServiceResponse l1 = verify(
+  QueryResponse l1 = verify(
       "SELECT call.recnum FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' LIMIT 1");
-  ServiceResponse l2 = verify(
+  QueryResponse l2 = verify(
       "SELECT call.recnum FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' LIMIT 2");
   EXPECT_EQ(l1.result.rows.size(), 1u);
@@ -1105,10 +1134,10 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
 
   // ORDER BY position is consumed during binding: the slot is frozen, so
   // the second instance re-binds (no hit) and still orders correctly.
-  ServiceResponse o1 = verify(
+  QueryResponse o1 = verify(
       "SELECT call.recnum, call.region FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' ORDER BY 1 DESC");
-  ServiceResponse o2 = verify(
+  QueryResponse o2 = verify(
       "SELECT call.recnum, call.region FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' ORDER BY 2 DESC");
   EXPECT_FALSE(o2.cache_hit);
@@ -1117,10 +1146,10 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
 
   // GROUP BY expressions with literals are frozen too: changing the
   // literal re-binds instead of silently reusing the old grouping.
-  ServiceResponse g1 = verify(
+  QueryResponse g1 = verify(
       "SELECT call.recnum + 1 AS r, count(*) AS n FROM call WHERE "
       "call.pnum = 7 AND call.date = '2016-03-15' GROUP BY call.recnum + 1");
-  ServiceResponse g2 = verify(
+  QueryResponse g2 = verify(
       "SELECT call.recnum + 2 AS r, count(*) AS n FROM call WHERE "
       "call.pnum = 7 AND call.date = '2016-03-15' GROUP BY call.recnum + 2");
   EXPECT_FALSE(g2.cache_hit);
@@ -1130,10 +1159,10 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
   // IN-list duplicates: the binder dedups values, so the cached plan's
   // key-list arity can disagree with a later instance; the service must
   // fall back to a re-plan and stay exact.
-  ServiceResponse in1 = verify(
+  QueryResponse in1 = verify(
       "SELECT call.region FROM call WHERE call.pnum IN (7, 7) AND "
       "call.date = '2016-03-15'");
-  ServiceResponse in2 = verify(
+  QueryResponse in2 = verify(
       "SELECT call.region FROM call WHERE call.pnum IN (7, 8) AND "
       "call.date = '2016-03-15'");
   EXPECT_EQ(Sorted(in1.result.rows), Sorted({{S("R1")}, {S("R2")}}));
@@ -1141,10 +1170,10 @@ TEST_F(ServiceTest, PreparedInstantiationMatchesFullBind) {
             Sorted({{S("R1")}, {S("R2")}, {S("R1")}}));
 
   // Unaliased outputs embedding a parameter re-render their column name.
-  ServiceResponse n1 = MustExecute(
+  QueryResponse n1 = MustExecute(
       "SELECT call.recnum + 10 FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15'");
-  ServiceResponse n2 = MustExecute(
+  QueryResponse n2 = MustExecute(
       "SELECT call.recnum + 20 FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15'");
   EXPECT_TRUE(n2.cache_hit);
@@ -1164,21 +1193,21 @@ TEST_F(ServiceTest, FrozenParameterVariantsCoexistInTheCache) {
   std::string by_region =
       "SELECT call.recnum, call.region FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' ORDER BY 2 DESC";
-  ServiceResponse first_recnum = MustExecute(by_recnum);
-  ServiceResponse first_region = MustExecute(by_region);
+  QueryResponse first_recnum = MustExecute(by_recnum);
+  QueryResponse first_region = MustExecute(by_region);
   EXPECT_FALSE(first_recnum.cache_hit);
   EXPECT_FALSE(first_region.cache_hit);  // new variant, not an eviction
 
   // Both variants now resident: each re-execution hits its own entry.
-  ServiceResponse again_recnum = MustExecute(by_recnum);
-  ServiceResponse again_region = MustExecute(by_region);
+  QueryResponse again_recnum = MustExecute(by_recnum);
+  QueryResponse again_region = MustExecute(by_region);
   EXPECT_TRUE(again_recnum.cache_hit) << "ORDER BY 1 variant was evicted";
   EXPECT_TRUE(again_region.cache_hit) << "ORDER BY 2 variant was evicted";
   EXPECT_EQ(again_recnum.result.rows[0][0], I(101));  // ordered by recnum
   EXPECT_EQ(again_region.result.rows[0][1], S("R2"));  // ordered by region
 
   // Substitutable parameters still roam freely within a variant.
-  ServiceResponse other_pnum = MustExecute(
+  QueryResponse other_pnum = MustExecute(
       "SELECT call.recnum, call.region FROM call WHERE call.pnum = 8 AND "
       "call.date = '2016-03-15' ORDER BY 2 DESC");
   EXPECT_TRUE(other_pnum.cache_hit);
@@ -1193,18 +1222,18 @@ TEST_F(ServiceTest, TypeMismatchedParameterFallsBackToFullBind) {
                        "AND call.date = '2016-03-15'";
   MustExecute(ok_sql);  // populate the template (pnum is an int column)
   // Same masked template, but a string where the int parameter was.
-  auto bad = service_->Execute(
-      "SELECT call.region FROM call WHERE call.pnum = 'seven' "
-      "AND call.date = '2016-03-15'");
+  auto bad = service_->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 'seven' "
+       "AND call.date = '2016-03-15'"});
   auto reference = service_->session().Execute(
       "SELECT call.region FROM call WHERE call.pnum = 'seven' "
       "AND call.date = '2016-03-15'");
   EXPECT_FALSE(reference.ok());  // fresh bind rejects int-vs-string compare
   EXPECT_FALSE(bad.ok());        // the cached path must agree
   // An int-vs-double drift stays within the comparison family and is fine.
-  auto dbl = service_->Execute(
-      "SELECT call.region FROM call WHERE call.pnum = 7.5 "
-      "AND call.date = '2016-03-15'");
+  auto dbl = service_->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 7.5 "
+       "AND call.date = '2016-03-15'"});
   ASSERT_TRUE(dbl.ok()) << dbl.status().ToString();
   EXPECT_TRUE(dbl->result.rows.empty());  // no pnum equals 7.5
 }
@@ -1222,17 +1251,17 @@ TEST_F(ServiceTest, GroupedAndOrderedOutputLiteralsStayConsistent) {
   std::string detached = "SELECT call.recnum + 5 AS r, count(*) AS n FROM "
                          "call WHERE call.pnum = 7 AND call.date = "
                          "'2016-03-15' GROUP BY call.recnum + 1";
-  auto cached = service_->Execute(detached);
+  auto cached = service_->Query({detached});
   auto reference = service_->session().Execute(detached);
   EXPECT_FALSE(reference.ok());
   EXPECT_FALSE(cached.ok());
 
   // Ordered queries freeze output literals: the variant re-binds (no
   // silent reuse) and still orders correctly.
-  ServiceResponse o1 = MustExecute(
+  QueryResponse o1 = MustExecute(
       "SELECT call.recnum + 1 AS r FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' ORDER BY r DESC");
-  ServiceResponse o2 = MustExecute(
+  QueryResponse o2 = MustExecute(
       "SELECT call.recnum + 9 AS r FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15' ORDER BY r DESC");
   EXPECT_FALSE(o2.cache_hit);
@@ -1283,7 +1312,7 @@ TEST_F(ServiceTest, ConcurrentClientsWithWriterStress) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < kItersPerReader; ++i) {
         const Workload& w = workloads[(t + i) % workloads.size()];
-        auto resp = service_->Execute(w.sql);
+        auto resp = service_->Query({w.sql});
         if (!resp.ok()) {
           ++failures;
           continue;
@@ -1303,10 +1332,10 @@ TEST_F(ServiceTest, ConcurrentClientsWithWriterStress) {
     }
   });
   // And a batch through the worker pool.
-  std::vector<std::future<Result<ServiceResponse>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   futures.reserve(40);
   for (int i = 0; i < 40; ++i) {
-    futures.push_back(service_->Submit(workloads[i % workloads.size()].sql));
+    futures.push_back(service_->Submit({workloads[i % workloads.size()].sql}));
   }
 
   for (std::thread& t : readers) t.join();
@@ -1371,14 +1400,15 @@ TEST(ShardedServiceTest, ConcurrentBatchesToDisjointShardsBothCommit) {
   w2.join();
   EXPECT_EQ(failures.load(), 0);
 
-  auto count = service.Execute("SELECT count(*) AS n FROM kv");
+  auto count = service.Query({"SELECT count(*) AS n FROM kv"});
   ASSERT_TRUE(count.ok());
   ASSERT_EQ(count->result.rows.size(), 1u);
   EXPECT_EQ(count->result.rows[0][0], I(2 * kBatches * kPerBatch));
   // Every row reached its AC index (bounded point lookups see them).
   for (int k : {0, 499, 1000000, 1000499}) {
-    auto got = service.ExecuteBounded(
-        StringPrintf("SELECT kv.v FROM kv WHERE kv.k = %d", k));
+    auto got = service.Query(
+        {StringPrintf("SELECT kv.v FROM kv WHERE kv.k = %d", k),
+         QueryMode::kBoundedOnly});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->result.rows.size(), 1u);
     EXPECT_EQ(got->result.rows[0][0], I(k * 10));
@@ -1431,8 +1461,8 @@ TEST(ShardedServiceTest, PerShardWritersAndReadersStress) {
     threads.emplace_back([&, r] {
       for (int i = 0; i < kReadsPerReader; ++i) {
         int k = (r * 7 + i) % 32;
-        auto resp = service.Execute(
-            StringPrintf("SELECT kv.v FROM kv WHERE kv.k = %d", -k - 1));
+        auto resp = service.Query(
+            {StringPrintf("SELECT kv.v FROM kv WHERE kv.k = %d", -k - 1)});
         if (!resp.ok()) {
           ++failures;
           continue;
@@ -1442,9 +1472,9 @@ TEST(ShardedServiceTest, PerShardWritersAndReadersStress) {
           ++mismatches;
         }
         if (i % 24 == 0) {
-          auto stats = service.Execute(
-              "SELECT metric, value FROM beas_stats WHERE metric = "
-              "'storage_shards'");
+          auto stats = service.Query(
+              {"SELECT metric, value FROM beas_stats WHERE metric = "
+               "'storage_shards'"});
           if (!stats.ok() || stats->result.rows.size() != 1 ||
               !(stats->result.rows[0][1] == Value::Double(4))) {
             ++failures;
@@ -1457,15 +1487,15 @@ TEST(ShardedServiceTest, PerShardWritersAndReadersStress) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  auto count = service.Execute("SELECT count(*) AS n FROM kv");
+  auto count = service.Query({"SELECT count(*) AS n FROM kv"});
   ASSERT_TRUE(count.ok());
   ASSERT_EQ(count->result.rows.size(), 1u);
   EXPECT_EQ(count->result.rows[0][0], I(32 + kWriters * kRowsPerWriter));
 
   // The post-stress per-shard gauges add up to the live rows.
   ASSERT_TRUE(service.RefreshStatsTable().ok());
-  auto shards = service.Execute(
-      "SELECT value FROM beas_stats WHERE metric = 'rows_live'");
+  auto shards = service.Query(
+      {"SELECT value FROM beas_stats WHERE metric = 'rows_live'"});
   ASSERT_TRUE(shards.ok());
   ASSERT_EQ(shards->result.rows.size(), 1u);
   EXPECT_EQ(shards->result.rows[0][0],
@@ -1478,7 +1508,7 @@ TEST_F(ServiceTest, InsertBatchMaintainsIndicesLikeRowInserts) {
   const char* sql =
       "SELECT call.recnum FROM call WHERE call.pnum = 42 AND "
       "call.date = '2016-03-20'";
-  ServiceResponse before = MustExecute(sql);
+  QueryResponse before = MustExecute(sql);
   EXPECT_TRUE(before.result.rows.empty());
 
   std::vector<Row> batch;
@@ -1488,7 +1518,7 @@ TEST_F(ServiceTest, InsertBatchMaintainsIndicesLikeRowInserts) {
   }
   ASSERT_TRUE(service_->InsertBatch("call", std::move(batch)).ok());
 
-  ServiceResponse after = MustExecute(sql);
+  QueryResponse after = MustExecute(sql);
   EXPECT_EQ(after.result.rows.size(), 100u)
       << "bag semantics: weights carry the duplicate recnums";
   EXPECT_TRUE(after.cache_hit) << "plain batch writes must not invalidate";
@@ -1515,7 +1545,7 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
   }
   PlanCacheStats expect = service_->cache_stats();
 
-  ServiceResponse resp =
+  QueryResponse resp =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   ASSERT_GE(resp.result.rows.size(), 10u);
   auto value_of = [&](const std::string& metric) -> double {
@@ -1551,7 +1581,7 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
     auto rebuilt = service_->maintenance()->MaintainDictionaries(force);
     ASSERT_TRUE(rebuilt.ok());
   }
-  ServiceResponse after =
+  QueryResponse after =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   auto after_value_of = [&](const std::string& metric) -> double {
     for (const Row& row : after.result.rows) {
@@ -1569,7 +1599,7 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
   MustExecute(StringPrintf("SELECT call.region FROM call WHERE "
                            "call.pnum = %d AND call.date = '2016-03-15'",
                            8));
-  ServiceResponse again =
+  QueryResponse again =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   for (const Row& row : again.result.rows) {
     if (row[0].AsString() == "plan_cache_hits") {
@@ -1577,14 +1607,14 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
     }
   }
   // Aggregations over the metadata table work like any other table.
-  ServiceResponse count = MustExecute(
+  QueryResponse count = MustExecute(
       "SELECT count(*) AS n FROM beas_stats WHERE value >= 0");
   ASSERT_EQ(count.result.rows.size(), 1u);
   EXPECT_GE(count.result.rows[0][0].AsInt64(), 10);
 }
 
 TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
-  auto value_of = [](const ServiceResponse& resp,
+  auto value_of = [](const QueryResponse& resp,
                      const std::string& metric) -> double {
     for (const Row& row : resp.result.rows) {
       if (row[0].AsString() == metric) return row[1].AsDouble();
@@ -1593,8 +1623,8 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
     return -1;
   };
   auto stats = [&](BeasService* svc) {
-    auto resp = svc->Execute(
-        "SELECT metric, value FROM beas_stats ORDER BY metric");
+    auto resp = svc->Query(
+        {"SELECT metric, value FROM beas_stats ORDER BY metric"});
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
     return std::move(*resp);
   };
@@ -1608,7 +1638,7 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
                                               {"v", TypeId::kString}}))
                     .ok());
     ASSERT_TRUE(svc.Insert("kv", {I(1), S("a")}).ok());
-    ServiceResponse resp = stats(&svc);
+    QueryResponse resp = stats(&svc);
     EXPECT_EQ(value_of(resp, "wal_bytes_total"), 0.0);
     EXPECT_EQ(value_of(resp, "wal_group_commits_total"), 0.0);
     EXPECT_EQ(value_of(resp, "wal_fsyncs_total"), 0.0);
@@ -1639,7 +1669,7 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
     }
     ASSERT_TRUE(svc.Checkpoint().ok());
     ASSERT_TRUE(svc.Insert("kv", {I(99), S("tail")}).ok());
-    ServiceResponse resp = stats(&svc);
+    QueryResponse resp = stats(&svc);
     EXPECT_GT(value_of(resp, "wal_bytes_total"), 0.0);
     EXPECT_GE(value_of(resp, "wal_group_commits_total"), 1.0);
     EXPECT_GE(value_of(resp, "wal_fsyncs_total"),
@@ -1653,7 +1683,7 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
     options.durability.dir = dir;
     BeasService svc(options);
     ASSERT_TRUE(svc.durable()) << svc.durability_status().ToString();
-    ServiceResponse resp = stats(&svc);
+    QueryResponse resp = stats(&svc);
     // The post-checkpoint insert replays from the WAL tail.
     EXPECT_GE(value_of(resp, "recovery_replayed_records"), 1.0);
   }
@@ -1671,7 +1701,7 @@ TEST_F(ServiceTest, BeasStatsPollingDoesNotGrowStorageForever) {
       *service_->db()->catalog()->GetTable(BeasService::kStatsTableName);
   EXPECT_LT(info->heap()->NumSlots(), 6000u)
       << "dead slots must be recycled, not accumulated";
-  ServiceResponse resp = MustExecute(
+  QueryResponse resp = MustExecute(
       "SELECT count(*) AS n FROM beas_stats");
   ASSERT_EQ(resp.result.rows.size(), 1u);
   EXPECT_GE(resp.result.rows[0][0].AsInt64(), 10);
@@ -1679,7 +1709,7 @@ TEST_F(ServiceTest, BeasStatsPollingDoesNotGrowStorageForever) {
   // Results over the recycled table are self-contained (inline strings),
   // and AC constraints on the service-managed table are rejected — both
   // guard the recycle against dangling references.
-  ServiceResponse held = MustExecute("SELECT metric FROM beas_stats");
+  QueryResponse held = MustExecute("SELECT metric FROM beas_stats");
   ASSERT_FALSE(held.result.rows.empty());
   EXPECT_EQ(held.result.rows[0][0].dict(), nullptr);
   EXPECT_FALSE(service_
@@ -1715,6 +1745,12 @@ class ResilienceTest : public ServiceTest {
   static constexpr const char* kCallQuery =
       "SELECT call.region FROM call WHERE call.pnum = 7 AND "
       "call.date = '2016-03-15'";
+  // The same query with its pnum predicate repeated: an uncacheable
+  // template (two constants on one attribute class) that bypasses the plan
+  // cache yet must take the same admitted, deadline-aware bounded path.
+  static constexpr const char* kUncacheableCallQuery =
+      "SELECT call.region FROM call WHERE call.pnum = 7 AND "
+      "call.pnum = 7 AND call.date = '2016-03-15'";
   // Two-step chain: psi3 fetches the bank pnums, psi1 fetches their calls
   // — a tiny fetch budget exhausts mid-chain and shrinks η below 1.
   static constexpr const char* kJoinQuery =
@@ -1728,40 +1764,47 @@ TEST_F(ResilienceTest, CancelAndDeadlineReturnHonestPartialAnswers) {
   // Deadline/cancel semantics of *execution* under test — a result-cache
   // hit would (correctly) serve the full answer instantly instead.
   service_->set_result_cache_enabled(false);
-  ServiceResponse full = MustExecute(kCallQuery);
-  EXPECT_FALSE(full.timed_out);
-  EXPECT_EQ(full.eta, 1.0);
-  ASSERT_FALSE(full.result.rows.empty());
+  for (const char* sql : {kCallQuery, kUncacheableCallQuery}) {
+    SCOPED_TRACE(sql);
+    const uint64_t timed_out_before =
+        service_->service_counters().queries_timed_out_total;
+    QueryResponse full = MustExecute(sql);
+    EXPECT_FALSE(full.timed_out);
+    EXPECT_EQ(full.eta, 1.0);
+    ASSERT_FALSE(full.result.rows.empty());
 
-  // A pre-set cancel token expires at the very first poll: every probe key
-  // goes unserved, exactly like an exhausted budget — partial answer,
-  // honest η, never an error.
-  std::atomic<bool> cancel{true};
-  QueryOptions cancelled;
-  cancelled.cancel = &cancel;
-  auto resp = service_->Execute(kCallQuery, cancelled);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_TRUE(resp->timed_out);
-  EXPECT_LT(resp->eta, 1.0);
-  EXPECT_TRUE(resp->result.rows.empty());
+    // A pre-set cancel token expires at the very first poll: every probe
+    // key goes unserved, exactly like an exhausted budget — partial
+    // answer, honest η, never an error.
+    std::atomic<bool> cancel{true};
+    QueryOptions cancelled;
+    cancelled.cancel = &cancel;
+    auto resp = service_->Query({sql, QueryMode::kAuto, cancelled});
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_TRUE(resp->timed_out);
+    EXPECT_LT(resp->eta, 1.0);
+    EXPECT_TRUE(resp->result.rows.empty());
 
-  // A real deadline, forced open deterministically: the exec_step fail
-  // point sleeps past the 1ms deadline before the first expiry poll.
-  {
-    ServiceFailGuard slow("exec_step=sleep(30)@*");
-    QueryOptions deadline;
-    deadline.timeout_millis = 1;
-    auto timed = service_->Execute(kCallQuery, deadline);
-    ASSERT_TRUE(timed.ok()) << timed.status().ToString();
-    EXPECT_TRUE(timed->timed_out);
-    EXPECT_LT(timed->eta, 1.0);
+    // A real deadline, forced open deterministically: the exec_step fail
+    // point sleeps past the 1ms deadline before the first expiry poll.
+    {
+      ServiceFailGuard slow("exec_step=sleep(30)@*");
+      QueryOptions deadline;
+      deadline.timeout_millis = 1;
+      auto timed = service_->Query({sql, QueryMode::kAuto, deadline});
+      ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+      EXPECT_TRUE(timed->timed_out);
+      EXPECT_LT(timed->eta, 1.0);
+    }
+    EXPECT_GE(service_->service_counters().queries_timed_out_total,
+              timed_out_before + 2);
+
+    // The service stays consistent: the same template answers in full
+    // again.
+    QueryResponse after = MustExecute(sql);
+    EXPECT_FALSE(after.timed_out);
+    EXPECT_EQ(Sorted(after.result.rows), Sorted(full.result.rows));
   }
-  EXPECT_GE(service_->service_counters().queries_timed_out_total, 2u);
-
-  // The service stays consistent: the same template answers in full again.
-  ServiceResponse after = MustExecute(kCallQuery);
-  EXPECT_FALSE(after.timed_out);
-  EXPECT_EQ(Sorted(after.result.rows), Sorted(full.result.rows));
 }
 
 TEST_F(ResilienceTest, AdmissionDegradesBeforeRejecting) {
@@ -1774,15 +1817,21 @@ TEST_F(ResilienceTest, AdmissionDegradesBeforeRejecting) {
   // Alone, the query does not fit whole: it is admitted degraded under the
   // remaining grant, and with so few actual rows the answer is still
   // complete (η = 1) — degradation caps resources, not correctness.
-  auto degraded = service_->Execute(kCallQuery);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded->degraded);
   auto reference = service_->session().Execute(kCallQuery);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(Sorted(degraded->result.rows), Sorted(reference->rows));
-  EXPECT_GE(service_->service_counters().queries_degraded_total, 1u);
-  EXPECT_EQ(service_->service_counters().inflight_cost, 0u)
-      << "admission must be released after the query finishes";
+  for (const char* sql : {kCallQuery, kUncacheableCallQuery}) {
+    SCOPED_TRACE(sql);
+    const uint64_t degraded_before =
+        service_->service_counters().queries_degraded_total;
+    auto degraded = service_->Query({sql});
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_TRUE(degraded->degraded);
+    EXPECT_EQ(Sorted(degraded->result.rows), Sorted(reference->rows));
+    EXPECT_GE(service_->service_counters().queries_degraded_total,
+              degraded_before + 1);
+    EXPECT_EQ(service_->service_counters().inflight_cost, 0u)
+        << "admission must be released after the query finishes";
+  }
 
   // Saturation: park one query mid-chain (exec_step sleeps), so its grant
   // holds the whole budget; a second arrival finds no cost left and is
@@ -1790,7 +1839,7 @@ TEST_F(ResilienceTest, AdmissionDegradesBeforeRejecting) {
   {
     ServiceFailGuard slow("exec_step=sleep(200)@*");
     std::thread holder([&] {
-      auto resp = service_->Execute(kCallQuery);
+      auto resp = service_->Query({kCallQuery});
       EXPECT_TRUE(resp.ok()) << resp.status().ToString();
     });
     bool held = false;
@@ -1804,7 +1853,7 @@ TEST_F(ResilienceTest, AdmissionDegradesBeforeRejecting) {
     }
     EXPECT_TRUE(held) << "holder never charged the admission budget";
     if (held) {
-      auto rejected = service_->Execute(kCallQuery);
+      auto rejected = service_->Query({kCallQuery});
       ASSERT_FALSE(rejected.ok());
       EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
           << rejected.status().ToString();
@@ -1817,7 +1866,7 @@ TEST_F(ResilienceTest, AdmissionDegradesBeforeRejecting) {
   EXPECT_GE(service_->service_counters().queries_rejected_total, 1u);
 
   // Pressure gone, the service serves normally again.
-  ServiceResponse after = MustExecute(kCallQuery);
+  QueryResponse after = MustExecute(kCallQuery);
   EXPECT_EQ(Sorted(after.result.rows), Sorted(reference->rows));
 }
 
@@ -1828,7 +1877,7 @@ TEST_F(ResilienceTest, MinEtaRefusesTooPartialAnswers) {
   // two finds the budget spent after its first key — η drops below 1.
   QueryOptions partial;
   partial.fetch_budget = 1;
-  auto resp = service_->Execute(kJoinQuery, partial);
+  auto resp = service_->Query({kJoinQuery, QueryMode::kAuto, partial});
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_LT(resp->eta, 1.0);
   EXPECT_FALSE(resp->timed_out);
@@ -1837,7 +1886,7 @@ TEST_F(ResilienceTest, MinEtaRefusesTooPartialAnswers) {
   // coverage than the budget can deliver.
   QueryOptions strict = partial;
   strict.min_eta = 0.9;
-  auto refused = service_->Execute(kJoinQuery, strict);
+  auto refused = service_->Query({kJoinQuery, QueryMode::kAuto, strict});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
       << refused.status().ToString();
@@ -1855,11 +1904,11 @@ TEST_F(ResilienceTest, PartialAnswersCachedOnlyUnderMinEtaContract) {
   // call keys before the budget runs out — η lands at 1/2.
   QueryOptions partial;
   partial.fetch_budget = 3;
-  auto p1 = service_->Execute(kJoinQuery, partial);
+  auto p1 = service_->Query({kJoinQuery, QueryMode::kAuto, partial});
   ASSERT_TRUE(p1.ok()) << p1.status().ToString();
   ASSERT_LT(p1->eta, 1.0);
   ASSERT_GT(p1->eta, 0.0);
-  auto p2 = service_->Execute(kJoinQuery, partial);
+  auto p2 = service_->Query({kJoinQuery, QueryMode::kAuto, partial});
   ASSERT_TRUE(p2.ok());
   EXPECT_FALSE(p2->result_cache_hit);
 
@@ -1867,10 +1916,10 @@ TEST_F(ResilienceTest, PartialAnswersCachedOnlyUnderMinEtaContract) {
   // deliverable: it caches, and replays only for that same contract.
   QueryOptions contract = partial;
   contract.min_eta = 0.01;
-  auto c1 = service_->Execute(kJoinQuery, contract);
+  auto c1 = service_->Query({kJoinQuery, QueryMode::kAuto, contract});
   ASSERT_TRUE(c1.ok()) << c1.status().ToString();
   EXPECT_FALSE(c1->result_cache_hit);
-  auto c2 = service_->Execute(kJoinQuery, contract);
+  auto c2 = service_->Query({kJoinQuery, QueryMode::kAuto, contract});
   ASSERT_TRUE(c2.ok());
   EXPECT_TRUE(c2->result_cache_hit);
   EXPECT_EQ(c2->result.rows, c1->result.rows);
@@ -1880,10 +1929,10 @@ TEST_F(ResilienceTest, PartialAnswersCachedOnlyUnderMinEtaContract) {
   std::atomic<bool> cancel{true};
   QueryOptions cancelled;
   cancelled.cancel = &cancel;
-  auto t1 = service_->Execute(kCallQuery, cancelled);
+  auto t1 = service_->Query({kCallQuery, QueryMode::kAuto, cancelled});
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t1->timed_out);
-  auto t2 = service_->Execute(kCallQuery, cancelled);
+  auto t2 = service_->Query({kCallQuery, QueryMode::kAuto, cancelled});
   ASSERT_TRUE(t2.ok());
   EXPECT_FALSE(t2->result_cache_hit);
 }
@@ -1899,7 +1948,7 @@ TEST_F(ResilienceTest, ResultCacheHitBypassesAdmission) {
   // contract so the warm-up entry actually lands.
   QueryOptions contract;
   contract.min_eta = 0.5;
-  auto warm = service_->Execute(kCallQuery, contract);
+  auto warm = service_->Query({kCallQuery, QueryMode::kAuto, contract});
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_GE(warm->eta, 0.5);
 
@@ -1908,7 +1957,7 @@ TEST_F(ResilienceTest, ResultCacheHitBypassesAdmission) {
   // consume no admission grant at all.
   ServiceFailGuard slow("exec_step=sleep(200)@*");
   std::thread holder([&] {
-    auto resp = service_->Execute(kJoinQuery);
+    auto resp = service_->Query({kJoinQuery});
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
   });
   bool held = false;
@@ -1920,7 +1969,7 @@ TEST_F(ResilienceTest, ResultCacheHitBypassesAdmission) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(held) << "holder never charged the admission budget";
-  auto served = service_->Execute(kCallQuery, contract);
+  auto served = service_->Query({kCallQuery, QueryMode::kAuto, contract});
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(served->result_cache_hit);
   EXPECT_EQ(served->result.rows, warm->result.rows);
@@ -1936,8 +1985,8 @@ TEST_F(ResilienceTest, SubmitQueueIsBounded) {
   // Park the only worker mid-query; the second submission finds the queue
   // full and resolves immediately with the typed rejection.
   ServiceFailGuard slow("exec_step=sleep(100)@*");
-  auto first = service_->Submit(kCallQuery);
-  auto second = service_->Submit(kCallQuery);
+  auto first = service_->Submit({kCallQuery});
+  auto second = service_->Submit({kCallQuery});
   auto rejected = second.get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
@@ -1971,17 +2020,17 @@ TEST_F(ResilienceTest, ResilienceGaugesExposedThroughBeasStats) {
 
   // Drive one of each: a degraded query, a cancelled one, a min_eta
   // rejection.
-  ASSERT_TRUE(service_->Execute(kCallQuery).ok());
+  ASSERT_TRUE(service_->Query({kCallQuery}).ok());
   std::atomic<bool> cancel{true};
   QueryOptions cancelled;
   cancelled.cancel = &cancel;
-  ASSERT_TRUE(service_->Execute(kCallQuery, cancelled).ok());
+  ASSERT_TRUE(service_->Query({kCallQuery, QueryMode::kAuto, cancelled}).ok());
   QueryOptions strict;
   strict.fetch_budget = 1;
   strict.min_eta = 0.9;
-  ASSERT_FALSE(service_->Execute(kJoinQuery, strict).ok());
+  ASSERT_FALSE(service_->Query({kJoinQuery, QueryMode::kAuto, strict}).ok());
 
-  ServiceResponse resp =
+  QueryResponse resp =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   auto value_of = [&](const std::string& metric) -> double {
     for (const Row& row : resp.result.rows) {
@@ -2080,7 +2129,7 @@ TEST_F(ResilienceTest, TenantAdmissionCountersAndBeasStatsGauges) {
   EXPECT_EQ(service_->tenant_counters("nobody").requests_total, 0u);
 
   // The aggregate tenant gauges surface through beas_stats.
-  ServiceResponse resp =
+  QueryResponse resp =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   auto value_of = [&](const std::string& metric) -> double {
     for (const Row& row : resp.result.rows) {
@@ -2113,7 +2162,8 @@ TEST(ServiceScrubStatsTest, ScrubGaugesAdvanceThroughBeasStats) {
       env.FlipBit("/svcscrubfs/data/seg/ck1/t_kv.s0.seg", 24, 1).ok());
   ASSERT_TRUE(svc.Scrub().ok());
 
-  auto resp = svc.Execute("SELECT metric, value FROM beas_stats ORDER BY metric");
+  auto resp =
+      svc.Query({"SELECT metric, value FROM beas_stats ORDER BY metric"});
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   auto value_of = [&](const std::string& metric) -> double {
     for (const Row& row : resp->result.rows) {
@@ -2152,8 +2202,8 @@ TEST(ServiceWalRetryStatsTest, WalRetryGaugesAdvanceThroughBeasStats) {
       ServiceFailGuard fault("wal_group_io=error");
       ASSERT_TRUE(svc.Insert("kv", {I(1), S("a")}).ok());
     }
-    auto resp = svc.Execute(
-        "SELECT metric, value FROM beas_stats ORDER BY metric");
+    auto resp = svc.Query(
+        {"SELECT metric, value FROM beas_stats ORDER BY metric"});
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
     double retries = -1, latched = -1;
     for (const Row& row : resp->result.rows) {

@@ -114,8 +114,8 @@ int RunSelftest() {
   // outside the stable range.
   std::vector<std::vector<Row>> reference(kStableKeys);
   for (int k = 0; k < kStableKeys; ++k) {
-    auto resp = service.Execute("SELECT t.v FROM t WHERE t.k = " +
-                                std::to_string(k));
+    auto resp =
+        service.Query({"SELECT t.v FROM t WHERE t.k = " + std::to_string(k)});
     if (!resp.ok()) {
       std::fprintf(stderr, "selftest: reference query failed: %s\n",
                    resp.status().ToString().c_str());

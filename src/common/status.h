@@ -23,7 +23,7 @@ enum class StatusCode {
   kConformanceError,  ///< Data violates an access constraint.
   kNotCovered,        ///< Query is not covered by the access schema.
   kBudgetExceeded,    ///< Deduced access bound exceeds the user budget.
-  kIoError,           ///< File/CSV I/O failure.
+  kIoError,           ///< File I/O failure.
   kInternal,          ///< Invariant violation; indicates a bug.
   kDeadlineExceeded,  ///< Query deadline expired before completion.
   kResourceExhausted, ///< Admission control rejected, or disk/queue full.

@@ -5,93 +5,6 @@
 namespace beas {
 namespace durability {
 
-namespace {
-
-/// On-wire value tags. Deliberately not TypeId: the storage format must
-/// stay stable even if the in-memory enum is reordered.
-enum class ValueTag : uint8_t {
-  kNull = 0,
-  kInt64 = 1,
-  kDouble = 2,
-  kString = 3,
-  kDate = 4,
-};
-
-}  // namespace
-
-void WriteValue(ByteSink* sink, const Value& v) {
-  switch (v.type()) {
-    case TypeId::kNull:
-      sink->PutU8(static_cast<uint8_t>(ValueTag::kNull));
-      return;
-    case TypeId::kInt64:
-      sink->PutU8(static_cast<uint8_t>(ValueTag::kInt64));
-      sink->PutI64(v.AsInt64());
-      return;
-    case TypeId::kDouble:
-      sink->PutU8(static_cast<uint8_t>(ValueTag::kDouble));
-      sink->PutDouble(v.AsDouble());
-      return;
-    case TypeId::kString:
-      // Raw bytes regardless of representation: AsString decodes
-      // dictionary-backed values, so both representations serialize
-      // identically (and deserialize inline, to be re-canonicalized).
-      sink->PutU8(static_cast<uint8_t>(ValueTag::kString));
-      sink->PutString(v.AsString());
-      return;
-    case TypeId::kDate:
-      sink->PutU8(static_cast<uint8_t>(ValueTag::kDate));
-      sink->PutI64(v.AsDate());
-      return;
-  }
-  sink->PutU8(static_cast<uint8_t>(ValueTag::kNull));
-}
-
-Result<Value> ReadValue(ByteReader* r) {
-  uint8_t tag = r->GetU8();
-  Value v;
-  switch (static_cast<ValueTag>(tag)) {
-    case ValueTag::kNull:
-      v = Value::Null();
-      break;
-    case ValueTag::kInt64:
-      v = Value::Int64(r->GetI64());
-      break;
-    case ValueTag::kDouble:
-      v = Value::Double(r->GetDouble());
-      break;
-    case ValueTag::kString:
-      v = Value::String(r->GetString());
-      break;
-    case ValueTag::kDate:
-      v = Value::Date(r->GetI64());
-      break;
-    default:
-      return Status::IoError("unknown value tag " + std::to_string(tag));
-  }
-  if (!r->ok()) return Status::IoError("truncated value");
-  return v;
-}
-
-void WriteRow(ByteSink* sink, const Row& row) {
-  sink->PutU32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) WriteValue(sink, v);
-}
-
-Result<Row> ReadRow(ByteReader* r) {
-  uint32_t arity = r->GetU32();
-  if (!r->ok() || arity > r->remaining()) {
-    return Status::IoError("truncated row header");
-  }
-  Row row;
-  row.reserve(arity);
-  for (uint32_t i = 0; i < arity; ++i) {
-    BEAS_ASSIGN_OR_RETURN(Value v, ReadValue(r));
-    row.push_back(std::move(v));
-  }
-  return row;
-}
-
 void WriteSchema(ByteSink* sink, const Schema& schema) {
   sink->PutU32(static_cast<uint32_t>(schema.NumColumns()));
   for (const Column& c : schema.columns()) {
@@ -109,8 +22,11 @@ Result<Schema> ReadSchema(ByteReader* r) {
   cols.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     std::string name = r->GetString();
-    TypeId type = static_cast<TypeId>(r->GetU8());
-    if (!r->ok()) return Status::IoError("truncated schema column");
+    TypeId type;
+    if (!ReadTypeId(r, &type)) {
+      return Status::IoError(r->ok() ? "unknown schema column type"
+                                     : "truncated schema column");
+    }
     cols.emplace_back(std::move(name), type);
   }
   return Schema(std::move(cols));

@@ -30,6 +30,9 @@ namespace net {
 ///     12      4     payload_len
 ///     16      ...   payload (payload_len bytes)
 ///
+/// Payload fields and row values use the shared value codec
+/// (types/value_codec.h); a row is a u16 arity and its values.
+///
 /// Every decode is bounds-checked: a frame that lies about its length, or
 /// a payload that runs out of bytes mid-field, yields a typed error
 /// (kCorruption / kInvalidArgument), never a crash — malformed input is
@@ -89,6 +92,8 @@ std::string EncodeQueryRequestFrame(uint32_t request_id,
 std::string EncodeInsertRequestFrame(uint32_t request_id,
                                      const InsertRequest& request);
 std::string EncodePingFrame(uint32_t request_id);
+/// A response whose payload would exceed kMaxWirePayload encodes as a
+/// kInvalidArgument error response instead.
 std::string EncodeResponseFrame(uint32_t request_id,
                                 const WireResponse& response);
 /// @}

@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "service/result_cache.h"
+#include "types/value_codec.h"
 
 namespace beas {
 
@@ -68,49 +69,6 @@ std::vector<std::string> TablesReadBy(const BoundQuery& query) {
     }
   }
   return tables;
-}
-
-void AppendU64Key(std::string* key, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    key->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-/// Typed, length-prefixed parameter serialization for the result-cache
-/// key: no two distinct (type, value) pairs may collide.
-void AppendValueKey(std::string* key, const Value& v) {
-  if (v.is_null()) {
-    key->push_back('n');
-    return;
-  }
-  switch (v.type()) {
-    case TypeId::kInt64:
-      key->push_back('i');
-      AppendU64Key(key, static_cast<uint64_t>(v.AsInt64()));
-      break;
-    case TypeId::kDouble: {
-      key->push_back('d');
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      AppendU64Key(key, bits);
-      break;
-    }
-    case TypeId::kString: {
-      key->push_back('s');
-      const std::string& s = v.AsString();
-      AppendU64Key(key, s.size());
-      *key += s;
-      break;
-    }
-    default: {
-      key->push_back('?');
-      std::string s = v.ToString();
-      AppendU64Key(key, s.size());
-      *key += s;
-      break;
-    }
-  }
 }
 
 }  // namespace
@@ -421,20 +379,19 @@ TemplateInfo BeasService::PrepareTemplate(const std::string& sql) {
 std::string BeasService::ResultKeyFor(const TemplateInfo& tinfo,
                                       QueryMode mode,
                                       const QueryOptions& qopts) {
-  std::string key = tinfo.masked.text;
-  key.push_back('\0');
-  key.push_back(static_cast<char>(mode));
+  // Each parameter is typed and length-prefixed by the value codec, so no
+  // two distinct (type, value) pairs collide.
+  ByteSink key;
+  key.PutString(tinfo.masked.text);
+  key.PutU8(static_cast<uint8_t>(mode));
   // The budget class: answers under different fetch budgets or min-η
   // contracts are different answers. The deadline is deliberately NOT in
   // the key — it only changes the answer by timing out, and timed-out
   // answers are never cached.
-  AppendU64Key(&key, qopts.fetch_budget);
-  double min_eta = qopts.min_eta;
-  uint64_t bits;
-  std::memcpy(&bits, &min_eta, sizeof(bits));
-  AppendU64Key(&key, bits);
-  for (const Value& v : tinfo.masked.params) AppendValueKey(&key, v);
-  return key;
+  key.PutU64(qopts.fetch_budget);
+  key.PutDouble(qopts.min_eta);
+  for (const Value& v : tinfo.masked.params) WriteValue(&key, v);
+  return key.Take();
 }
 
 bool BeasService::LookupResult(uint64_t hash, const std::string& key,

@@ -36,13 +36,12 @@
 namespace beas {
 namespace {
 
-using durability::ByteReader;
-using durability::ByteSink;
 using testing_util::Dt;
 using testing_util::I;
 using testing_util::N;
 using testing_util::S;
 using testing_util::ShardOverrideGuard;
+using testing_util::ToHex;
 
 /// RAII scratch directory under TMPDIR (CI points this at a tmpfs).
 struct TempDir {
@@ -75,16 +74,54 @@ TEST(DurabilitySerdeTest, ValueRoundTripAllTypes) {
       S("hello"),          S(nul_bytes),              Dt("2016-03-15"),
   };
   ByteSink sink;
-  for (const Value& v : values) durability::WriteValue(&sink, v);
+  for (const Value& v : values) WriteValue(&sink, v);
   ByteReader r(sink.str().data(), sink.size());
   for (const Value& v : values) {
-    auto got = durability::ReadValue(&r);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->Equals(v)) << v.ToString();
-    EXPECT_EQ(got->type(), v.type());
+    Value got = ReadValue(&r);
+    ASSERT_TRUE(r.ok()) << v.ToString();
+    EXPECT_TRUE(got.Equals(v)) << v.ToString();
+    EXPECT_EQ(got.type(), v.type());
   }
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
+}
+
+/// One row over all five value types; `dict` backs its string cell and
+/// must outlive it.
+Row PinnedRow(StringDict* dict) {
+  return {N(), I(-5), Value::Double(2.75),
+          Value::DictString(dict, dict->Intern("cell")), Dt("2016-03-15")};
+}
+
+// Format pins: round trips cannot catch a symmetric encoder/decoder change.
+TEST(DurabilitySerdeTest, RowAndWalRecordBytesArePinned) {
+  StringDict dict;
+  ByteSink row;
+  WriteRow(&row, PinnedRow(&dict));
+  const char* kRowHex =
+      "05000000"                     // arity (u32)
+      "00"                           // null
+      "01" "fbffffffffffffff"        // int64
+      "02" "0000000000000640"        // double
+      "03" "04000000" "63656c6c"     // dict string, as its bytes
+      "04" "3b9f330100000000";       // date
+  EXPECT_EQ(ToHex(row.str()), kRowHex);
+
+  ByteSink payload;
+  payload.PutString("call");
+  WriteRow(&payload, PinnedRow(&dict));
+  durability::WalRecord record;
+  record.lsn = 42;
+  record.type = durability::WalRecordType::kInsert;
+  record.payload = payload.Take();
+  ByteSink wal;
+  durability::EncodeWalRecord(&wal, record);
+  EXPECT_EQ(ToHex(wal.str()), std::string("3a000000"            // len
+                                           "d493c9d7"            // crc
+                                           "2a00000000000000"    // lsn
+                                           "01"                  // type
+                                           "04000000" "63616c6c"  // table
+                                           ) + kRowHex);
 }
 
 TEST(DurabilitySerdeTest, RowSchemaConstraintRoundTrip) {
@@ -95,12 +132,12 @@ TEST(DurabilitySerdeTest, RowSchemaConstraintRoundTrip) {
   AccessConstraint c{"psi1", "call", {"pnum", "date"}, {"recnum"}, 500};
 
   ByteSink sink;
-  durability::WriteRow(&sink, row);
+  WriteRow(&sink, row);
   durability::WriteSchema(&sink, schema);
   durability::WriteConstraint(&sink, c);
 
   ByteReader r(sink.str().data(), sink.size());
-  auto row2 = durability::ReadRow(&r);
+  auto row2 = ReadRow(&r);
   auto schema2 = durability::ReadSchema(&r);
   auto c2 = durability::ReadConstraint(&r);
   ASSERT_TRUE(row2.ok());
@@ -121,10 +158,37 @@ TEST(DurabilitySerdeTest, RowSchemaConstraintRoundTrip) {
 
 TEST(DurabilitySerdeTest, TruncatedBytesLatchNotOk) {
   ByteSink sink;
-  durability::WriteValue(&sink, S("hello world"));
+  WriteValue(&sink, S("hello world"));
   ByteReader r(sink.str().data(), sink.size() - 3);
-  auto got = durability::ReadValue(&r);
-  EXPECT_FALSE(got.ok());
+  ReadValue(&r);
+  EXPECT_FALSE(r.ok());
+  // An unknown tag latches like a truncation.
+  const char unknown_tag = 9;
+  ByteReader bad(&unknown_tag, 1);
+  ReadValue(&bad);
+  EXPECT_FALSE(bad.ok());
+
+  // Every proper prefix of a multi-type row fails, inside the bounds.
+  StringDict dict;
+  ByteSink row;
+  WriteRow(&row, PinnedRow(&dict));
+  for (size_t cut = 0; cut < row.size(); ++cut) {
+    ByteReader prefix(row.str().data(), cut);
+    auto decoded = ReadRow(&prefix);
+    ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError) << cut;
+  }
+}
+
+TEST(DurabilitySerdeTest, UnknownSchemaColumnTypeIsRejected) {
+  ByteSink sink;
+  sink.PutU32(1);
+  sink.PutString("c");
+  sink.PutU8(0x77);
+  ByteReader r(sink.str().data(), sink.size());
+  auto schema = durability::ReadSchema(&r);
+  ASSERT_FALSE(schema.ok());
+  EXPECT_EQ(schema.status().code(), StatusCode::kIoError);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@
 #include "net/server.h"
 #include "net/wire_json.h"
 #include "service/beas_service.h"
+#include "storage/string_dict.h"
+#include "test_util.h"
 
 namespace beas {
 namespace net {
@@ -44,6 +46,126 @@ std::vector<std::string> RowStrings(const std::vector<Row>& rows) {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+using testing_util::ToHex;
+
+const uint8_t* Bytes(const std::string& s) {
+  return reinterpret_cast<const uint8_t*>(s.data());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fixtures: every field and every value type, shared by the
+// format-pinning and truncation tests.
+// ---------------------------------------------------------------------------
+
+QueryRequest PinnedQueryRequest() {
+  QueryRequest request;
+  request.sql = "SELECT t.v FROM t WHERE t.k = 7";
+  request.mode = QueryMode::kApproximate;
+  request.tenant = "alpha";
+  request.approx_budget = 123;
+  request.options.timeout_millis = 250;
+  request.options.fetch_budget = 64;
+  request.options.min_eta = 0.5;
+  return request;
+}
+
+/// `dict` backs the string cell of the first row and must outlive it.
+InsertRequest PinnedInsertRequest(StringDict* dict) {
+  InsertRequest request;
+  request.table = "mixed";
+  request.rows.push_back({Value::Null(), Value::Int64(-5), Value::Double(2.75),
+                          Value::DictString(dict, dict->Intern("cell")),
+                          Value::Date(20160315)});
+  request.rows.push_back({Value::Int64(7), Value::String("x")});
+  return request;
+}
+
+WireResponse PinnedOkResponse() {
+  WireResponse response;
+  QueryResponse& r = response.response;
+  r.cache_hit = true;
+  r.covered = true;
+  r.result_cache_hit = true;
+  r.eta = 0.75;
+  r.template_hash = 0x0123456789abcdefULL;
+  r.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
+  r.decision.deduced_bound = 500;
+  r.decision.explanation = "bounded";
+  r.reason = "ok";
+  r.approx_budget = 9;
+  r.tuples_fetched = 3;
+  r.result.column_names = {"k", "v"};
+  r.result.column_types = {TypeId::kInt64, TypeId::kString};
+  r.result.rows.push_back({Value::Int64(1), Value::String("x")});
+  r.result.rows.push_back({Value::Null(), Value::String("yz")});
+  return response;
+}
+
+// ---------------------------------------------------------------------------
+// Format pins. Round trips cannot catch a symmetric change to the
+// encoder and decoder; these bytes can.
+// ---------------------------------------------------------------------------
+
+TEST(ProtocolTest, QueryRequestFrameBytesArePinned) {
+  EXPECT_EQ(ToHex(EncodeQueryRequestFrame(42, PinnedQueryRequest())),
+            "424e5731" "01" "00" "0000" "2a000000" "4d000000"  // header
+            "02"                                              // mode
+            "7b00000000000000"                                // approx_budget
+            "fa00000000000000"                                // timeout_millis
+            "4000000000000000"                                // fetch_budget
+            "000000000000e03f"                                // min_eta
+            "05000000" "616c706861"                           // tenant
+            "1f000000" "53454c45435420742e762046524f4d2074"   // sql
+            "20574845524520742e6b203d2037");
+}
+
+TEST(ProtocolTest, InsertFrameBytesArePinned) {
+  StringDict dict;
+  EXPECT_EQ(ToHex(EncodeInsertRequestFrame(7, PinnedInsertRequest(&dict))),
+            "424e5731" "02" "00" "0000" "07000000" "45000000"  // header
+            "05000000" "6d69786564"                           // table
+            "02000000"                                        // row count
+            "0500"                                            // row 0 arity
+            "00"                                              // null
+            "01" "fbffffffffffffff"                           // int64
+            "02" "0000000000000640"                           // double
+            "03" "04000000" "63656c6c"                        // dict string
+            "04" "3b9f330100000000"                           // date
+            "0200"                                            // row 1 arity
+            "01" "0700000000000000"                           // int64
+            "03" "01000000" "78");                            // string
+
+}
+
+TEST(ProtocolTest, ResponseFrameBytesArePinned) {
+  EXPECT_EQ(ToHex(EncodeResponseFrame(9, PinnedOkResponse())),
+            "424e5731" "81" "00" "0000" "09000000" "71000000"  // header
+            "00"                                              // status code
+            "93"                                              // flags
+            "000000000000e83f"                                // eta
+            "efcdab8967452301"                                // template_hash
+            "00"                                              // decision mode
+            "f401000000000000"                                // deduced_bound
+            "07000000" "626f756e646564"                       // explanation
+            "02000000" "6f6b"                                 // reason
+            "0900000000000000"                                // approx_budget
+            "0300000000000000"                                // tuples_fetched
+            "0000000000000000"                                // rows_inserted
+            "0200"                                            // column count
+            "01000000" "6b" "01"                              // k INT
+            "01000000" "76" "03"                              // v STRING
+            "02000000"                                        // row count
+            "0200" "01" "0100000000000000" "03" "01000000" "78"
+            "0200" "00" "03" "02000000" "797a");
+  WireResponse error;
+  error.status = Status::ResourceExhausted("tenant cap exhausted");
+  EXPECT_EQ(ToHex(EncodeResponseFrame(3, error)),
+            "424e5731" "81" "00" "0000" "03000000" "19000000"  // header
+            "0f"                                              // status code
+            "14000000" "74656e616e7420636170206578686175737465"
+            "64");
 }
 
 // ---------------------------------------------------------------------------
@@ -213,6 +335,62 @@ TEST(ProtocolTest, TruncatedPayloadsYieldTypedErrorsNotCrashes) {
       DecodeInsertRequest(reinterpret_cast<const uint8_t*>(mutated.data()),
                           mutated.size())
           .ok());
+
+  // Every proper prefix of the all-types insert and of the OK response
+  // with rows: each cut lands mid-field somewhere in the value codec.
+  StringDict dict;
+  std::string ipayload = EncodeInsertRequestFrame(7, PinnedInsertRequest(&dict))
+                             .substr(kFrameHeaderSize);
+  for (size_t cut = 0; cut < ipayload.size(); ++cut) {
+    auto decoded = DecodeInsertRequest(Bytes(ipayload), cut);
+    ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << cut;
+  }
+  std::string rpayload =
+      EncodeResponseFrame(9, PinnedOkResponse()).substr(kFrameHeaderSize);
+  for (size_t cut = 0; cut < rpayload.size(); ++cut) {
+    auto decoded = DecodeResponse(Bytes(rpayload), cut);
+    ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << cut;
+  }
+}
+
+TEST(ProtocolTest, UnknownColumnTypeByteIsRejected) {
+  WireResponse response = PinnedOkResponse();
+  response.response.result.column_types[1] = static_cast<TypeId>(0x77);
+  std::string payload =
+      EncodeResponseFrame(9, response).substr(kFrameHeaderSize);
+  auto decoded = DecodeResponse(Bytes(payload), payload.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(ProtocolTest, OversizedResponseBecomesTypedError) {
+  // One cell as large as the protocol ceiling: the frame it would need
+  // is one every decoder rejects, so the encoder answers with an error.
+  WireResponse response;
+  response.response.result.column_names = {"blob"};
+  response.response.result.column_types = {TypeId::kString};
+  Row row;
+  row.push_back(Value::String(std::string(kMaxWirePayload, 'x')));
+  response.response.result.rows.push_back(std::move(row));
+  std::string frame = EncodeResponseFrame(5, response);
+  response.response.result.rows.clear();
+
+  auto header = DecodeFrameHeader(Bytes(frame), frame.size());
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->kind, FrameKind::kResponse);
+  EXPECT_EQ(header->request_id, 5u);
+  ASSERT_EQ(header->payload_len, frame.size() - kFrameHeaderSize);
+  auto decoded =
+      DecodeResponse(Bytes(frame) + kFrameHeaderSize, header->payload_len);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded->status.message().find(
+                "exceeds the protocol ceiling of " +
+                std::to_string(kMaxWirePayload)),
+            std::string::npos)
+      << decoded->status.message();
 }
 
 // ---------------------------------------------------------------------------

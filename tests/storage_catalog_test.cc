@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "catalog/catalog.h"
 #include "catalog/statistics.h"
-#include "storage/csv.h"
 #include "storage/table_heap.h"
 #include "test_util.h"
 #include "types/schema.h"
@@ -13,7 +9,6 @@
 namespace beas {
 namespace {
 
-using testing_util::Dt;
 using testing_util::I;
 using testing_util::N;
 using testing_util::S;
@@ -180,41 +175,6 @@ TEST(ShardedHeapTest, ShardKeyRoutesByDeclaredColumn) {
   // A second declaration is ignored (first constraint wins).
   heap.DeclareShardKey(1);
   EXPECT_EQ(heap.shard_key_col(), 0);
-}
-
-TEST(CsvTest, RoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "beas_csv_test.csv").string();
-  TableHeap heap(Schema({{"id", TypeId::kInt64},
-                         {"name", TypeId::kString},
-                         {"score", TypeId::kDouble},
-                         {"day", TypeId::kDate}}));
-  heap.InsertUnchecked({I(1), S("alice"), Value::Double(1.5), Dt("2016-03-15")});
-  heap.InsertUnchecked({I(2), S("bob"), N(), Dt("2016-03-16")});
-  ASSERT_TRUE(SaveCsv(path, heap).ok());
-
-  TableHeap loaded(heap.schema());
-  auto count = LoadCsv(path, &loaded);
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(*count, 2u);
-  EXPECT_EQ(loaded.At(0)[1], S("alice"));
-  EXPECT_TRUE(loaded.At(1)[2].is_null());
-  EXPECT_EQ(loaded.At(1)[3].AsDate(), 20160316);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, RejectsBadArityAndTypes) {
-  Schema schema({{"id", TypeId::kInt64}});
-  EXPECT_FALSE(ParseCsvLine("1,2", schema).ok());
-  EXPECT_FALSE(ParseCsvLine("abc", schema).ok());
-  EXPECT_TRUE(ParseCsvLine("42", schema).ok());
-  EXPECT_TRUE(ParseCsvLine("", schema).ok()) << "empty field is NULL";
-}
-
-TEST(CsvTest, MissingFileErrors) {
-  TableHeap heap(Schema({{"id", TypeId::kInt64}}));
-  EXPECT_EQ(LoadCsv("/nonexistent/beas.csv", &heap).status().code(),
-            StatusCode::kIoError);
 }
 
 TEST(CatalogTest, CreateGetDrop) {

@@ -37,6 +37,17 @@ inline Value Dt(const std::string& v) {
 }
 inline Value N() { return Value::Null(); }
 
+/// Lowercase hex of `bytes`, for pinning encoded formats byte for byte.
+inline std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
 /// Creates a table and inserts rows; aborts the test on failure.
 inline TableInfo* MakeTable(Database* db, const std::string& name,
                             Schema schema, std::vector<Row> rows) {

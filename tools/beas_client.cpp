@@ -1,5 +1,6 @@
 // beas_client: CLI for the BEAS wire protocol, plus the loopback selftest
-// storm (a ctest, and the net-smoke CI job runs it under sanitizers).
+// storm (the beas_client_selftest ctest, which the CI matrix runs under
+// every build type, sanitizers included).
 //
 //   beas_client --port 7687 "SELECT call.region FROM call WHERE ..."
 //   beas_client --port 7687 --mode check "SELECT ..."

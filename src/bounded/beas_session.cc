@@ -68,7 +68,18 @@ Result<ApproxResult> BeasSession::ExecuteApproximate(const std::string& sql,
     return Status::NotCovered(
         "approximation requires a covered query: " + coverage.reason);
   }
-  return approximator_.Execute(query, coverage.plan, budget);
+  BoundedExecOptions options;
+  options.fetch_budget = budget;
+  BoundedExecStats stats;
+  ApproxResult out;
+  BEAS_ASSIGN_OR_RETURN(out.result, executor_.Execute(query, coverage.plan,
+                                                      options, &stats));
+  out.result.engine = "BEAS (resource-bounded approximation)";
+  out.eta = stats.eta;
+  out.budget = budget;
+  out.tuples_fetched = stats.tuples_fetched;
+  out.exact = stats.eta >= 1.0;
+  return out;
 }
 
 }  // namespace beas

@@ -4,13 +4,34 @@
 #include <string>
 
 #include "asx/access_schema.h"
-#include "bounded/approximation.h"
 #include "bounded/be_checker.h"
 #include "bounded/bounded_executor.h"
 #include "bounded/plan_optimizer.h"
 #include "engine/database.h"
 
 namespace beas {
+
+/// \brief An approximate answer with its deterministic coverage bound
+/// (paper §2/§3: when exact bounded evaluation is not affordable, BEAS
+/// "guarantees a deterministic accuracy lower bound on approximate answers
+/// computed, and accesses a bounded number of tuples in the entire
+/// process"; the paper defers its scheme, and this is our stand-in).
+///
+/// Mechanism: the plan runs with BoundedExecOptions::fetch_budget set to
+/// the budget. Each fetch step may spend whatever budget the earlier steps
+/// left (greedy, in step order) and serves probe keys until it is spent;
+/// rows whose probes were not served are dropped. η is the product over
+/// steps of the served-key fraction: every reported row is computed from
+/// real fetched data (a sub-bag of the exact answer for SPC queries), and
+/// η is a deterministic, known-at-completion lower bound on the fraction
+/// of probe work covered.
+struct ApproxResult {
+  QueryResult result;
+  double eta = 1.0;     ///< deterministic coverage lower bound
+  uint64_t budget = 0;  ///< requested fetch budget (tuples)
+  uint64_t tuples_fetched = 0;
+  bool exact = false;   ///< true when the budget was never binding
+};
 
 /// \brief The top-level BEAS facade, mirroring the paper's online pipeline
 /// (§3): given SQL,
@@ -30,8 +51,7 @@ class BeasSession {
         catalog_(catalog),
         checker_(&catalog->schema()),
         executor_(catalog),
-        optimizer_(db, catalog),
-        approximator_(catalog) {}
+        optimizer_(db, catalog) {}
 
   Database* db() { return db_; }
   AsCatalog* catalog() { return catalog_; }
@@ -106,13 +126,6 @@ class BeasSession {
                                     exec_options);
   }
 
-  /// Approximation of a covered query with a known plan.
-  Result<ApproxResult> ExecuteApproximate(const BoundQuery& query,
-                                          const BoundedPlan& plan,
-                                          uint64_t budget) const {
-    return approximator_.Execute(query, plan, budget);
-  }
-
   /// @}
 
  private:
@@ -121,7 +134,6 @@ class BeasSession {
   BeChecker checker_;
   BoundedExecutor executor_;
   BePlanOptimizer optimizer_;
-  ResourceBoundedApproximator approximator_;
 };
 
 }  // namespace beas

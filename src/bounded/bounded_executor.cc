@@ -93,12 +93,12 @@ void ParallelChunks(TaskPool* pool, size_t n, size_t min_chunk,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fetch chain, scalar reference path (row-at-a-time). Kept for differential
-// testing against the vectorized path; probe keys are served in
-// first-appearance order so budgeted runs are bit-identical across paths.
+// Fetch chain, reference path (row-at-a-time). Differential tests hold the
+// vectorized path bit-identical to it; probe keys are served in
+// first-appearance order so budgeted runs agree too.
 // ---------------------------------------------------------------------------
 
-Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragmentScalar(
+Result<BoundedExecutor::Fragment> BoundedExecutor::ReferenceFragment(
     const BoundQuery& query, const BoundedPlan& plan,
     const BoundedExecOptions& options) const {
   Fragment fragment;
@@ -333,7 +333,7 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragmentScalar(
 // Fetch chain, vectorized path: columnar T, deduplicated probe keys in
 // first-appearance order, batched (optionally sharded) index probes,
 // gather-based join, compiled predicate programs, hash-based weighted
-// dedup. Bit-identical to the scalar path (rows, order, weights, η).
+// dedup. Bit-identical to the reference path (rows, order, weights, η).
 //
 // With hash-partitioned storage (BEAS_SHARDS > 1) each step runs
 // shard-parallel end to end: the probe batch partitions by AC-index
@@ -349,7 +349,7 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragmentScalar(
 // columns — the chain moves 4-byte codes and array-read hashes where it
 // used to move std::strings and byte hashes. Representation never leaks
 // into results: dictionary-backed and inline values hash and compare
-// identically, so parity with the scalar reference is preserved.
+// identically, so parity with the reference path is preserved.
 // ---------------------------------------------------------------------------
 
 Result<BoundedExecutor::BatchFragment>
@@ -380,7 +380,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
   t.weights().assign(1, 1);
   t.mutable_hashes().assign(1, TupleBatch::kHashSeed);
 
-  // Expiry latch, mirroring the scalar path: polled at the same key
+  // Expiry latch, mirroring the reference path: polled at the same key
   // indices, and once observed every later step serves zero non-null keys.
   const ExecControl& control = options.control;
   bool expired = false;
@@ -388,7 +388,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
   for (size_t si = 0; si < plan.steps.size(); ++si) {
     const FetchStep& step = plan.steps[si];
     const StepProgram& prog = compiled.steps[si];
-    // Same deterministic step-boundary test hook as the scalar path.
+    // Same deterministic step-boundary test hook as the reference path.
     (void)fail::Point("exec_step");
     auto step_start = std::chrono::steady_clock::now();
     OperatorStats step_stats;
@@ -629,7 +629,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
       // construction. A single-shard index keeps the pre-sharding
       // behavior: chunked fan-out for large key sets, serial otherwise.
       // NULL-bearing keys resolve to empty buckets inside LookupBatch and
-      // are excluded from probe accounting below, like the scalar path.
+      // are excluded from probe accounting below, like the reference path.
       // Keys are the canonical (dictionary-encoded) view, so string
       // components hash by stored code — zero byte hashing inside the
       // probe loop.
@@ -662,7 +662,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
       // Budgeted and/or deadline-controlled: serve keys in order until the
       // cap is hit or expiry is observed (either serves zero from there
       // on); inherently sequential — which is also what keeps the expiry
-      // check schedule identical to the scalar path's.
+      // check schedule identical to the reference path's.
       for (size_t i = 0; i < nkeys; ++i) {
         if (control.active() && !expired &&
             i % ExecControl::kExpiryCheckInterval == 0) {
@@ -870,7 +870,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
 
     // --- Apply the conjuncts that just became evaluable. ---
     // Runs even on an empty T so rebind failures surface exactly like the
-    // scalar path's.
+    // reference path's.
     if (!step.conjuncts_after.empty()) {
       std::vector<char> keep(t.num_rows(), 1);
       // Built on demand, once per step, for interpreted fallbacks only.
@@ -951,9 +951,6 @@ Result<BoundedExecutor::BatchFragment> BoundedExecutor::ExecuteBatchFragment(
 Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragment(
     const BoundQuery& query, const BoundedPlan& plan,
     const BoundedExecOptions& options) const {
-  if (!options.use_vectorized) {
-    return ExecuteFragmentScalar(query, plan, options);
-  }
   BEAS_ASSIGN_OR_RETURN(BatchFragment bf,
                         ExecuteBatchFragment(query, plan, options));
   Fragment fragment;
@@ -965,81 +962,40 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragment(
 }
 
 // ---------------------------------------------------------------------------
-// Relational tail. On the vectorized path the tail consumes the columnar
-// T directly (bounded/columnar_tail.h): compiled key/output programs,
-// code-aware grouping, encoded-key sorts — no Row materialization. The
-// scalar tail below remains both the fallback for non-compilable tail
-// expressions and the differential reference the columnar tail is tested
-// bit-identical against (weighted grouping / DISTINCT over ValueVecGrouper
-// group indices).
+// Relational tail. Execute runs it columnar over the fetch chain's batch
+// (bounded/columnar_tail.h): compiled key/output programs, code-aware
+// grouping, encoded-key sorts — no Row materialization. The scalar tail
+// below is the fallback for tail expressions ExprProgram cannot compile
+// and the reference tail ExecuteReference runs (weighted grouping /
+// DISTINCT over ValueVecGrouper group indices).
 // ---------------------------------------------------------------------------
 
-Result<QueryResult> BoundedExecutor::Execute(
-    const BoundQuery& query, const BoundedPlan& plan,
-    const BoundedExecOptions& options, BoundedExecStats* stats_out) const {
-  auto start = std::chrono::steady_clock::now();
+namespace {
 
-  // Fetch chain: columnar batch on the vectorized path (so the tail can
-  // consume it without materializing rows), Fragment on the scalar one.
-  bool have_batch = options.use_vectorized;
-  BatchFragment bf;
-  Fragment fragment;
-  if (have_batch) {
-    BEAS_ASSIGN_OR_RETURN(bf, ExecuteBatchFragment(query, plan, options));
-  } else {
-    BEAS_ASSIGN_OR_RETURN(fragment,
-                          ExecuteFragmentScalar(query, plan, options));
-  }
-  BoundedExecStats& stats = have_batch ? bf.stats : fragment.stats;
-  const std::vector<AttrRef>& layout = have_batch ? bf.layout : fragment.layout;
+/// A plan with no fetch steps over a query with atoms: some equality
+/// predicate is unsatisfiable, T is empty and its layout holds no columns.
+bool Unsatisfiable(const BoundQuery& query, const BoundedPlan& plan) {
+  return plan.steps.empty() && !query.atoms.empty();
+}
 
+QueryResult EmptyResult(const BoundQuery& query) {
   QueryResult result;
   result.engine = "BEAS (bounded)";
   for (const OutputItem& out : query.outputs) {
     result.column_names.push_back(out.name);
     result.column_types.push_back(out.type);
   }
+  return result;
+}
 
-  auto tail_start = std::chrono::steady_clock::now();
-  bool unsatisfiable = plan.steps.empty() && !query.atoms.empty();
-  bool columnar_done = false;
-  if (!unsatisfiable && have_batch && options.use_columnar_tail) {
-    std::vector<int64_t> slot_of_column(query.total_columns, -1);
-    for (size_t p = 0; p < layout.size(); ++p) {
-      slot_of_column[query.GlobalIndex(layout[p])] =
-          static_cast<int64_t>(p);
-    }
-    // The tail never truncates — its input T is final and dropping tail
-    // work would make the reported η dishonest — but an expired query
-    // sheds the fan-out: it has no claim on workers other queries need.
-    TaskPool* tail_pool = stats.timed_out ? nullptr : options.probe_pool;
-    BEAS_ASSIGN_OR_RETURN(
-        columnar_done, RunColumnarTail(query, bf.batch, slot_of_column,
-                                       tail_pool, &result));
-  }
-  if (!unsatisfiable && !columnar_done && have_batch) {
-    // Scalar-tail fallback (non-compilable tail expression, or the tail
-    // ablation knob): materialize the batch into the row Fragment the
-    // reference tail consumes.
-    fragment.layout = bf.layout;
-    fragment.rows = bf.batch.ToRows();
-    fragment.weights = std::move(bf.batch.weights());
-  }
-
-  // Rebuild the global -> T position mapping (scalar tail only).
-  std::unordered_map<size_t, size_t> layout_pos;
-  if (!columnar_done) {
-    for (size_t p = 0; p < fragment.layout.size(); ++p) {
-      layout_pos[query.GlobalIndex(fragment.layout[p])] = p;
-    }
-  }
-
-  if (columnar_done) {
-    // Tail complete, ORDER BY and LIMIT included.
-  } else if (unsatisfiable) {
-    // Unsatisfiable equality predicates: T is empty and the layout holds no
-    // columns, so skip rebinding. Global aggregates still produce their
-    // one empty-input row (COUNT(*) = 0).
+/// Projection / weighted aggregation / DISTINCT / ORDER BY / LIMIT over a
+/// materialized T, appending to `result->rows`.
+Status ScalarTail(const BoundQuery& query, const BoundedPlan& plan,
+                  const BoundedExecutor::Fragment& fragment,
+                  QueryResult* result) {
+  if (Unsatisfiable(query, plan)) {
+    // Skip rebinding: there are no T columns. Global aggregates still
+    // produce their one empty-input row (COUNT(*) = 0).
     if (query.HasAggregates() && query.group_by.empty()) {
       Row agg_row;
       for (const AggSpec& spec : query.aggregates) {
@@ -1056,10 +1012,19 @@ Result<QueryResult> BoundedExecutor::Execute(
         for (const OutputItem& out : query.outputs) {
           out_row.push_back(agg_row[out.slot]);
         }
-        result.rows.push_back(std::move(out_row));
+        result->rows.push_back(std::move(out_row));
       }
     }
-  } else if (query.HasAggregates()) {
+    return Status::OK();
+  }
+
+  // Global column index -> T position.
+  std::unordered_map<size_t, size_t> layout_pos;
+  for (size_t p = 0; p < fragment.layout.size(); ++p) {
+    layout_pos[query.GlobalIndex(fragment.layout[p])] = p;
+  }
+
+  if (query.HasAggregates()) {
     // Weighted grouping over T.
     std::vector<ExprPtr> groups;
     for (const ExprPtr& g : query.group_by) {
@@ -1124,7 +1089,7 @@ Result<QueryResult> BoundedExecutor::Execute(
         size_t pos = out.agg == AggFn::kNone ? out.slot : num_groups + out.slot;
         out_row.push_back(agg_row[pos]);
       }
-      result.rows.push_back(std::move(out_row));
+      result->rows.push_back(std::move(out_row));
     }
   } else {
     // Scalar projection with bag expansion by weight.
@@ -1142,44 +1107,89 @@ Result<QueryResult> BoundedExecutor::Execute(
         out_row.push_back(std::move(v));
       }
       if (query.distinct) {
-        result.rows.push_back(std::move(out_row));
+        result->rows.push_back(std::move(out_row));
       } else {
         for (uint64_t w = 0; w < fragment.weights[r]; ++w) {
-          result.rows.push_back(out_row);
+          result->rows.push_back(out_row);
         }
       }
     }
     if (query.distinct) {
       ValueVecGrouper seen;
-      for (Row& row : result.rows) seen.IdFor(std::move(row));
-      result.rows = std::move(seen).ReleaseKeys();
+      for (Row& row : result->rows) seen.IdFor(std::move(row));
+      result->rows = std::move(seen).ReleaseKeys();
     }
   }
 
-  // ORDER BY over output positions, then LIMIT (the columnar tail has
-  // already applied its own — on encoded sort keys).
-  if (!columnar_done) SortRowsAndLimit(query, &result.rows);
+  // ORDER BY over output positions, then LIMIT.
+  SortRowsAndLimit(query, &result->rows);
+  return Status::OK();
+}
 
-  // Assemble telemetry.
+}  // namespace
+
+Result<QueryResult> BoundedExecutor::Execute(
+    const BoundQuery& query, const BoundedPlan& plan,
+    const BoundedExecOptions& options, BoundedExecStats* stats_out) const {
+  auto start = std::chrono::steady_clock::now();
+  BEAS_ASSIGN_OR_RETURN(BatchFragment bf,
+                        ExecuteBatchFragment(query, plan, options));
+  QueryResult result = EmptyResult(query);
+  auto tail_start = std::chrono::steady_clock::now();
+  bool columnar = false;
+  if (!Unsatisfiable(query, plan)) {
+    std::vector<int64_t> slot_of_column(query.total_columns, -1);
+    for (size_t p = 0; p < bf.layout.size(); ++p) {
+      slot_of_column[query.GlobalIndex(bf.layout[p])] =
+          static_cast<int64_t>(p);
+    }
+    // The tail never truncates — its input T is final and dropping tail
+    // work would make the reported η dishonest — but an expired query
+    // sheds the fan-out: it has no claim on workers other queries need.
+    TaskPool* tail_pool = bf.stats.timed_out ? nullptr : options.probe_pool;
+    BEAS_ASSIGN_OR_RETURN(columnar, RunColumnarTail(query, bf.batch,
+                                                    slot_of_column, tail_pool,
+                                                    &result));
+  }
+  if (!columnar) {
+    // A tail expression did not compile (or the plan is unsatisfiable):
+    // materialize T for the scalar tail.
+    Fragment fragment;
+    fragment.layout = std::move(bf.layout);
+    fragment.rows = bf.batch.ToRows();
+    fragment.weights = std::move(bf.batch.weights());
+    BEAS_RETURN_NOT_OK(ScalarTail(query, plan, fragment, &result));
+  }
+
   if (options.collect_stats) {
     OperatorStats tail;
-    tail.label = columnar_done
-                     ? "RelationalTail(columnar group/sort/limit)"
-                     : "RelationalTail(project/aggregate/sort/limit)";
+    tail.label = columnar ? "RelationalTail(columnar group/sort/limit)"
+                          : "RelationalTail(project/aggregate/sort/limit)";
     tail.rows_out = result.rows.size();
     tail.self_millis = MillisSince(tail_start);
     tail.total_millis = tail.self_millis;
 
-    result.stats = stats.root;
+    result.stats = bf.stats.root;
     result.stats.label = "BEAS BoundedPlan";
     result.stats.children.push_back(std::move(tail));
     result.stats.rows_out = result.rows.size();
     result.plan_text = plan.ToString(query);
   }
-  result.tuples_accessed = stats.tuples_fetched;
+  result.tuples_accessed = bf.stats.tuples_fetched;
   result.millis = MillisSince(start);
+  if (stats_out != nullptr) *stats_out = bf.stats;
+  return result;
+}
 
-  if (stats_out != nullptr) *stats_out = stats;
+Result<QueryResult> BoundedExecutor::ExecuteReference(
+    const BoundQuery& query, const BoundedPlan& plan,
+    const BoundedExecOptions& options, BoundedExecStats* stats_out) const {
+  BEAS_ASSIGN_OR_RETURN(Fragment fragment,
+                        ReferenceFragment(query, plan, options));
+  QueryResult result = EmptyResult(query);
+  BEAS_RETURN_NOT_OK(ScalarTail(query, plan, fragment, &result));
+  result.tuples_accessed = fragment.stats.tuples_fetched;
+  if (stats_out != nullptr) *stats_out = fragment.stats;
   return result;
 }
 

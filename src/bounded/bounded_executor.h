@@ -32,22 +32,6 @@ struct BoundedExecOptions {
   /// path uses this; the analysis UI and benches keep full telemetry.
   bool collect_stats = true;
 
-  /// When true (default) the fetch chain runs the vectorized batch
-  /// executor (columnar T, batched probes, compiled step programs). The
-  /// row-at-a-time path is kept for differential testing; both produce
-  /// bit-identical results (rows, weights, η) — probe keys are served in
-  /// first-appearance order under a budget on either path.
-  bool use_vectorized = true;
-
-  /// When true (default, vectorized path only) the relational tail —
-  /// GROUP BY aggregation, DISTINCT, projection, ORDER BY, LIMIT — also
-  /// consumes the columnar T directly (see bounded/columnar_tail.h): no
-  /// Row materialization, code-aware grouping, encoded-key sorts.
-  /// Queries whose tail expressions are not soundly compilable fall back
-  /// to the scalar tail automatically. False forces the scalar tail (the
-  /// differential reference) after the vectorized fetch chain.
-  bool use_columnar_tail = true;
-
   /// Optional precompiled step programs for `plan`'s template (cached by
   /// the service next to the plan skeleton). Null = compile on the fly.
   /// Must have been compiled from the same template as `plan`.
@@ -61,11 +45,12 @@ struct BoundedExecOptions {
   /// Cooperative deadline/cancellation. When active, the fetch chain polls
   /// it at deterministic points (step boundaries and every
   /// ExecControl::kExpiryCheckInterval-th probe key, identical indices on
-  /// both paths); observed expiry behaves exactly like budget exhaustion —
-  /// unserved keys drop their rows, η shrinks, the partial answer stays
-  /// well-formed and bit-identical scalar vs vectorized. An active control
-  /// also forces sequential (un-fanned) probes so the check schedule is
-  /// deterministic, and sheds TaskPool fan-out once expired.
+  /// the reference path); observed expiry behaves exactly like budget
+  /// exhaustion — unserved keys drop their rows, η shrinks, the partial
+  /// answer stays well-formed and bit-identical to the reference. An
+  /// active control also forces sequential (un-fanned) probes so the
+  /// check schedule is deterministic, and sheds TaskPool fan-out once
+  /// expired.
   ExecControl control;
 };
 
@@ -89,14 +74,19 @@ struct BoundedExecStats {
 /// projections are exact even though only distinct partial tuples are
 /// fetched (see AcIndex::BucketView).
 ///
-/// Two fetch-chain implementations share this contract:
-///  * the vectorized path (default): T is a columnar TupleBatch; probe
-///    keys are deduplicated into first-appearance order, probed through
-///    AcIndex::LookupBatch (sharded across a TaskPool when large), joined
-///    by index-gather, filtered with compiled predicate programs, and
-///    deduplicated by precomputed row hashes;
-///  * the scalar row-at-a-time path (BoundedExecOptions::use_vectorized =
-///    false), retained as the differential-testing reference.
+/// Execution is vectorized end to end: T is a columnar TupleBatch; probe
+/// keys are deduplicated into first-appearance order, probed through
+/// AcIndex::LookupBatch (sharded across a TaskPool when large), joined by
+/// index-gather, filtered with compiled predicate programs, and
+/// deduplicated by precomputed row hashes; the relational tail then runs
+/// over the batch (bounded/columnar_tail.h). Only a tail expression
+/// ExprProgram cannot compile (or an unsatisfiable plan, whose T has no
+/// columns) sends the materialized T through the scalar tail.
+///
+/// The row-at-a-time fetch chain and the scalar tail also form a
+/// reference implementation (ExecuteReference / ReferenceFragment): a
+/// second evaluation of the same plan that differential tests hold the
+/// vectorized path bit-identical to. Nothing outside tests calls it.
 class BoundedExecutor {
  public:
   explicit BoundedExecutor(const AsCatalog* catalog) : catalog_(catalog) {}
@@ -121,6 +111,21 @@ class BoundedExecutor {
                                    const BoundedPlan& plan,
                                    const BoundedExecOptions& options = {}) const;
 
+  /// \name Reference implementation (differential tests only).
+  /// The same answers as Execute / ExecuteFragment — rows, row order,
+  /// weights, η and probe counters — from the row-at-a-time fetch chain
+  /// and the scalar tail. No diagnostics (plan text, per-step timings);
+  /// `options.compiled` and `options.probe_pool` are ignored.
+  /// @{
+  Result<QueryResult> ExecuteReference(
+      const BoundQuery& query, const BoundedPlan& plan,
+      const BoundedExecOptions& options = {},
+      BoundedExecStats* stats_out = nullptr) const;
+  Result<Fragment> ReferenceFragment(
+      const BoundQuery& query, const BoundedPlan& plan,
+      const BoundedExecOptions& options = {}) const;
+  /// @}
+
  private:
   /// The vectorized fetch chain's product before any materialization: T
   /// as a columnar batch (string columns still dictionary-encoded). The
@@ -131,10 +136,6 @@ class BoundedExecutor {
     std::vector<AttrRef> layout;     ///< T column -> query attribute
     BoundedExecStats stats;
   };
-
-  Result<Fragment> ExecuteFragmentScalar(const BoundQuery& query,
-                                         const BoundedPlan& plan,
-                                         const BoundedExecOptions& options) const;
 
   /// Vectorized chain with compile-on-the-fly when `options.compiled` is
   /// absent or stale.

@@ -17,6 +17,16 @@ namespace {
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kCkMetaName = "CKMETA";
 
+/// Transient-fault tolerance: a failed WAL group commit is repaired
+/// (truncated back to the acked prefix) and re-attempted this many times
+/// before the shard latches.
+constexpr uint64_t kWalRetryLimit = 3;
+
+/// Backoff before the first retry, doubling per attempt (capped at
+/// 100 ms). Writers in the group wait through it: under a transient fault
+/// a slow ack beats a spurious nack.
+constexpr uint64_t kWalRetryBackoffMs = 1;
+
 Status MetaLogFailedError() {
   return Status::Unavailable(
       "durability: a structural change could not be logged; the in-memory "
@@ -377,7 +387,7 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         commit = MergePoint(std::move(commit), "wal_append");
         if (commit.ok()) commit = fail::Point("wal_group_io");
         if (commit.ok()) commit = fail::Point("wal_pre_fsync");
-        if (commit.ok() && options_.fsync) {
+        if (commit.ok()) {
           commit = wal.file->Sync();
           wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -398,14 +408,14 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         // persist the cut, so the bytes can neither shadow later acked
         // groups at recovery nor be replayed themselves.
         Status repair = wal.file->Truncate(good_offset);
-        if (repair.ok() && options_.fsync) repair = wal.file->Sync();
+        if (repair.ok()) repair = wal.file->Sync();
         repair = MergePoint(std::move(repair), "wal_repair_fail");
         if (!repair.ok()) {
           wal.io_failed.store(true, std::memory_order_release);
           io = WalLatchedError();
           break;
         }
-        if (attempt >= options_.wal_retry_limit) {
+        if (attempt >= kWalRetryLimit) {
           // Hard fault: the file is repaired (ends at the acked prefix)
           // but the device keeps refusing the group. Latch and surface a
           // typed refusal — "acked but unrecoverable" stays impossible.
@@ -418,7 +428,7 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         }
         ++attempt;
         wal_retries_total_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t backoff = options_.wal_retry_backoff_ms << (attempt - 1);
+        uint64_t backoff = kWalRetryBackoffMs << (attempt - 1);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(std::min<uint64_t>(backoff, 100)));
       }
@@ -542,10 +552,8 @@ Status DurabilityManager::LogMeta(WalRecordType type, std::string payload) {
     return Status::Unavailable("durability: meta WAL unavailable");
   }
   BEAS_RETURN_NOT_OK(meta_wal_->Append(frame.str().data(), frame.size()));
-  if (options_.fsync) {
-    BEAS_RETURN_NOT_OK(meta_wal_->Sync());
-    wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
-  }
+  BEAS_RETURN_NOT_OK(meta_wal_->Sync());
+  wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_total_.fetch_add(frame.size(), std::memory_order_relaxed);
   wal_records_total_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_since_checkpoint_.fetch_add(frame.size(),
@@ -922,7 +930,7 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
   BEAS_ASSIGN_OR_RETURN(TableInfo * info,
                         db_->CreateTableLocked(table, meta.schema));
   TableHeap* heap = info->heap();
-  if (meta.dict_enabled) {
+  if (meta.has_dict) {
     BEAS_ASSIGN_OR_RETURN(
         SegmentView dict_view,
         OpenSegment(env_, base + ".dict.seg", SegmentKind::kDict));
@@ -930,8 +938,6 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
                           ParseDictPayload(dict_view.reader()));
     BEAS_RETURN_NOT_OK(heap->RestoreDict(std::move(dict.strings), dict.sorted,
                                          dict.out_of_order, dict.rebuilds));
-  } else {
-    heap->set_dict_enabled(false);
   }
   std::vector<std::vector<Row>> rows(meta.num_shards);
   std::vector<std::vector<uint8_t>> live(meta.num_shards);
@@ -1037,7 +1043,7 @@ Status DurabilityManager::VerifyCheckpoint(
   for (const std::string& table : meta.tables) {
     const std::string base = seg_dir + "/t_" + table;
     // The table meta segment is parsed (not just CRC'd): the shard count
-    // and dict flag decide which further files the checkpoint must hold.
+    // and schema decide which further files the checkpoint must hold.
     BEAS_ASSIGN_OR_RETURN(
         SegmentView view,
         OpenSegment(env_, base + ".meta.seg", SegmentKind::kTableMeta));
@@ -1046,7 +1052,7 @@ Status DurabilityManager::VerifyCheckpoint(
     BEAS_ASSIGN_OR_RETURN(TableMetaRestore tm,
                           ParseTableMetaPayload(view.reader()));
     TableBaseline baseline;
-    if (tm.dict_enabled) {
+    if (tm.has_dict) {
       uint32_t crc = 0;
       BEAS_RETURN_NOT_OK(check(base + ".dict.seg", SegmentKind::kDict, &crc));
       baseline.has_dict = true;

@@ -30,11 +30,6 @@ struct DurabilityOptions {
   /// Data directory. Empty disables durability entirely.
   std::string dir;
 
-  /// fsync on every group commit (and every meta-WAL record). Turning
-  /// this off trades the machine-crash guarantee for process-crash-only
-  /// durability (the page cache still survives a kill).
-  bool fsync = true;
-
   /// MaybeCheckpoint fires once this many WAL bytes accumulated since
   /// the last checkpoint.
   uint64_t checkpoint_min_wal_bytes = 1ull << 22;
@@ -44,16 +39,6 @@ struct DurabilityOptions {
   /// the service recycles with direct heap writes outside the hooked
   /// write path, so persisting it would only replay stale gauges.
   std::vector<std::string> transient_tables;
-
-  /// Transient-fault tolerance: a failed WAL group commit is repaired
-  /// (truncate back to the acked prefix) and re-attempted up to this many
-  /// times before the shard latches. 0 = latch on the first failure.
-  uint64_t wal_retry_limit = 3;
-
-  /// Backoff before the first retry, doubling per attempt (capped at
-  /// 100ms). Writers in the group wait through it — under a transient
-  /// fault, a slow ack beats a spurious nack.
-  uint64_t wal_retry_backoff_ms = 1;
 
   /// The I/O environment all durability reads and writes go through.
   /// nullptr selects Env::Default() (the posix filesystem); tests inject

@@ -107,12 +107,22 @@ std::string BuildTableMetaPayload(const TableInfo& table) {
 Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r) {
   TableMetaRestore out;
   BEAS_ASSIGN_OR_RETURN(out.schema, ReadSchema(&r));
-  out.dict_enabled = r.GetU8() != 0;
+  uint8_t dict_flag = r.GetU8();
   out.num_shards = r.GetU32();
   out.shard_key_col = r.GetI64();
   uint64_t slots = r.GetU64();
   if (!r.ok() || slots > r.remaining()) {
     return Status::IoError("truncated table meta");
+  }
+  // Every heap with a STRING column interns it, so the flag is a
+  // function of the schema; a mismatch means the bytes are damaged.
+  for (const Column& c : out.schema.columns()) {
+    out.has_dict |= c.type == TypeId::kString;
+  }
+  if (dict_flag != (out.has_dict ? 1 : 0)) {
+    return Status::Corruption("table meta dictionary flag " +
+                              std::to_string(dict_flag) +
+                              " contradicts its schema");
   }
   out.directory.reserve(slots);
   for (uint64_t i = 0; i < slots; ++i) {

@@ -81,7 +81,9 @@ std::string BuildIndexPayload(const AcIndex& index);
 /// @{
 struct TableMetaRestore {
   Schema schema;
-  bool dict_enabled = true;
+  /// The table has a dictionary segment: exactly when the schema has a
+  /// STRING column (a flag byte that disagrees is rejected as corruption).
+  bool has_dict = false;
   uint32_t num_shards = 1;
   int64_t shard_key_col = -1;
   /// Global slot directory: (shard, local) per slot, insertion order.

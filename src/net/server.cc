@@ -97,9 +97,6 @@ Server::Server(BeasService* service, ServerOptions options)
   if (options_.max_inflight_per_connection == 0) {
     options_.max_inflight_per_connection = 1;
   }
-  if (options_.max_payload_bytes > kMaxWirePayload) {
-    options_.max_payload_bytes = kMaxWirePayload;
-  }
 }
 
 Server::~Server() { Stop(); }
@@ -353,12 +350,12 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
       break;
     }
     FrameHeader frame = *decoded;
-    if (frame.payload_len > options_.max_payload_bytes) {
+    if (frame.payload_len > kMaxRequestPayload) {
       WireResponse err;
       err.status = Status::InvalidArgument(
           "frame payload of " + std::to_string(frame.payload_len) +
           " bytes exceeds this server's limit of " +
-          std::to_string(options_.max_payload_bytes));
+          std::to_string(kMaxRequestPayload));
       WriteToConnection(conn, EncodeResponseFrame(frame.request_id, err));
       break;
     }
@@ -493,7 +490,7 @@ void Server::ServeHttp(const std::shared_ptr<Connection>& conn,
         keep_alive = value != "close";
       }
     }
-    if (content_length > options_.max_payload_bytes) return;
+    if (content_length > kMaxRequestPayload) return;
     while (buffered.size() < content_length) {
       char chunk[4096];
       ssize_t r = ::recv(conn->fd, chunk, sizeof(chunk), 0);

@@ -33,10 +33,12 @@ struct ServerOptions {
   /// TCP backpressure does the rest. Keeps one firehose client from
   /// monopolizing the dispatch queue.
   size_t max_inflight_per_connection = 32;
-  /// Per-server payload ceiling (≤ kMaxWirePayload). A frame announcing
-  /// more is a framing error: the connection is closed.
-  uint32_t max_payload_bytes = 16u << 20;
 };
+
+/// Request payload ceiling (BNW1 frame or HTTP body), below the protocol's
+/// kMaxWirePayload. A request announcing more is a framing error: the
+/// connection is closed.
+constexpr uint32_t kMaxRequestPayload = 16u << 20;
 
 /// \brief The network front door: a multi-threaded TCP server fronting a
 /// BeasService with the BNW1 binary protocol, plus an HTTP/1.1 JSON

@@ -303,24 +303,26 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
           coverage.covered ? coverage.plan.total_access_bound : 0;
       return resp;
     case QueryMode::kApproximate: {
-      // Self-bounded by its budget: no admission reservation.
+      // Self-bounded by its budget: no admission reservation, but the
+      // request's deadline, cancel token and min_eta hold as for any
+      // covered execution.
       if (!coverage.covered) {
         return Status::NotCovered("approximation requires a covered query: " +
                                   coverage.reason);
       }
-      BEAS_ASSIGN_OR_RETURN(ApproxResult approx,
-                            session_.ExecuteApproximate(plan.query,
-                                                        coverage.plan,
-                                                        request.approx_budget));
-      resp.result = std::move(approx.result);
-      resp.eta = approx.eta;
-      resp.approx_exact = approx.exact;
-      resp.approx_budget = approx.budget;
-      resp.tuples_fetched = approx.tuples_fetched;
+      BoundedExecOptions exec_options = ExecOptionsFor(plan);
+      exec_options.fetch_budget = request.approx_budget;
+      BEAS_RETURN_NOT_OK(RunCovered(plan.query, coverage.plan,
+                                    std::move(exec_options), request.options,
+                                    &resp));
+      resp.result.engine = "BEAS (resource-bounded approximation)";
+      resp.approx_exact = resp.eta >= 1.0;
+      resp.approx_budget = request.approx_budget;
+      resp.tuples_fetched = resp.result.tuples_accessed;
       resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
       resp.decision.deduced_bound = coverage.plan.total_access_bound;
-      resp.decision.explanation =
-          "budgeted approximation (budget " + WithCommas(approx.budget) + ")";
+      resp.decision.explanation = "budgeted approximation (budget " +
+                                  WithCommas(request.approx_budget) + ")";
       break;
     }
     case QueryMode::kBoundedOnly:
@@ -341,7 +343,7 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
         BEAS_ASSIGN_OR_RETURN(
             PartialPlanResult partial,
             session_.ExecutePartialChoice(plan.query, plan.partial,
-                                          options_.fallback_profile,
+                                          EngineProfile::PostgresLike(),
                                           ExecOptionsFor(plan)));
         resp.result = std::move(partial.result);
         resp.decision.mode =
@@ -598,6 +600,15 @@ Status BeasService::RunCoveredAdmitted(const BoundQuery& query,
             ? std::min(exec_options.fetch_budget, ticket.grant)
             : ticket.grant;
   }
+  resp->degraded = ticket.degraded;
+  return RunCovered(query, plan, std::move(exec_options), qopts, resp);
+}
+
+Status BeasService::RunCovered(const BoundQuery& query,
+                               const BoundedPlan& plan,
+                               BoundedExecOptions exec_options,
+                               const QueryOptions& qopts,
+                               QueryResponse* resp) {
   if (qopts.timeout_millis > 0) {
     exec_options.control =
         ExecControl::After(std::chrono::milliseconds(qopts.timeout_millis));
@@ -608,7 +619,6 @@ Status BeasService::RunCoveredAdmitted(const BoundQuery& query,
   BEAS_ASSIGN_OR_RETURN(
       resp->result, session_.ExecuteCovered(query, plan, exec_options, &stats));
   resp->eta = stats.eta;
-  resp->degraded = ticket.degraded;
   resp->timed_out = stats.timed_out;
   if (stats.timed_out) {
     queries_timed_out_.fetch_add(1, std::memory_order_relaxed);
@@ -675,17 +685,13 @@ Status BeasService::RefreshStatsTable() {
     }
   }
   if (need_create) {
-    BEAS_ASSIGN_OR_RETURN(
-        TableInfo * info,
+    // Like every table, this one interns its strings. Recycling it
+    // destroys its dictionary, which is safe because every answer leaves
+    // Query detached (DetachResultStrings).
+    BEAS_RETURN_NOT_OK(
         db_.CreateTable(kStatsTableName, Schema({{"metric", TypeId::kString},
-                                                 {"value", TypeId::kDouble}})));
-    // No interning for this table: it is the one table the service ever
-    // drops (the recycle above), and dictionary-backed Values in results
-    // a client still holds would dangle into the destroyed dictionary.
-    // Inline strings keep returned rows self-contained; at ~20 tiny rows
-    // the encoding would buy nothing anyway.
-    Database::StructuralScope lock(&db_);
-    info->heap()->set_dict_enabled(false);
+                                                 {"value", TypeId::kDouble}}))
+            .status());
   }
 
   // Phase 2 — snapshot the gauges. Per-shard storage counters are read
@@ -709,6 +715,8 @@ Status BeasService::RefreshStatsTable() {
     table_names = db_.catalog()->TableNames();
     num_tables = static_cast<double>(table_names.size());
     for (const std::string& name : table_names) {
+      // The metadata table is not data (see rows_live below).
+      if (name == kStatsTableName) continue;
       Result<TableInfo*> table = db_.catalog()->GetTable(name);
       if (!table.ok()) continue;
       TableHeap::DictGauges gauges = (*table)->heap()->SampleDictGauges();
@@ -856,6 +864,13 @@ Status BeasService::RefreshStatsTable() {
   }
   add("tenant_rejected_total", tenant_rejected);
   add("tenant_inflight_cost_max", tenant_inflight_max);
+
+  // Metric order keeps the table's dictionary sorted (its codes are
+  // interned in byte order), so no dictionary maintenance cycle ever
+  // rebuilds it and dict_rebuilds_total counts data tables only.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[0].AsString() < b[0].AsString();
+  });
 
   // Phase 3 — swap the snapshot in: tombstone the previous rows (the
   // table has no AC indices, so no write hooks need to observe these) and

@@ -30,7 +30,6 @@ struct ServiceOptions {
   /// data + diagnostics), split evenly across cache_shards; LRU answers
   /// are evicted past it. 0 disables the result cache outright.
   size_t result_cache_max_bytes = 64u << 20;
-  EngineProfile fallback_profile = EngineProfile::PostgresLike();
   /// Durable mode: set `durability.dir` to a data directory and the
   /// service recovers it on construction and write-ahead-logs every write
   /// from then on (see DurabilityManager). Empty dir = in-memory service,
@@ -70,9 +69,9 @@ struct ServiceOptions {
 
 /// \brief Per-request execution options: deadline, cancellation, budget,
 /// and the minimum acceptable coverage. These apply to covered (bounded)
-/// executions — the paths whose resource story the paper makes
-/// deterministic; partially-bounded / conventional fallbacks execute as
-/// before.
+/// executions, kApproximate included — the paths whose resource story the
+/// paper makes deterministic; partially-bounded / conventional fallbacks
+/// execute as before.
 struct QueryOptions {
   /// Wall-clock deadline in milliseconds; 0 = none. An expired deadline
   /// behaves exactly like budget exhaustion: a deterministic partial
@@ -495,14 +494,21 @@ class BeasService {
   Result<AdmissionTicket> Admit(uint64_t bound, TenantState* tenant);
   void ReleaseAdmission(const AdmissionTicket& ticket);
 
-  /// Shared tail of every covered (bounded) execution: admission against
-  /// the plan's deduced bound, deadline/cancel wiring, execution, and the
-  /// η / degraded / timed_out verdicts on `resp`. Callers fill the
-  /// decision fields.
+  /// Covered kAuto / kBoundedOnly execution: admission against the
+  /// plan's deduced bound (a partial grant caps the fetch budget), then
+  /// RunCovered. Callers fill the decision fields.
   Status RunCoveredAdmitted(const BoundQuery& query, const BoundedPlan& plan,
                             BoundedExecOptions exec_options,
                             const QueryOptions& qopts, TenantState* tenant,
                             QueryResponse* resp);
+
+  /// Shared tail of every covered (bounded) execution, admitted or
+  /// self-bounded by an approximation budget: deadline/cancel wiring,
+  /// execution, the η / timed_out verdicts on `resp`, and the min_eta
+  /// refusal.
+  Status RunCovered(const BoundQuery& query, const BoundedPlan& plan,
+                    BoundedExecOptions exec_options, const QueryOptions& qopts,
+                    QueryResponse* resp);
 
   /// Builds a miss's cache entry: coverage fields, compiled step programs
   /// plus the prepared template (null if validation failed).

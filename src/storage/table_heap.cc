@@ -66,12 +66,12 @@ SlotId TableHeap::Place(Row row, const Row** stored, size_t shard) {
 }
 
 SlotId TableHeap::InsertUnchecked(Row row, const Row** stored, size_t shard) {
-  if (dict_enabled_ && has_string_cols_) InternStrings(&row);
+  if (has_string_cols_) InternStrings(&row);
   return Place(std::move(row), stored, shard);
 }
 
 void TableHeap::InsertBatchUnchecked(std::vector<Row> rows) {
-  if (dict_enabled_ && has_string_cols_) {
+  if (has_string_cols_) {
     // One interning pass under one lock acquisition for the whole batch.
     std::lock_guard<std::mutex> lock(dict_mutex_);
     for (Row& row : rows) InternStringsLocked(&row);

@@ -79,28 +79,12 @@ class TableHeap {
   const Schema& schema() const { return schema_; }
 
   /// The table's string dictionary, or nullptr when the table has no
-  /// STRING columns (or interning is disabled for A/B measurement).
-  const StringDict* dict() const {
-    return dict_enabled_ && has_string_cols_ ? &dict_ : nullptr;
-  }
-
-  /// Disables/enables interning for rows inserted *from now on*; only
-  /// meaningful on an empty heap (the `beas_stats` table and recovery of
-  /// a dictionary-less checkpoint turn it off). On by default.
-  void set_dict_enabled(bool enabled) { dict_enabled_ = enabled; }
+  /// STRING columns.
+  const StringDict* dict() const { return has_string_cols_ ? &dict_ : nullptr; }
 
   /// \name Shard surface.
   /// @{
   size_t num_shards() const { return shards_.size(); }
-
-  /// Repartitions an *empty* heap (tests/benches sweep shard counts on a
-  /// per-heap basis); no-op with an error-free shrug once rows exist.
-  void set_num_shards(size_t n) {
-    if (directory_.empty() && n >= 1 && n <= kMaxStorageShards) {
-      shards_.clear();
-      shards_.resize(n);
-    }
-  }
 
   /// Declares the column future inserts shard by (the first X-column of
   /// the table's first access constraint). Rows already placed stay where
@@ -358,7 +342,6 @@ class TableHeap {
 
   StringDict dict_;
   mutable std::mutex dict_mutex_;  ///< serializes Intern among writers
-  bool dict_enabled_ = true;
   bool has_string_cols_ = false;
 };
 

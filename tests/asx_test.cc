@@ -18,6 +18,7 @@ using testing_util::I;
 using testing_util::MakeTable;
 using testing_util::N;
 using testing_util::S;
+using testing_util::ShardOverrideGuard;
 
 Schema CallSchema() {
   return Schema({{"pnum", TypeId::kInt64},
@@ -160,8 +161,8 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
   }
 
   auto build = [&](size_t shards) {
+    ShardOverrideGuard guard(shards);
     auto heap = std::make_unique<TableHeap>(CallSchema());
-    heap->set_num_shards(shards);
     for (const Row& row : rows) heap->InsertUnchecked(row);
     auto index = AcIndex::Build(Psi1(), *heap);
     EXPECT_TRUE(index.ok());

@@ -472,20 +472,24 @@ TEST_F(BoundedTest, BudgetExhaustionServesZeroKeysMidChain) {
   BoundedExecutor executor(catalog_.get());
   // Whichever step order the optimizer picks, each step's exact need is 3
   // fetched tuples (keys 7 and 8 with bucket sizes 2 + 1 on both tables).
-  for (bool vectorized : {true, false}) {
-    SCOPED_TRACE(vectorized ? "vectorized" : "scalar");
+  for (bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference" : "vectorized");
+    auto run = [&](const BoundedExecOptions& options,
+                   BoundedExecStats* stats) {
+      return reference ? executor.ExecuteReference(q, cov.plan, options, stats)
+                       : executor.Execute(q, cov.plan, options, stats);
+    };
     BoundedExecOptions options;
-    options.use_vectorized = vectorized;
     options.fetch_budget = 3;  // exactly consumed by step 1
     BoundedExecStats stats;
-    auto r = executor.Execute(q, cov.plan, options, &stats);
+    auto r = run(options, &stats);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(stats.tuples_fetched, 3u);  // step 2 fetched nothing
     EXPECT_DOUBLE_EQ(stats.eta, 0.0);     // 0 of step 2's 2 keys served
     EXPECT_TRUE(r->rows.empty());
 
     options.fetch_budget = 4;  // exhausts mid-step-2: 1 of 2 keys served
-    auto r2 = executor.Execute(q, cov.plan, options, &stats);
+    auto r2 = run(options, &stats);
     ASSERT_TRUE(r2.ok());
     EXPECT_DOUBLE_EQ(stats.eta, 0.5);
     EXPECT_EQ(stats.tuples_fetched, 5u);

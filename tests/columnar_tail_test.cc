@@ -1,8 +1,9 @@
-// Columnar relational tail: differential coverage against the scalar
-// reference tail on large batches (including the chunk-parallel fold),
-// the zero-decode ORDER BY pin on sorted dictionaries, the tail
-// telemetry counters, and answer stability across an order-preserving
-// dictionary rebuild mid-workload.
+// Columnar relational tail: differential coverage against the reference
+// path's scalar tail on large batches (including the chunk-parallel
+// fold), the zero-decode ORDER BY pin on sorted dictionaries, the tail
+// telemetry counters, the scalar-tail fallback for tails that do not
+// compile, and answer stability across an order-preserving dictionary
+// rebuild mid-workload.
 
 #include <gtest/gtest.h>
 
@@ -130,24 +131,20 @@ TEST(ColumnarTailTest, BitIdenticalToScalarTailAcrossFoldModes) {
     ASSERT_TRUE(bound.ok());
     for (uint64_t budget : budgets) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
-      BoundedExecOptions scalar_opts;
-      scalar_opts.use_vectorized = false;
-      scalar_opts.fetch_budget = budget;
-      auto reference = executor.Execute(*bound, coverage->plan, scalar_opts);
+      BoundedExecOptions ref_opts;
+      ref_opts.fetch_budget = budget;
+      auto reference =
+          executor.ExecuteReference(*bound, coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
+      // Columnar tail, serial and pool-parallel fold.
       for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
-        // Columnar tail (serial and pool-parallel fold) and the
-        // vectorized-chain + scalar-tail ablation must all agree.
-        for (bool columnar : {true, false}) {
-          BoundedExecOptions opts;
-          opts.fetch_budget = budget;
-          opts.probe_pool = p;
-          opts.use_columnar_tail = columnar;
-          auto got = executor.Execute(*bound, coverage->plan, opts);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectResultsIdentical(*reference, *got);
-        }
+        BoundedExecOptions opts;
+        opts.fetch_budget = budget;
+        opts.probe_pool = p;
+        auto got = executor.Execute(*bound, coverage->plan, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectResultsIdentical(*reference, *got);
       }
     }
   }
@@ -236,8 +233,8 @@ TEST(ColumnarTailTest, AnswersIdenticalBeforeAndAfterDictRebuild) {
   ASSERT_TRUE(
       (*env.db->catalog()->GetTable("e2"))->heap()->dict()->is_sorted());
 
-  // Every answer — columnar and scalar tail — is byte-identical to the
-  // pre-rebuild snapshot.
+  // Every answer — vectorized and reference path — is byte-identical to
+  // the pre-rebuild snapshot.
   for (size_t q = 0; q < covered.size(); ++q) {
     SCOPED_TRACE(covered[q]);
     auto coverage = env.session->Check(covered[q]);
@@ -245,13 +242,12 @@ TEST(ColumnarTailTest, AnswersIdenticalBeforeAndAfterDictRebuild) {
     ASSERT_TRUE(coverage->covered);
     auto bound = env.db->Bind(covered[q]);
     ASSERT_TRUE(bound.ok());
-    for (bool vectorized : {true, false}) {
-      BoundedExecOptions opts;
-      opts.use_vectorized = vectorized;
-      auto result = executor.Execute(*bound, coverage->plan, opts);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(Render(*result), snapshots[q]);
-    }
+    auto result = executor.Execute(*bound, coverage->plan);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(Render(*result), snapshots[q]);
+    auto reference = executor.ExecuteReference(*bound, coverage->plan);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(Render(*reference), snapshots[q]);
   }
 }
 
@@ -274,13 +270,54 @@ TEST(ColumnarTailTest, TelemetryCountersAdvance) {
   EXPECT_EQ(TailBatchesTotal().load(), batches + 1);
   EXPECT_GE(TailRowsGrouped().load(), grouped + 4800)
       << "every T row is grouped without materialization";
+}
 
-  // The scalar-tail ablation must not touch the columnar counters.
-  batches = TailBatchesTotal().load();
-  BoundedExecOptions scalar_tail;
-  scalar_tail.use_columnar_tail = false;
-  ASSERT_TRUE(executor.Execute(*bound, coverage->plan, scalar_tail).ok());
-  EXPECT_EQ(TailBatchesTotal().load(), batches);
+// The one production route into the scalar tail: a tail expression that
+// ExprProgram does not compile. `%` with a DOUBLE operand is such an
+// expression (the evaluator accepts it only when the other operand is
+// NULL, so NULL % 2.0 is a valid query that yields NULL). Execute must
+// materialize T, answer through the scalar tail exactly like the reference
+// path and the conventional engine, and leave the columnar counters alone.
+TEST(ColumnarTailTest, UncompilableTailFallsBackToTheScalarTail) {
+  TailEnv env = MakeTailEnv();
+  BoundedExecutor executor(env.catalog.get());
+  const char* queries[] = {
+      "SELECT b.tag, NULL % 2.0 AS z FROM e1 a, e2 b WHERE a.src = 'root' "
+      "AND b.src = a.dst",
+      "SELECT b.tag, count(*) AS n, max(NULL % 2.0) AS z FROM e1 a, e2 b "
+      "WHERE a.src = 'root' AND b.src = a.dst GROUP BY b.tag",
+  };
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    auto coverage = env.session->Check(sql);
+    ASSERT_TRUE(coverage.ok()) << coverage.status().ToString();
+    ASSERT_TRUE(coverage->covered) << coverage->reason;
+    auto bound = env.db->Bind(sql);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+
+    uint64_t batches = TailBatchesTotal().load();
+    uint64_t grouped = TailRowsGrouped().load();
+    BoundedExecOptions opts;
+    auto got = executor.Execute(*bound, coverage->plan, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(TailBatchesTotal().load(), batches)
+        << "the columnar tail must decline this tail";
+    EXPECT_EQ(TailRowsGrouped().load(), grouped);
+    ASSERT_FALSE(got->rows.empty());
+    for (const Row& row : got->rows) EXPECT_TRUE(row.back().is_null());
+    ASSERT_FALSE(got->stats.children.empty());
+    EXPECT_EQ(got->stats.children.back().label,
+              "RelationalTail(project/aggregate/sort/limit)");
+
+    auto reference = executor.ExecuteReference(*bound, coverage->plan, opts);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExpectResultsIdentical(*reference, *got);
+
+    auto oracle = env.db->Query(sql);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_TRUE(RowMultisetsEqual(got->rows, oracle->rows))
+        << got->rows.size() << " vs " << oracle->rows.size();
+  }
 }
 
 }  // namespace

@@ -191,6 +191,39 @@ TEST(DurabilitySerdeTest, UnknownSchemaColumnTypeIsRejected) {
   EXPECT_EQ(schema.status().code(), StatusCode::kIoError);
 }
 
+// The table meta segment's dictionary flag is a function of the schema:
+// every heap with a STRING column interns it. A flag that disagrees (for
+// example 0 on a STRING schema, which no writer produces) is corruption.
+TEST(DurabilitySerdeTest, TableMetaDictFlagMustMatchTheSchema) {
+  auto meta = [](const Schema& schema, uint8_t dict_flag) {
+    ByteSink sink;
+    durability::WriteSchema(&sink, schema);
+    sink.PutU8(dict_flag);
+    sink.PutU32(1);   // shards
+    sink.PutI64(-1);  // shard key column
+    sink.PutU64(0);   // slots
+    return durability::ParseTableMetaPayload(
+        ByteReader(sink.str().data(), sink.size()));
+  };
+  Schema strings({{"k", TypeId::kInt64}, {"v", TypeId::kString}});
+  Schema numeric({{"k", TypeId::kInt64}, {"d", TypeId::kDouble}});
+
+  auto with_dict = meta(strings, 1);
+  ASSERT_TRUE(with_dict.ok()) << with_dict.status().ToString();
+  EXPECT_TRUE(with_dict->has_dict);
+  auto without_dict = meta(numeric, 0);
+  ASSERT_TRUE(without_dict.ok()) << without_dict.status().ToString();
+  EXPECT_FALSE(without_dict->has_dict);
+
+  for (const auto& [schema, flag] :
+       {std::pair<Schema, uint8_t>{strings, 0}, {numeric, 1}, {strings, 2}}) {
+    auto bad = meta(schema, flag);
+    ASSERT_FALSE(bad.ok()) << "flag " << static_cast<int>(flag);
+    EXPECT_EQ(bad.status().code(), StatusCode::kCorruption)
+        << bad.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WAL framing: round-trip, torn tails, foreign files.
 // ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@
 #include "common/shard_config.h"
 #include "common/test_env.h"
 #include "durability/durability_manager.h"
+#include "durability/segment.h"
+#include "durability/serde.h"
 #include "durability/wal.h"
 #include "service/beas_service.h"
 #include "test_util.h"
@@ -486,6 +488,64 @@ TEST(CheckpointFallbackTest, CorruptedNewestCheckpointFallsBackToPrevious) {
   ASSERT_TRUE(reopened->durable()) << reopened->durability_status().ToString();
   EXPECT_EQ(StateFingerprint(reopened.get()), expected);
   EXPECT_EQ(reopened->durability_counters().recovery_replayed_records, 0u);
+}
+
+// A table meta segment whose dictionary flag contradicts its schema (0 on
+// a table with a STRING column) passes the CRC but is corruption: recovery
+// must reject that checkpoint in verification and fall back exactly as it
+// does for bit rot.
+TEST(CheckpointFallbackTest, DictionaryFlagOffOnAStringTableFallsBack) {
+  ShardOverrideGuard guard(1);
+  const std::string data_dir = "/ckdictfs/data";
+
+  std::unique_ptr<BeasService> reference = MakeService("");
+  Status ref_faulted;
+  ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted, "").ok());
+  ASSERT_TRUE(
+      reference->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")}).ok());
+  std::string expected = StateFingerprint(reference.get());
+
+  FaultInjectingEnv env(29);
+  {
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
+    ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
+    Status faulted;
+    ASSERT_TRUE(ApplyOps(svc.get(), &faulted, "").ok());
+    ASSERT_TRUE(faulted.ok());
+    ASSERT_TRUE(svc->Checkpoint().ok());  // ck1
+    ASSERT_TRUE(
+        svc->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")}).ok());
+    ASSERT_TRUE(svc->Checkpoint().ok());  // ck2 rotates ck1's WAL to prev/
+  }
+  // Rewrite ck2's call meta with the dictionary flag cleared, under a
+  // valid frame and CRC.
+  const std::string meta_path = data_dir + "/seg/ck2/t_call.meta.seg";
+  std::string payload;
+  {
+    auto view = durability::OpenSegment(&env, meta_path,
+                                        durability::SegmentKind::kTableMeta);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    payload.assign(view->payload, view->payload_len);
+  }
+  ByteReader r(payload.data(), payload.size());
+  ASSERT_TRUE(durability::ReadSchema(&r).ok());
+  const size_t flag_at = payload.size() - r.remaining();
+  ASSERT_EQ(payload[flag_at], 1);
+  payload[flag_at] = 0;
+  ASSERT_TRUE(durability::WriteSegmentFile(
+                  &env, meta_path, durability::SegmentKind::kTableMeta,
+                  payload, nullptr)
+                  .ok());
+
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
+  ASSERT_TRUE(recovered->durable())
+      << recovered->durability_status().ToString();
+  EXPECT_EQ(StateFingerprint(recovered.get()), expected);
+  // ck1 plus the retained WAL epoch, not the malformed ck2.
+  EXPECT_GE(recovered->durability_counters().recovery_replayed_records, 1u);
+  Result<TableInfo*> call = recovered->db()->catalog()->GetTable("call");
+  ASSERT_TRUE(call.ok());
+  EXPECT_NE((*call)->heap()->dict(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -565,7 +565,7 @@ TEST_F(NetTest, GarbageFramingClosesOnlyThatConnection) {
   FrameHeader header;
   header.kind = FrameKind::kQueryRequest;
   header.request_id = 1;
-  header.payload_len = kMaxWirePayload;  // over the 16MB server ceiling
+  header.payload_len = kMaxRequestPayload + 1;
   uint8_t raw[kFrameHeaderSize];
   EncodeFrameHeader(header, raw);
   int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);

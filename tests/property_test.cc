@@ -8,13 +8,18 @@
 //   P3. When covered, actual fetched tuples <= the deduced bound M.
 //   P4. The deduced bound is independent of |D|: re-checking after
 //       doubling the data yields the same M.
+//
+// P5–P9 hold the vectorized executor bit-identical to the reference path;
+// P10 checks whole answers served by BeasService against the conventional
+// engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <memory>
-#include <tuple>
 
 #include "bounded/beas_session.h"
 #include "common/exec_control.h"
@@ -24,6 +29,7 @@
 #include "common/task_pool.h"
 #include "discovery/profiler.h"
 #include "maintenance/maintenance.h"
+#include "service/beas_service.h"
 #include "test_util.h"
 
 namespace beas {
@@ -279,6 +285,16 @@ void ExpectFragmentsIdentical(const BoundedExecutor::Fragment& s,
   EXPECT_EQ(s.stats.timed_out, v.stats.timed_out);
 }
 
+/// The fetch chain on the reference path or on the vectorized one.
+Result<BoundedExecutor::Fragment> FragmentOn(bool reference,
+                                             const BoundedExecutor& executor,
+                                             const BoundQuery& query,
+                                             const BoundedPlan& plan,
+                                             const BoundedExecOptions& opts) {
+  return reference ? executor.ReferenceFragment(query, plan, opts)
+                   : executor.ExecuteFragment(query, plan, opts);
+}
+
 class VectorizedScalarDifferential : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -297,22 +313,17 @@ TEST_P(VectorizedScalarDifferential, PathsAgreeBitForBit) {
     ASSERT_TRUE(bound.ok());
     for (uint64_t budget : budgets) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
-      BoundedExecOptions scalar_opts;
-      scalar_opts.use_vectorized = false;
-      scalar_opts.fetch_budget = budget;
-      BoundedExecOptions vec_opts;
-      vec_opts.fetch_budget = budget;
+      BoundedExecOptions opts;
+      opts.fetch_budget = budget;
 
-      auto frag_s = executor.ExecuteFragment(*bound, coverage->plan,
-                                             scalar_opts);
-      auto frag_v = executor.ExecuteFragment(*bound, coverage->plan,
-                                             vec_opts);
+      auto frag_s = executor.ReferenceFragment(*bound, coverage->plan, opts);
+      auto frag_v = executor.ExecuteFragment(*bound, coverage->plan, opts);
       ASSERT_TRUE(frag_s.ok()) << frag_s.status().ToString();
       ASSERT_TRUE(frag_v.ok()) << frag_v.status().ToString();
       ExpectFragmentsIdentical(*frag_s, *frag_v);
 
-      auto res_s = executor.Execute(*bound, coverage->plan, scalar_opts);
-      auto res_v = executor.Execute(*bound, coverage->plan, vec_opts);
+      auto res_s = executor.ExecuteReference(*bound, coverage->plan, opts);
+      auto res_v = executor.Execute(*bound, coverage->plan, opts);
       ASSERT_TRUE(res_s.ok());
       ASSERT_TRUE(res_v.ok());
       ASSERT_EQ(res_s->rows.size(), res_v->rows.size());
@@ -348,9 +359,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedScalarDifferential,
 // (dictionary) vectorized path is fuzzed exactly where it engages:
 // code-column gathers, canonicalized probe constants, encoded predicate
 // kernels. Checked against the scalar reference bit-for-bit and against
-// the conventional engines for multiset agreement. Each seed also runs
-// with interning disabled on every heap, where the inline-string
-// vectorized path must be bit-identical to the encoded one.
+// the conventional engines for multiset agreement.
 // ---------------------------------------------------------------------------
 
 /// Low-cardinality pool: lots of duplicate keys and Y-values (includes
@@ -368,10 +377,8 @@ std::string HighCardString(Rng* rng) {
 
 /// Two tables with string key columns: t0(c0 lo, c1 hi, c2 int, c3 lo),
 /// t1(c0 lo, c1 hi, c2 int). Constraints mined from the data like the
-/// integer RandomDb's. With `dict_enabled` false every heap stores inline
-/// strings; the rng draws are the same either way, so one seed yields the
-/// same data in both representations.
-RandomDb BuildRandomStringDb(Rng* rng, bool dict_enabled = true) {
+/// integer RandomDb's.
+RandomDb BuildRandomStringDb(Rng* rng) {
   RandomDb out;
   out.db = std::make_unique<Database>();
   auto build = [&](const std::string& name, bool four_cols) {
@@ -382,7 +389,6 @@ RandomDb BuildRandomStringDb(Rng* rng, bool dict_enabled = true) {
     if (four_cols) schema.AddColumn({"c3", TypeId::kString});
     auto info = out.db->CreateTable(name, schema);
     EXPECT_TRUE(info.ok());
-    if (info.ok()) (*info)->heap()->set_dict_enabled(dict_enabled);
     size_t rows = static_cast<size_t>(rng->Uniform(20, 50));
     std::vector<Row> batch;
     for (size_t r = 0; r < rows; ++r) {
@@ -501,24 +507,12 @@ std::string BuildRandomStringQuery(Rng* rng, bool* aggregate) {
   return select;
 }
 
-/// Parameters: (seed, dict_enabled). A dict-off case also builds the
-/// dict-on twin of its database and requires the two vectorized fragments
-/// to be bit-identical: the dictionary must be invisible in answers.
-class StringChainDifferential
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+class StringChainDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StringChainDifferential, EncodedAndScalarPathsAgreeBitForBit) {
-  const auto [seed, dict_enabled] = GetParam();
-  Rng rng(seed * 60257 + 11);
-  RandomDb env = BuildRandomStringDb(&rng, dict_enabled);
+  Rng rng(GetParam() * 60257 + 11);
+  RandomDb env = BuildRandomStringDb(&rng);
   BoundedExecutor executor(env.catalog.get());
-  RandomDb twin;
-  std::unique_ptr<BoundedExecutor> twin_executor;
-  if (!dict_enabled) {
-    Rng twin_rng(seed * 60257 + 11);
-    twin = BuildRandomStringDb(&twin_rng, /*dict_enabled=*/true);
-    twin_executor = std::make_unique<BoundedExecutor>(twin.catalog.get());
-  }
   const uint64_t budgets[] = {0, 1, 3, 17};
 
   for (int q = 0; q < 8; ++q) {
@@ -543,46 +537,27 @@ TEST_P(StringChainDifferential, EncodedAndScalarPathsAgreeBitForBit) {
     ASSERT_TRUE(bound.ok());
     for (uint64_t budget : budgets) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
-      BoundedExecOptions scalar_opts;
-      scalar_opts.use_vectorized = false;
-      scalar_opts.fetch_budget = budget;
-      BoundedExecOptions vec_opts;
-      vec_opts.fetch_budget = budget;
-      auto frag_s =
-          executor.ExecuteFragment(*bound, coverage->plan, scalar_opts);
-      auto frag_v = executor.ExecuteFragment(*bound, coverage->plan, vec_opts);
+      BoundedExecOptions opts;
+      opts.fetch_budget = budget;
+      auto frag_s = executor.ReferenceFragment(*bound, coverage->plan, opts);
+      auto frag_v = executor.ExecuteFragment(*bound, coverage->plan, opts);
       ASSERT_TRUE(frag_s.ok()) << frag_s.status().ToString();
       ASSERT_TRUE(frag_v.ok()) << frag_v.status().ToString();
       ExpectFragmentsIdentical(*frag_s, *frag_v);
-      if (twin_executor != nullptr) {
-        auto twin_coverage = twin.session->Check(sql);
-        auto twin_bound = twin.db->Bind(sql);
-        ASSERT_TRUE(twin_coverage.ok() && twin_coverage->covered);
-        ASSERT_TRUE(twin_bound.ok());
-        auto frag_dict = twin_executor->ExecuteFragment(
-            *twin_bound, twin_coverage->plan, vec_opts);
-        ASSERT_TRUE(frag_dict.ok()) << frag_dict.status().ToString();
-        ExpectFragmentsIdentical(*frag_dict, *frag_v);
-      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, StringChainDifferential,
-    ::testing::Combine(::testing::Range<uint64_t>(0, 15), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
-      return std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_dict" : "_nodict");
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, StringChainDifferential,
+                         ::testing::Range<uint64_t>(0, 15));
 
 // ---------------------------------------------------------------------------
 // P7. Shard-count differential: hash-partitioned storage (BEAS_SHARDS)
 // never changes answers. The same seed is materialized at shard counts
-// {1, 3, 8}; every query's fetch-chain fragment — scalar and vectorized,
+// {1, 3, 8}; every query's fetch-chain fragment — reference and vectorized,
 // with and without a probe pool, exact and budget-capped — must be
 // bit-identical (rows, order, weights, η, probe counters) to the
-// single-shard scalar reference. Integer and string (dictionary-encoded)
+// single-shard reference path. Integer and string (dictionary-encoded)
 // databases are both swept.
 // ---------------------------------------------------------------------------
 
@@ -628,9 +603,8 @@ TEST_P(ShardCountDifferential, ShardingIsInvisibleBitForBit) {
     for (uint64_t budget : budgets) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
       BoundedExecOptions ref_opts;
-      ref_opts.use_vectorized = false;
       ref_opts.fetch_budget = budget;
-      auto reference = executors[0].ExecuteFragment(
+      auto reference = executors[0].ReferenceFragment(
           *ref_bound, ref_coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
@@ -646,14 +620,13 @@ TEST_P(ShardCountDifferential, ShardingIsInvisibleBitForBit) {
         auto bound = envs[e].db->Bind(sql);
         ASSERT_TRUE(bound.ok());
 
-        for (bool vectorized : {false, true}) {
+        for (bool reference_path : {true, false}) {
           for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
             BoundedExecOptions opts;
-            opts.use_vectorized = vectorized;
             opts.fetch_budget = budget;
             opts.probe_pool = p;
-            auto frag = executors[e].ExecuteFragment(*bound, coverage->plan,
-                                                     opts);
+            auto frag = FragmentOn(reference_path, executors[e], *bound,
+                                   coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             ExpectFragmentsIdentical(*reference, *frag);
           }
@@ -750,10 +723,10 @@ TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShardsAndRebuilds) {
 
       for (uint64_t budget : budgets) {
         SCOPED_TRACE("budget=" + std::to_string(budget));
-        BoundedExecOptions scalar_opts;
-        scalar_opts.use_vectorized = false;
-        scalar_opts.fetch_budget = budget;
-        auto reference = executor.Execute(*bound, coverage->plan, scalar_opts);
+        BoundedExecOptions ref_opts;
+        ref_opts.fetch_budget = budget;
+        auto reference =
+            executor.ExecuteReference(*bound, coverage->plan, ref_opts);
         ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
         for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
@@ -783,7 +756,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarTailDifferential,
 // like an exhausted fetch budget. A pre-set cancel token (and an
 // already-expired deadline) yields the same deterministic partial answer —
 // bit-identical rows, order, weights, η and probe counters — across
-// BEAS_SHARDS {1, 3, 8}, scalar and vectorized paths, pool on/off, and
+// BEAS_SHARDS {1, 3, 8}, reference and vectorized paths, pool on/off, and
 // fetch budgets. With a fail-point delay holding each fetch step open, a
 // mid-chain deadline produces η monotone in the deadline, and once the
 // fault is disarmed the same executor serves exact answers again.
@@ -873,21 +846,18 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
     // Exact reference (no control, no budget): the ceiling every partial
     // answer's η sits under, and the answer the executor must return again
     // once the pressure is gone.
-    BoundedExecOptions exact_opts;
-    exact_opts.use_vectorized = false;
-    auto exact = executors[0].ExecuteFragment(*ref_bound, ref_coverage->plan,
-                                              exact_opts);
+    auto exact =
+        executors[0].ReferenceFragment(*ref_bound, ref_coverage->plan);
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
     ASSERT_FALSE(exact->stats.timed_out);
 
     for (uint64_t budget : budgets) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
-      // Single-shard scalar reference under a pre-set cancel token.
+      // Single-shard reference path under a pre-set cancel token.
       BoundedExecOptions ref_opts;
-      ref_opts.use_vectorized = false;
       ref_opts.fetch_budget = budget;
       ref_opts.control.cancel = &cancelled;
-      auto reference = executors[0].ExecuteFragment(
+      auto reference = executors[0].ReferenceFragment(
           *ref_bound, ref_coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       // The token trips the first expiry poll — but a chain that never
@@ -909,17 +879,17 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
         auto bound = envs[e].db->Bind(sql);
         ASSERT_TRUE(bound.ok());
 
-        for (bool vectorized : {false, true}) {
+        for (bool reference_path : {true, false}) {
           for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
-            SCOPED_TRACE(std::string(vectorized ? "vectorized" : "scalar") +
+            SCOPED_TRACE(std::string(reference_path ? "reference"
+                                                    : "vectorized") +
                          (p != nullptr ? "+pool" : ""));
             BoundedExecOptions opts;
-            opts.use_vectorized = vectorized;
             opts.fetch_budget = budget;
             opts.probe_pool = p;
             opts.control.cancel = &cancelled;
-            auto frag = executors[e].ExecuteFragment(*bound, coverage->plan,
-                                                     opts);
+            auto frag = FragmentOn(reference_path, executors[e], *bound,
+                                   coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             ExpectFragmentsIdentical(*reference, *frag);
 
@@ -927,8 +897,8 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
             // cancel token: both trip the very first expiry poll.
             BoundedExecOptions dead_opts = opts;
             dead_opts.control = ExecControl::After(std::chrono::milliseconds(0));
-            auto dead = executors[e].ExecuteFragment(*bound, coverage->plan,
-                                                     dead_opts);
+            auto dead = FragmentOn(reference_path, executors[e], *bound,
+                                   coverage->plan, dead_opts);
             ASSERT_TRUE(dead.ok()) << dead.status().ToString();
             ExpectFragmentsIdentical(*reference, *dead);
           }
@@ -954,16 +924,15 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
         ASSERT_TRUE(coverage->covered);
         auto bound = envs[e].db->Bind(sql);
         ASSERT_TRUE(bound.ok());
-        for (bool vectorized : {false, true}) {
-          SCOPED_TRACE(vectorized ? "vectorized" : "scalar");
+        for (bool reference_path : {true, false}) {
+          SCOPED_TRACE(reference_path ? "reference" : "vectorized");
           double prev_eta = -1.0;
           for (int64_t deadline_ms : deadlines_ms) {
             BoundedExecOptions opts;
-            opts.use_vectorized = vectorized;
             opts.control =
                 ExecControl::After(std::chrono::milliseconds(deadline_ms));
-            auto frag = executors[e].ExecuteFragment(*bound, coverage->plan,
-                                                     opts);
+            auto frag = FragmentOn(reference_path, executors[e], *bound,
+                                   coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             EXPECT_GE(frag->stats.eta, prev_eta)
                 << "η must be monotone in the deadline (deadline_ms=" +
@@ -979,8 +948,8 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
     }
 
     // Fault disarmed: the executor is unharmed and exact again.
-    auto after = executors[0].ExecuteFragment(*ref_bound, ref_coverage->plan,
-                                              exact_opts);
+    auto after =
+        executors[0].ExecuteFragment(*ref_bound, ref_coverage->plan);
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     ExpectFragmentsIdentical(*exact, *after);
   }
@@ -989,6 +958,219 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeadlineCancelDifferential,
                          ::testing::Range<uint64_t>(0, 4));
+
+// ---------------------------------------------------------------------------
+// P10. Service-level oracle. Random int and string databases are loaded
+// into a BeasService at shard counts {1, 3}; every random query goes
+// through BeasService::Query in two spellings (original, and conjuncts
+// reversed with every column-vs-literal comparison written literal-first),
+// twice each, so a miss and a plan- or result-cache hit are both served.
+// Half the seeds use only the randomly drawn access schema (mostly
+// partially bounded or conventional answers); the other half add
+// constraints that cover every query shape (bounded answers).
+// The conventional engine over the service's own database is the oracle:
+//   - an exact answer equals the oracle's as a bag (Chirkova &
+//     Genesereth's bag equivalence);
+//   - under a fetch budget (kAuto with QueryOptions::fetch_budget, and
+//     kApproximate), 0 <= η <= 1, η = 1 implies bag equality, and a
+//     non-aggregate answer (none of these carry a LIMIT) is a sub-bag of
+//     the oracle's.
+// Unlike P5–P9 this sees bugs the two executor paths would share: in the
+// binder, the canonicalizer, the plan generator and the caches.
+// ---------------------------------------------------------------------------
+
+/// A "SELECT … WHERE c1 AND … AND cn [GROUP BY …]" query taken apart.
+struct WhereParts {
+  std::string head;  ///< up to, excluding, " WHERE "
+  std::vector<std::string> conjuncts;
+  std::string tail;  ///< from " GROUP BY " on, or empty
+};
+
+WhereParts SplitWhere(const std::string& sql) {
+  WhereParts parts;
+  size_t where = sql.find(" WHERE ");
+  size_t group = sql.find(" GROUP BY ");
+  parts.head = sql.substr(0, where);
+  std::string body = sql.substr(where + 7, group == std::string::npos
+                                               ? std::string::npos
+                                               : group - where - 7);
+  if (group != std::string::npos) parts.tail = sql.substr(group);
+  size_t begin = 0;
+  for (size_t at; (at = body.find(" AND ", begin)) != std::string::npos;
+       begin = at + 5) {
+    parts.conjuncts.push_back(body.substr(begin, at - begin));
+  }
+  parts.conjuncts.push_back(body.substr(begin));
+  return parts;
+}
+
+/// "col op literal" -> "literal op' col"; anything else is returned as is.
+std::string LiteralFirst(const std::string& conjunct) {
+  static const std::vector<std::pair<std::string, std::string>> kMirror = {
+      {"=", "="}, {"<>", "<>"}, {"<=", ">="}, {">=", "<="}, {"<", ">"},
+      {">", "<"}};
+  size_t a = conjunct.find(' ');
+  size_t b = conjunct.find(' ', a + 1);
+  if (a == std::string::npos || b == std::string::npos ||
+      conjunct.find(' ', b + 1) != std::string::npos) {
+    return conjunct;
+  }
+  std::string lhs = conjunct.substr(0, a);
+  std::string op = conjunct.substr(a + 1, b - a - 1);
+  std::string rhs = conjunct.substr(b + 1);
+  bool literal = rhs[0] == '\'' || rhs[0] == '-' ||
+                 std::isdigit(static_cast<unsigned char>(rhs[0]));
+  if (!literal) return conjunct;
+  for (const auto& [from, to] : kMirror) {
+    if (op == from) return rhs + " " + to + " " + lhs;
+  }
+  return conjunct;
+}
+
+/// The second spelling of a random query: the same bag of answers.
+std::string Respell(const std::string& sql) {
+  WhereParts parts = SplitWhere(sql);
+  std::string out = parts.head;
+  for (size_t i = parts.conjuncts.size(); i-- > 0;) {
+    out += (i + 1 == parts.conjuncts.size() ? " WHERE " : " AND ") +
+           LiteralFirst(parts.conjuncts[i]);
+  }
+  return out + parts.tail;
+}
+
+/// Multiset inclusion: every row of `sub` occurs in `full` at least as
+/// often.
+bool IsSubBag(std::vector<Row> sub, std::vector<Row> full) {
+  auto less = [](const Row& a, const Row& b) {
+    return CompareValueVec(a, b) < 0;
+  };
+  std::sort(sub.begin(), sub.end(), less);
+  std::sort(full.begin(), full.end(), less);
+  return std::includes(full.begin(), full.end(), sub.begin(), sub.end(),
+                       less);
+}
+
+/// A budgeted answer is honest: η is a coverage fraction, full coverage
+/// means the exact answer, and a partial SPC answer is a sub-bag of it.
+void ExpectHonestPartial(const QueryResponse& resp, const QueryResult& oracle,
+                         bool aggregate) {
+  EXPECT_GE(resp.eta, 0.0);
+  EXPECT_LE(resp.eta, 1.0);
+  if (resp.eta == 1.0) {
+    EXPECT_TRUE(RowMultisetsEqual(resp.result.rows, oracle.rows))
+        << resp.result.rows.size() << " vs " << oracle.rows.size();
+  }
+  if (!aggregate) {
+    EXPECT_TRUE(IsSubBag(resp.result.rows, oracle.rows))
+        << "partial answer of " << resp.result.rows.size()
+        << " rows is not a sub-bag of the exact " << oracle.rows.size();
+  }
+}
+
+class ServiceOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ServiceOracle, AnswersEqualTheConventionalEngineAsBags) {
+  const bool strings = GetParam() % 2 == 1;
+  const bool covering = GetParam() % 4 >= 2;
+  for (size_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardOverrideGuard guard(shards);
+    Rng rng(GetParam() * 40009 + 19);
+    RandomDb env = strings ? BuildRandomStringDb(&rng) : BuildRandomDb(&rng);
+
+    // The same tables, rows (in insertion order) and access constraints,
+    // loaded through the service's own write path.
+    ServiceOptions options;
+    options.num_workers = 2;
+    BeasService svc(options);
+    for (const std::string& name : env.tables) {
+      const TableHeap& heap = *(*env.db->catalog()->GetTable(name))->heap();
+      ASSERT_TRUE(svc.CreateTable(name, heap.schema()).ok());
+      std::vector<Row> rows;
+      for (auto it = heap.Begin(); it.Valid(); it.Next()) {
+        Row row = it.row();
+        for (Value& v : row) {
+          if (v.dict() != nullptr) v = Value::String(v.AsString());
+        }
+        rows.push_back(std::move(row));
+      }
+      ASSERT_TRUE(svc.InsertBatch(name, std::move(rows)).ok());
+    }
+    for (const AccessConstraint& c : env.catalog->schema().constraints()) {
+      ASSERT_TRUE(svc.RegisterConstraint(c).ok()) << c.name;
+    }
+    if (covering) {
+      // The random draw covers few queries. These constraints, bounded by
+      // the data, cover every shape the query builders produce: t0's
+      // constant key, and every column of t1 a join can probe.
+      std::vector<std::pair<std::string, std::string>> keys = {{"t0", "c0"}};
+      for (const char* col : {"c0", "c1", "c2"}) keys.emplace_back("t1", col);
+      for (const auto& [table, key] : keys) {
+        TableInfo* info = *svc.db()->catalog()->GetTable(table);
+        CandidatePattern pattern;
+        pattern.table = table;
+        pattern.x_attrs = {key};
+        for (const Column& c : info->heap()->schema().columns()) {
+          if (c.name != key) pattern.y_attrs.push_back(c.name);
+        }
+        auto profile = ProfileCandidate(*info->heap(), pattern);
+        ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+        Status st = svc.RegisterConstraint(
+            {"cover_" + table + "_" + key, table, pattern.x_attrs,
+             pattern.y_attrs, profile->observed_n});
+        ASSERT_TRUE(st.ok() || st.code() == StatusCode::kAlreadyExists)
+            << st.ToString();
+      }
+    }
+
+    Rng qrng(GetParam() * 7477 + 1);
+    for (int q = 0; q < 8; ++q) {
+      bool aggregate = false;
+      std::string sql = strings ? BuildRandomStringQuery(&qrng, &aggregate)
+                                : BuildRandomQuery(&qrng, env, &aggregate);
+      auto oracle = svc.db()->Query(sql);
+      ASSERT_TRUE(oracle.ok()) << sql << ": " << oracle.status().ToString();
+
+      for (const std::string& spelling : {sql, Respell(sql)}) {
+        SCOPED_TRACE(spelling);
+        for (int round = 0; round < 2; ++round) {
+          auto resp = svc.Query({spelling});
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          EXPECT_TRUE(RowMultisetsEqual(resp->result.rows, oracle->rows))
+              << "round " << round << ": " << resp->result.rows.size()
+              << " vs " << oracle->rows.size();
+          EXPECT_EQ(resp->eta, 1.0);
+          if (round == 1 && resp->cacheable) {
+            EXPECT_TRUE(resp->cache_hit || resp->result_cache_hit)
+                << "a repeated cacheable request must hit a cache";
+          }
+        }
+        for (uint64_t budget : {1, 5, 17}) {
+          SCOPED_TRACE("budget=" + std::to_string(budget));
+          QueryOptions budgeted;
+          budgeted.fetch_budget = budget;
+          auto partial = svc.Query({spelling, QueryMode::kAuto, budgeted});
+          ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+          ExpectHonestPartial(*partial, *oracle, aggregate);
+
+          QueryRequest approx{spelling, QueryMode::kApproximate};
+          approx.approx_budget = budget;
+          auto approximate = svc.Query(approx);
+          if (!partial->covered) {
+            EXPECT_EQ(approximate.status().code(), StatusCode::kNotCovered);
+            continue;
+          }
+          ASSERT_TRUE(approximate.ok()) << approximate.status().ToString();
+          ExpectHonestPartial(*approximate, *oracle, aggregate);
+          EXPECT_EQ(approximate->approx_exact, approximate->eta >= 1.0);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServiceOracle,
+                         ::testing::Range<uint64_t>(0, 20));
 
 }  // namespace
 }  // namespace beas

@@ -1562,6 +1562,20 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
   EXPECT_GE(value_of("tables"), 3.0);
   EXPECT_GT(value_of("dict_strings_total"), 0.0)
       << "string columns must be interned";
+  // The gauges count data tables only: beas_stats interns its metric
+  // names too, but like rows_live the dictionary gauges leave it out.
+  double data_strings = 0;
+  for (const std::string& name : service_->db()->catalog()->TableNames()) {
+    const StringDict* dict =
+        (*service_->db()->catalog()->GetTable(name))->heap()->dict();
+    if (dict == nullptr) continue;
+    if (name == BeasService::kStatsTableName) {
+      EXPECT_TRUE(dict->is_sorted()) << "metric names intern in byte order";
+      continue;
+    }
+    data_strings += static_cast<double>(dict->size());
+  }
+  EXPECT_EQ(value_of("dict_strings_total"), data_strings);
   EXPECT_GT(value_of("rows_live"), 0.0);
   // Columnar-tail and dictionary-order gauges: the queries above ran
   // bounded executions through the columnar tail, and no maintenance
@@ -1590,6 +1604,8 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
     ADD_FAILURE() << "metric '" << metric << "' missing";
     return -1;
   };
+  // beas_stats' dictionary is already sorted, so the pass rebuilt data
+  // tables only and the gauge matches the maintenance counter.
   EXPECT_EQ(after_value_of("dict_rebuilds_total"),
             static_cast<double>(service_->maintenance()->dict_rebuilds()));
   EXPECT_GE(after_value_of("dict_sorted_tables"),
@@ -1701,14 +1717,16 @@ TEST_F(ServiceTest, BeasStatsPollingDoesNotGrowStorageForever) {
       *service_->db()->catalog()->GetTable(BeasService::kStatsTableName);
   EXPECT_LT(info->heap()->NumSlots(), 6000u)
       << "dead slots must be recycled, not accumulated";
+  EXPECT_NE(info->heap()->dict(), nullptr) << "beas_stats interns";
   QueryResponse resp = MustExecute(
       "SELECT count(*) AS n FROM beas_stats");
   ASSERT_EQ(resp.result.rows.size(), 1u);
   EXPECT_GE(resp.result.rows[0][0].AsInt64(), 10);
 
-  // Results over the recycled table are self-contained (inline strings),
-  // and AC constraints on the service-managed table are rejected — both
-  // guard the recycle against dangling references.
+  // The recycled table interns like any other, yet results over it are
+  // self-contained (Query detaches every answer), and AC constraints on the
+  // service-managed table are rejected — both guard the recycle against
+  // dangling references.
   QueryResponse held = MustExecute("SELECT metric FROM beas_stats");
   ASSERT_FALSE(held.result.rows.empty());
   EXPECT_EQ(held.result.rows[0][0].dict(), nullptr);
@@ -1893,6 +1911,65 @@ TEST_F(ResilienceTest, MinEtaRefusesTooPartialAnswers) {
   EXPECT_NE(refused.status().message().find("min_eta"), std::string::npos)
       << refused.status().message();
   EXPECT_GE(service_->service_counters().queries_rejected_total, 1u);
+}
+
+// kApproximate is self-bounded by its budget, so it skips admission, but
+// it runs through the same deadline-aware covered path as the execution
+// modes: a cancel token, a deadline and a min_eta contract hold for it.
+TEST_F(ResilienceTest, ApproximateObservesACancelToken) {
+  Start(ServiceOptions{});
+  std::atomic<bool> cancel{true};
+  QueryRequest request{kCallQuery, QueryMode::kApproximate};
+  request.approx_budget = 1000;
+  request.options.cancel = &cancel;
+  auto resp = service_->Query(request);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->timed_out);
+  EXPECT_LT(resp->eta, 1.0);
+  EXPECT_FALSE(resp->approx_exact);
+  EXPECT_TRUE(resp->result.rows.empty());
+}
+
+TEST_F(ResilienceTest, ApproximateObservesAnExpiredDeadline) {
+  Start(ServiceOptions{});
+  const uint64_t timed_out_before =
+      service_->service_counters().queries_timed_out_total;
+  // The exec_step fail point sleeps past the 1 ms deadline before the
+  // first expiry poll, so the deadline has passed when probing starts.
+  ServiceFailGuard slow("exec_step=sleep(30)@*");
+  QueryRequest request{kCallQuery, QueryMode::kApproximate};
+  request.approx_budget = 1000;
+  request.options.timeout_millis = 1;
+  auto resp = service_->Query(request);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->timed_out);
+  EXPECT_LT(resp->eta, 1.0);
+  EXPECT_FALSE(resp->approx_exact);
+  EXPECT_EQ(service_->service_counters().queries_timed_out_total,
+            timed_out_before + 1);
+}
+
+TEST_F(ResilienceTest, ApproximateRefusesAnAnswerBelowMinEta) {
+  Start(ServiceOptions{});
+  // Budget 1: step two of the join finds the budget spent, so η < 1.
+  QueryRequest request{kJoinQuery, QueryMode::kApproximate};
+  request.approx_budget = 1;
+  auto partial = service_->Query(request);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_LT(partial->eta, 1.0);
+  EXPECT_FALSE(partial->approx_exact);
+
+  const uint64_t rejected_before =
+      service_->service_counters().queries_rejected_total;
+  request.options.min_eta = 0.9;
+  auto refused = service_->Query(request);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("min_eta"), std::string::npos)
+      << refused.status().message();
+  EXPECT_EQ(service_->service_counters().queries_rejected_total,
+            rejected_before + 1);
 }
 
 TEST_F(ResilienceTest, PartialAnswersCachedOnlyUnderMinEtaContract) {

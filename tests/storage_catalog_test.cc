@@ -12,6 +12,7 @@ namespace {
 using testing_util::I;
 using testing_util::N;
 using testing_util::S;
+using testing_util::ShardOverrideGuard;
 
 Schema TwoColSchema() {
   return Schema({{"id", TypeId::kInt64}, {"name", TypeId::kString}});
@@ -124,8 +125,8 @@ TEST(TableHeapTest, SnapshotCopiesLiveRows) {
 TEST(ShardedHeapTest, PublicSurfaceInvariantAcrossShardCounts) {
   for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardOverrideGuard guard(shards);
     TableHeap heap(TwoColSchema());
-    heap.set_num_shards(shards);
     ASSERT_EQ(heap.num_shards(), shards);
 
     std::vector<SlotId> slots;
@@ -162,8 +163,8 @@ TEST(ShardedHeapTest, PublicSurfaceInvariantAcrossShardCounts) {
 }
 
 TEST(ShardedHeapTest, ShardKeyRoutesByDeclaredColumn) {
+  ShardOverrideGuard guard(4);
   TableHeap heap(TwoColSchema());
-  heap.set_num_shards(4);
   heap.DeclareShardKey(0);
   EXPECT_EQ(heap.shard_key_col(), 0);
   // Same key value => same shard, independent of the other columns.

@@ -177,16 +177,15 @@ TEST(TableHeapDictTest, BatchInsertInternsAndCountsLikeRowInserts) {
   EXPECT_EQ(heap.dict()->size(), 7u);
 }
 
-TEST(TableHeapDictTest, NoDictForAllNumericTablesOrWhenDisabled) {
+TEST(TableHeapDictTest, DictExactlyWhenTheSchemaHasAStringColumn) {
   TableHeap numeric(Schema({{"a", TypeId::kInt64}, {"b", TypeId::kDouble}}));
   EXPECT_EQ(numeric.dict(), nullptr);
 
-  TableHeap disabled(Schema({{"k", TypeId::kString}}));
-  disabled.set_dict_enabled(false);
-  EXPECT_EQ(disabled.dict(), nullptr);
-  ASSERT_TRUE(disabled.Insert({S("inline")}).ok());
-  EXPECT_EQ(disabled.At(0)[0].dict(), nullptr)
-      << "disabled heap stores inline strings";
+  TableHeap mixed(Schema({{"a", TypeId::kInt64}, {"k", TypeId::kString}}));
+  ASSERT_NE(mixed.dict(), nullptr);
+  ASSERT_TRUE(mixed.Insert({I(1), S("interned")}).ok());
+  EXPECT_EQ(mixed.At(0)[1].dict(), mixed.dict())
+      << "every STRING column is dictionary-coded";
 }
 
 TEST(TableHeapDictTest, DeleteKeepsDictEntriesAndReinsertReusesCode) {

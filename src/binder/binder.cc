@@ -18,6 +18,17 @@ bool IsNumericType(TypeId t) {
   return t == TypeId::kInt64 || t == TypeId::kDouble;
 }
 
+/// `%` is integer-only: the evaluator cannot take a DOUBLE remainder, so
+/// a DOUBLE operand is refused here rather than per row at run time.
+Status CheckModOperands(const Expression& l, const Expression& r,
+                        const AstExpr& ast) {
+  if (l.ResultType() == TypeId::kDouble || r.ResultType() == TypeId::kDouble) {
+    return Status::BindError("% requires integer operands in " +
+                             ast.ToString());
+  }
+  return Status::OK();
+}
+
 /// Coerces a literal operand to `target` when implicitly allowed, so that
 /// e.g. call.date = '2016-03-01' compares DATE with DATE.
 Result<ExprPtr> CoerceLiteral(ExprPtr e, TypeId target) {
@@ -167,6 +178,9 @@ Result<ExprPtr> Binder::BindScalar(const Context& ctx,
               (!IsNumericType(rt) && rt != TypeId::kNull)) {
             return Status::BindError("arithmetic requires numeric operands in " +
                                      ast.ToString());
+          }
+          if (ast.bin_op == AstBinOp::kMod) {
+            BEAS_RETURN_NOT_OK(CheckModOperands(*l, *r, ast));
           }
           ArithOp op;
           switch (ast.bin_op) {
@@ -382,6 +396,7 @@ Result<ExprPtr> Binder::BindHaving(const Context& ctx, const AstExpr& ast,
         case AstBinOp::kDiv:
           return Expression::Arith(ArithOp::kDiv, std::move(l), std::move(r));
         case AstBinOp::kMod:
+          BEAS_RETURN_NOT_OK(CheckModOperands(*l, *r, ast));
           return Expression::Arith(ArithOp::kMod, std::move(l), std::move(r));
       }
       return Status::Internal("unhandled binary op in HAVING");

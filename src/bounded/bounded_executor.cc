@@ -1,7 +1,7 @@
 #include "bounded/bounded_executor.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <chrono>
 #include <unordered_map>
 #include <unordered_set>
@@ -790,62 +790,29 @@ BoundedExecutor::ExecuteFragmentVectorized(
                    ? canon_keys[src_kid[i]][osrc.pos]
                    : (*buckets[src_kid[i]].rows)[src_b[i]][osrc.pos];
       };
-      bool encoded = osrc.out_dict != nullptr;
-      if (encoded) {
-        // Encode pass. A value that is not already a code of the target
-        // dictionary cannot legitimately appear here (keys that found a
-        // bucket are canonical; Y-values are interned at insert) — but if
-        // it ever does, fall back to a generic column rather than guess.
-        if (gather_pool != nullptr) {
-          dst.codes.resize(out_count);
-          std::atomic<bool> all_encoded{true};
-          ParallelChunks(gather_pool, out_count, kGatherChunk,
-                         [&](size_t begin, size_t end) {
-                           for (size_t i = begin; i < end; ++i) {
-                             const Value& v = value_at(i);
-                             if (v.is_null()) {
-                               dst.codes[i] = TupleBatch::kNullCode;
-                             } else if (v.dict() == osrc.out_dict) {
-                               dst.codes[i] = v.dict_code();
-                             } else {
-                               all_encoded.store(false,
-                                                 std::memory_order_relaxed);
-                               return;
-                             }
-                           }
-                         });
-          encoded = all_encoded.load(std::memory_order_relaxed);
-        } else {
-          dst.codes.reserve(out_count);
-          for (size_t i = 0; i < out_count && encoded; ++i) {
-            const Value& v = value_at(i);
-            if (v.is_null()) {
-              dst.codes.push_back(TupleBatch::kNullCode);
-            } else if (v.dict() == osrc.out_dict) {
-              dst.codes.push_back(v.dict_code());
-            } else {
-              encoded = false;
-            }
-          }
-        }
-        if (encoded) {
-          dst.dict = osrc.out_dict;
-          const StringDict* out_dict = osrc.out_dict;
-          ParallelChunks(gather_pool, out_count, kGatherChunk,
-                         [&](size_t begin, size_t end) {
-                           for (size_t i = begin; i < end; ++i) {
-                             uint32_t code = dst.codes[i];
+      if (osrc.out_dict != nullptr) {
+        // Keys that found a bucket are canonical and Y-values are interned
+        // at insert, so every gathered non-NULL value is already a code of
+        // the target dictionary.
+        const StringDict* out_dict = osrc.out_dict;
+        dst.dict = out_dict;
+        dst.codes.resize(out_count);
+        ParallelChunks(gather_pool, out_count, kGatherChunk,
+                       [&](size_t begin, size_t end) {
+                         for (size_t i = begin; i < end; ++i) {
+                           const Value& v = value_at(i);
+                           assert(v.is_null() || v.dict() == out_dict);
+                           if (v.is_null()) {
+                             dst.codes[i] = TupleBatch::kNullCode;
+                             HashCombine(&next_hashes[i], kNullValueHash);
+                           } else {
+                             dst.codes[i] = v.dict_code();
                              HashCombine(&next_hashes[i],
-                                         code == TupleBatch::kNullCode
-                                             ? kNullValueHash
-                                             : out_dict->hash(code));
+                                         out_dict->hash(v.dict_code()));
                            }
-                         });
-        } else {
-          dst.codes.clear();
-        }
-      }
-      if (!encoded) {
+                         }
+                       });
+      } else {
         if (gather_pool != nullptr) {
           dst.values.resize(out_count);
           ParallelChunks(gather_pool, out_count, kGatherChunk,

@@ -55,14 +55,6 @@ Status MergePoint(Status st, const char* site) {
   return st.ok() ? injected : st;
 }
 
-bool IsTransientTable(const DurabilityOptions& options,
-                      const std::string& table) {
-  for (const std::string& t : options.transient_tables) {
-    if (EqualsIgnoreCase(t, table)) return true;
-  }
-  return false;
-}
-
 /// Parses "ck<digits>" into the checkpoint id; 0 when malformed.
 uint64_t ParseCkDirName(const std::string& name) {
   if (name.size() < 3 || name.compare(0, 2, "ck") != 0) return 0;
@@ -562,7 +554,7 @@ Status DurabilityManager::LogMeta(WalRecordType type, std::string payload) {
 }
 
 void DurabilityManager::OnDdl(const std::string& table) {
-  if (replaying_ || IsTransientTable(options_, table)) return;
+  if (replaying_) return;
   Result<TableInfo*> info = db_->catalog()->GetTable(table);
   if (!info.ok()) return;
   ByteSink payload;
@@ -576,7 +568,7 @@ void DurabilityManager::OnDdl(const std::string& table) {
 void DurabilityManager::OnCatalogChange(AsCatalog::ChangeKind kind,
                                         const std::string& table,
                                         const std::string& name) {
-  if (replaying_ || IsTransientTable(options_, table)) return;
+  if (replaying_) return;
   Status logged = Status::OK();
   switch (kind) {
     case AsCatalog::ChangeKind::kConstraintRegistered: {
@@ -654,11 +646,7 @@ Status DurabilityManager::WriteCheckpointSegments(
     return Status::OK();
   };
 
-  std::vector<std::string> tables;
-  for (const std::string& name : db_->catalog()->TableNames()) {
-    if (IsTransientTable(options_, name)) continue;
-    tables.push_back(name);
-  }
+  const std::vector<std::string> tables = db_->catalog()->TableNames();
   manifest->PutU32(static_cast<uint32_t>(tables.size()));
   for (const std::string& name : tables) {
     BEAS_ASSIGN_OR_RETURN(TableInfo * info, db_->catalog()->GetTable(name));

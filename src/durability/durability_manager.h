@@ -34,12 +34,6 @@ struct DurabilityOptions {
   /// the last checkpoint.
   uint64_t checkpoint_min_wal_bytes = 1ull << 22;
 
-  /// Tables excluded from logging and checkpoints (case-insensitive).
-  /// The service puts `beas_stats` here: it is recomputed metadata that
-  /// the service recycles with direct heap writes outside the hooked
-  /// write path, so persisting it would only replay stale gauges.
-  std::vector<std::string> transient_tables;
-
   /// The I/O environment all durability reads and writes go through.
   /// nullptr selects Env::Default() (the posix filesystem); tests inject
   /// a FaultInjectingEnv to model power cuts and bit rot.

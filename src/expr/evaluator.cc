@@ -73,9 +73,10 @@ Result<Value> Eval(const Expression& expr, const Row& row) {
     }
     case ExprKind::kNeg: {
       BEAS_ASSIGN_OR_RETURN(Value v, Eval(*expr.children[0], row));
-      if (v.is_null()) return Value::Null();
-      if (v.type() == TypeId::kInt64) return Value::Int64(-v.AsInt64());
-      if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
+      if (v.is_null() || v.type() == TypeId::kInt64 ||
+          v.type() == TypeId::kDouble) {
+        return NegateValueTotal(v);
+      }
       return Status::TypeError("unary minus requires a numeric operand");
     }
     case ExprKind::kArith: {

@@ -558,17 +558,9 @@ Value ExprProgram::EvalRow(const BatchColumn* cols, size_t row,
             v.is_null() ? Value::Null() : BoolValueOf(v.AsInt64() == 0);
         break;
       }
-      case OpCode::kNeg: {
-        const Value& v = stack->back();
-        if (v.is_null()) {
-          stack->back() = Value::Null();
-        } else if (v.type() == TypeId::kInt64) {
-          stack->back() = Value::Int64(-v.AsInt64());
-        } else {
-          stack->back() = Value::Double(-v.AsDouble());
-        }
+      case OpCode::kNeg:
+        stack->back() = NegateValueTotal(stack->back());
         break;
-      }
       case OpCode::kArith: {
         Value r = std::move(stack->back());
         stack->pop_back();

@@ -1,6 +1,8 @@
 #ifndef BEAS_EXPR_VALUE_KERNELS_H_
 #define BEAS_EXPR_VALUE_KERNELS_H_
 
+#include <cstdint>
+
 #include "expr/expression.h"
 #include "types/value.h"
 
@@ -51,14 +53,17 @@ inline Value CompareValuesTotal(CompareOp op, const Value& l,
 
 /// NULL-propagating arithmetic; callers guarantee numeric operands
 /// (INT64/DOUBLE) and, for kMod, integer operands. Division and modulo by
-/// zero yield NULL (SQL).
+/// zero yield NULL (SQL), and so does an INT64 result that does not fit
+/// (overflowing + - *, INT64_MIN / -1); x % -1 is 0.
 inline Value ArithValuesTotal(ArithOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
   bool use_double =
       l.type() == TypeId::kDouble || r.type() == TypeId::kDouble;
   if (op == ArithOp::kMod) {
-    if (r.AsInt64() == 0) return Value::Null();
-    return Value::Int64(l.AsInt64() % r.AsInt64());
+    int64_t b = r.AsInt64();
+    if (b == 0) return Value::Null();
+    // INT64_MIN % -1 traps in hardware; every x % -1 is 0.
+    return Value::Int64(b == -1 ? 0 : l.AsInt64() % b);
   }
   if (use_double) {
     double a = l.AsDouble();
@@ -75,14 +80,28 @@ inline Value ArithValuesTotal(ArithOp op, const Value& l, const Value& r) {
   }
   int64_t a = l.AsInt64();
   int64_t b = r.AsInt64();
+  int64_t out = 0;
+  bool overflow = false;
   switch (op) {
-    case ArithOp::kAdd: return Value::Int64(a + b);
-    case ArithOp::kSub: return Value::Int64(a - b);
-    case ArithOp::kMul: return Value::Int64(a * b);
-    case ArithOp::kDiv: return b == 0 ? Value::Null() : Value::Int64(a / b);
-    default: break;
+    case ArithOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+    case ArithOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+    case ArithOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
+    case ArithOp::kDiv:
+      if (b == 0 || (b == -1 && a == INT64_MIN)) return Value::Null();
+      out = a / b;
+      break;
+    default: return Value::Null();
   }
-  return Value::Null();
+  return overflow ? Value::Null() : Value::Int64(out);
+}
+
+/// NULL-propagating unary minus of a numeric operand; -INT64_MIN does not
+/// fit and yields NULL.
+inline Value NegateValueTotal(const Value& v) {
+  if (v.is_null()) return Value::Null();
+  if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
+  int64_t a = v.AsInt64();
+  return a == INT64_MIN ? Value::Null() : Value::Int64(-a);
 }
 
 }  // namespace beas

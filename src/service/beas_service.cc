@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "service/result_cache.h"
+#include "sql/parser.h"
 #include "types/value_codec.h"
 
 namespace beas {
@@ -22,9 +23,9 @@ std::string BoundedExplanation(uint64_t bound, bool cached) {
   return out;
 }
 
-/// Case-insensitive "does the SQL mention the stats table" check — cheap
-/// enough to run on every kAuto request, and a false positive (the name
-/// inside a string literal) merely refreshes the table needlessly.
+/// Case-insensitive "does the SQL mention the stats table" prefilter —
+/// cheap enough to run on every kAuto request, so only requests that
+/// mention the name pay for ReadsOnlyStatsTable's parse.
 bool MentionsStatsTable(const std::string& sql) {
   const char* name = BeasService::kStatsTableName;
   size_t n = std::strlen(name);
@@ -38,6 +39,22 @@ bool MentionsStatsTable(const std::string& sql) {
     if (j == n) return true;
   }
   return false;
+}
+
+/// Whether `sql` is a poll of the serving-health snapshot: it mentions
+/// the stats table and its FROM list names nothing else. A name that only
+/// appears in a string literal, a join with data tables, or SQL that does
+/// not parse takes the normal path.
+bool ReadsOnlyStatsTable(const std::string& sql) {
+  if (!MentionsStatsTable(sql)) return false;
+  Result<SelectStatement> stmt = Parser::Parse(sql);
+  if (!stmt.ok() || stmt->from.empty()) return false;
+  for (const TableRef& ref : stmt->from) {
+    if (!EqualsIgnoreCase(ref.table, BeasService::kStatsTableName)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Detaches dictionary-backed string Values into self-contained inline
@@ -102,10 +119,6 @@ BeasService::BeasService(ServiceOptions options)
     result_cache_->InvalidateTable(table);
   });
   if (!options_.durability.dir.empty()) {
-    // The stats table is recycled with direct heap writes outside the
-    // hooked write path; logging or checkpointing it would replay stale
-    // gauges (and its DROP has no hook to log).
-    options_.durability.transient_tables = {kStatsTableName};
     durability_ = std::make_unique<durability::DurabilityManager>(
         &db_, &catalog_, options_.durability);
     // Recovers the data dir into db_/catalog_, registers the structural
@@ -131,6 +144,11 @@ BeasService::~BeasService() = default;
 
 Result<TableInfo*> BeasService::CreateTable(const std::string& name,
                                             const Schema& schema) {
+  if (EqualsIgnoreCase(name, kStatsTableName)) {
+    return Status::InvalidArgument(
+        std::string(kStatsTableName) +
+        " is reserved for the service's serving-health metrics");
+  }
   // Durable: the DDL applies under the commit gate and its meta record is
   // logged by the durability layer's DDL hook before the call returns.
   if (durability_ != nullptr) return durability_->CreateTable(name, schema);
@@ -164,14 +182,6 @@ Status BeasService::Delete(const std::string& table, const Row& row) {
 }
 
 Status BeasService::RegisterConstraint(AccessConstraint constraint) {
-  // The stats table is refreshed outside the hooked write path (and
-  // periodically recycled), so an AC index on it would silently go stale.
-  if (constraint.table == kStatsTableName) {
-    return Status::InvalidArgument(
-        std::string(kStatsTableName) +
-        " is a service-managed metadata table; access constraints on it "
-        "are not supported");
-  }
   // Gate before structural lock (the durability lock order); the catalog
   // change listener logs the registration under this gate.
   durability::DurabilityManager::StructuralGate gate(durability_.get());
@@ -262,13 +272,9 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
     return Status::InvalidArgument(
         "approximate mode requires a positive approx_budget");
   }
-  if (mode == QueryMode::kAuto && MentionsStatsTable(request.sql)) {
-    // Materialize fresh serving-health counters before answering; the
-    // refresh takes the exclusive lock, the query itself runs shared.
-    // (The refresh rewrites the stats table's rows, bumping its version
-    // epoch — so a previously cached beas_stats answer can never be
-    // served stale.)
-    BEAS_RETURN_NOT_OK(RefreshStatsTable());
+  if (mode == QueryMode::kAuto && ReadsOnlyStatsTable(request.sql)) {
+    // Sampled before (and never under) this request's ReadScope.
+    return QueryStatsSnapshot(request.sql);
   }
   TemplateInfo tinfo = PrepareTemplate(request.sql);
   Database::ReadScope lock(&db_);
@@ -659,47 +665,12 @@ TenantCounters BeasService::tenant_counters(const std::string& tenant) const {
   return out;
 }
 
-Status BeasService::RefreshStatsTable() {
-  // Each refresh tombstones the old snapshot and appends a fresh one, and
-  // heap slots are never reused — so a polled stats table would grow
-  // forever. Recreate it (cheap, rare) once the dead-slot debt builds up.
-  constexpr size_t kMaxDeadSlots = 4096;
-  // One refresh at a time (concurrent beas_stats queries each trigger
-  // one); this leaf mutex is always taken before any engine lock.
-  std::lock_guard<std::mutex> refresh_lock(stats_refresh_mutex_);
-
-  // Phase 1 — make sure the table exists: recycle it when the dead-slot
-  // debt built up, create it when missing. Structural-exclusive, briefly.
-  bool need_create = false;
-  {
-    Database::StructuralScope lock(&db_);
-    if (db_.catalog()->HasTable(kStatsTableName)) {
-      BEAS_ASSIGN_OR_RETURN(TableInfo * info,
-                            db_.catalog()->GetTable(kStatsTableName));
-      if (info->heap()->NumSlots() - info->heap()->NumRows() > kMaxDeadSlots) {
-        BEAS_RETURN_NOT_OK(db_.catalog()->DropTable(kStatsTableName));
-        need_create = true;
-      }
-    } else {
-      need_create = true;
-    }
-  }
-  if (need_create) {
-    // Like every table, this one interns its strings. Recycling it
-    // destroys its dictionary, which is safe because every answer leaves
-    // Query detached (DetachResultStrings).
-    BEAS_RETURN_NOT_OK(
-        db_.CreateTable(kStatsTableName, Schema({{"metric", TypeId::kString},
-                                                 {"value", TypeId::kDouble}}))
-            .status());
-  }
-
-  // Phase 2 — snapshot the gauges. Per-shard storage counters are read
-  // one shard at a time under that shard's read lock (never two shard
-  // locks at once, so this can never invert lock order against a writer
-  // that is taking its shards in ascending order); dictionary gauges are
-  // sampled under each table's intern mutex. Counters (cache,
-  // maintenance) are atomics.
+std::vector<Row> BeasService::SampleStats() {
+  // Per-shard storage counters are read one shard at a time under that
+  // shard's read lock (never two shard locks at once, so this can never
+  // invert lock order against a writer that is taking its shards in
+  // ascending order); dictionary gauges are sampled under each table's
+  // intern mutex. Counters (cache, maintenance) are atomics.
   PlanCacheStats cache = cache_.stats();
   double dict_strings = 0;
   double dict_bytes = 0;
@@ -715,8 +686,6 @@ Status BeasService::RefreshStatsTable() {
     table_names = db_.catalog()->TableNames();
     num_tables = static_cast<double>(table_names.size());
     for (const std::string& name : table_names) {
-      // The metadata table is not data (see rows_live below).
-      if (name == kStatsTableName) continue;
       Result<TableInfo*> table = db_.catalog()->GetTable(name);
       if (!table.ok()) continue;
       TableHeap::DictGauges gauges = (*table)->heap()->SampleDictGauges();
@@ -731,9 +700,6 @@ Status BeasService::RefreshStatsTable() {
   for (size_t s = 0; s < lock_shards; ++s) {
     Database::ShardReadScope scope(&db_, s);
     for (const std::string& name : table_names) {
-      // The metadata table's own (about-to-be-replaced) snapshot is not
-      // data; leaving it out keeps rows_live equal to user-visible rows.
-      if (name == kStatsTableName) continue;
       Result<TableInfo*> table = db_.catalog()->GetTable(name);
       if (!table.ok()) continue;
       const TableHeap& heap = *(*table)->heap();
@@ -865,29 +831,27 @@ Status BeasService::RefreshStatsTable() {
   add("tenant_rejected_total", tenant_rejected);
   add("tenant_inflight_cost_max", tenant_inflight_max);
 
-  // Metric order keeps the table's dictionary sorted (its codes are
-  // interned in byte order), so no dictionary maintenance cycle ever
-  // rebuilds it and dict_rebuilds_total counts data tables only.
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a[0].AsString() < b[0].AsString();
-  });
+  return rows;
+}
 
-  // Phase 3 — swap the snapshot in: tombstone the previous rows (the
-  // table has no AC indices, so no write hooks need to observe these) and
-  // append the fresh ones, under the structural lock so no reader sees a
-  // half-built table.
-  Database::StructuralScope lock(&db_);
-  BEAS_ASSIGN_OR_RETURN(TableInfo * info,
-                        db_.catalog()->GetTable(kStatsTableName));
-  TableHeap* heap = info->heap();
-  for (auto it = heap->Begin(); it.Valid(); it.Next()) {
-    BEAS_RETURN_NOT_OK(heap->Delete(it.slot()));
-  }
-  for (Row& row : rows) {
-    heap->InsertUnchecked(std::move(row));
-  }
-  info->InvalidateStats();
-  return Status::OK();
+Result<QueryResponse> BeasService::QueryStatsSnapshot(
+    const std::string& sql) {
+  Database snapshot;
+  BEAS_RETURN_NOT_OK(
+      snapshot
+          .CreateTable(kStatsTableName, Schema({{"metric", TypeId::kString},
+                                                {"value", TypeId::kDouble}}))
+          .status());
+  BEAS_RETURN_NOT_OK(snapshot.InsertBatch(kStatsTableName, SampleStats()));
+  QueryResponse resp;
+  BEAS_ASSIGN_OR_RETURN(resp.result, snapshot.Query(sql));
+  // The snapshot (and its dictionary) dies with this call.
+  DetachResultStrings(&resp.result);
+  resp.cacheable = false;
+  resp.decision.mode = BeasSession::ExecutionDecision::Mode::kConventional;
+  resp.decision.explanation =
+      "serving-health snapshot evaluated by the conventional engine";
+  return resp;
 }
 
 Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(

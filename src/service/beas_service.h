@@ -33,8 +33,7 @@ struct ServiceOptions {
   /// Durable mode: set `durability.dir` to a data directory and the
   /// service recovers it on construction and write-ahead-logs every write
   /// from then on (see DurabilityManager). Empty dir = in-memory service,
-  /// bit-for-bit the pre-durability behavior. `transient_tables` is
-  /// overwritten by the service (it always excludes beas_stats).
+  /// bit-for-bit the pre-durability behavior.
   durability::DurabilityOptions durability;
 
   /// \name Overload resilience.
@@ -90,7 +89,7 @@ struct QueryOptions {
 };
 
 /// \brief Monotonic resilience counters (plus the live queue gauge),
-/// mirrored into beas_stats by RefreshStatsTable.
+/// reported by beas_stats.
 struct ServiceCounters {
   uint64_t queries_timed_out_total = 0;  ///< answers returned past deadline
   uint64_t queries_rejected_total = 0;   ///< admission / queue / min_eta
@@ -294,23 +293,20 @@ class BeasService {
   std::future<Result<QueryResponse>> Submit(QueryRequest request);
   /// @}
 
-  /// \name Serving-health metadata table.
-  /// Queries that mention `beas_stats` trigger a refresh of a real table
-  /// of that name (metric STRING, value DOUBLE) holding the plan-cache
-  /// counters, maintenance counters, storage/dictionary gauges, and the
-  /// per-shard storage gauges — so serving health is queryable through
-  /// plain SQL (`SELECT * FROM beas_stats`), not just programmatic
-  /// cache_stats().
+  /// \name Serving-health metrics.
+  /// A kAuto query whose FROM list names only `beas_stats` is answered
+  /// from a snapshot of the serving-health counters taken for that query:
+  /// plan-cache and result-cache counters, maintenance counters,
+  /// storage/dictionary gauges, per-shard storage gauges, durability,
+  /// resilience, wire and tenant gauges — one `beas_stats(metric STRING,
+  /// value DOUBLE)` row each. The conventional engine evaluates the query
+  /// over a private Database holding only that snapshot, so the metrics
+  /// never enter this service's catalog, a poll takes no exclusive lock,
+  /// and polls are invisible to the plan and result caches. The name is
+  /// reserved: CreateTable rejects it, and every other request (other
+  /// modes, joins with data tables) sees it as an unknown table.
   /// @{
   static constexpr const char* kStatsTableName = "beas_stats";
-  /// Rebuilds the stats table's rows from the current counters. Per-shard
-  /// counters are sampled one shard at a time (ShardReadScope each) — the
-  /// refresh never holds two shard locks at once, so it cannot invert
-  /// lock order against per-shard writers; only the final row rebuild
-  /// takes the structural lock exclusively. Query() calls this
-  /// automatically for kAuto requests that mention the table; exposed for
-  /// tests and manual refresh.
-  Status RefreshStatsTable();
   /// @}
 
   /// \name Durability.
@@ -419,6 +415,19 @@ class BeasService {
   /// the per-request render-and-re-mask self-check. Counts one
   /// canonicalization per request served in canonical form.
   TemplateInfo PrepareTemplate(const std::string& sql);
+
+  /// \name Serving-health snapshot (see kStatsTableName).
+  /// @{
+  /// One (metric, value) row per serving-health metric. Per-shard
+  /// counters are sampled one shard at a time (ShardReadScope each), so
+  /// the sample never holds two shard locks at once and cannot invert
+  /// lock order against a per-shard writer; the caller must hold no
+  /// Database lock.
+  std::vector<Row> SampleStats();
+  /// Answers `sql` over a fresh SampleStats() snapshot loaded into a
+  /// private Database (conventional engine, detached strings).
+  Result<QueryResponse> QueryStatsSnapshot(const std::string& sql);
+  /// @}
 
   /// \name Result-cache plumbing (see ResultCache).
   /// @{
@@ -533,10 +542,6 @@ class BeasService {
   std::atomic<uint64_t> template_canonicalizations_{0};
   /// Canonical forms by masked text, bounded by cache_capacity.
   CanonicalFormMemo canonical_forms_;
-
-  /// Serializes stats-table refreshes (each beas_stats query triggers
-  /// one). Leaf ordering: taken before any Database lock, never inside.
-  mutable std::mutex stats_refresh_mutex_;
 
   /// \name Resilience state (all atomics; no lock discipline).
   /// @{

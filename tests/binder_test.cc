@@ -185,6 +185,30 @@ TEST_F(BinderTest, HavingNonGroupedColumnRejected) {
       << "HAVING requires aggregation";
 }
 
+TEST_F(BinderTest, ModuloOfDoubleRejectedAtBind) {
+  // `%` is integer-only; a DOUBLE operand fails here for every row, not at
+  // run time for whichever rows the data happens to produce.
+  for (const char* sql : {
+           "SELECT package.fee % 2 FROM package",
+           "SELECT package.pid FROM package WHERE package.pid % 2.0 = 1",
+           "SELECT NULL % 2.0 FROM package",
+           "SELECT package.pnum, sum(package.fee) FROM package GROUP BY "
+           "package.pnum HAVING sum(package.fee) % 2 = 1",
+           "SELECT package.pnum, count(*) FROM package GROUP BY "
+           "package.pnum HAVING count(*) % 2.0 = 1",
+       }) {
+    Status st = BindError(sql);
+    EXPECT_EQ(st.code(), StatusCode::kBindError) << sql;
+    EXPECT_NE(st.message().find("% requires integer operands"),
+              std::string::npos)
+        << st.message();
+  }
+  MustBind("SELECT package.pid % 2 FROM package");
+  MustBind("SELECT NULL % 2 FROM package");
+  MustBind("SELECT package.pnum, count(*) FROM package GROUP BY "
+           "package.pnum HAVING count(*) % 2 = 1");
+}
+
 TEST_F(BinderTest, OrderByAliasPositionAndExpr) {
   BoundQuery q = MustBind(
       "SELECT call.region AS r, call.pnum FROM call "

@@ -452,7 +452,6 @@ std::string StateFingerprint(BeasService* svc) {
   std::ostringstream out;
   Database* db = svc->db();
   for (const std::string& name : db->catalog()->TableNames()) {
-    if (name == BeasService::kStatsTableName) continue;
     auto info = db->catalog()->GetTable(name);
     if (!info.ok()) continue;
     const TableHeap& heap = *info.ValueOrDie()->heap();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "expr/evaluator.h"
+#include "expr/expr_program.h"
 #include "expr/expression.h"
 #include "test_util.h"
 
@@ -76,6 +79,67 @@ TEST(ExpressionTest, DivisionByZeroIsNull) {
   EXPECT_TRUE(MustEval(fdiv, {}).is_null());
   auto mod = Expression::Arith(ArithOp::kMod, Lit(I(7)), Lit(I(0)));
   EXPECT_TRUE(MustEval(mod, {}).is_null());
+}
+
+/// Evaluates `expr` over the single row `row` through a compiled
+/// ExprProgram — the batch path that shares ArithValuesTotal with Eval.
+Value ProgramEval(const ExprPtr& expr, const Row& row) {
+  std::vector<int64_t> slots(row.size());
+  std::vector<BatchColumn> cols(row.size());
+  for (size_t c = 0; c < row.size(); ++c) {
+    slots[c] = static_cast<int64_t>(c);
+    cols[c].values.push_back(row[c]);
+  }
+  auto program = ExprProgram::Compile(*expr, slots);
+  EXPECT_TRUE(program.has_value()) << expr->ToString();
+  if (!program.has_value()) return Value::Null();
+  auto literals = program->BindLiterals(*expr);
+  EXPECT_TRUE(literals.ok()) << literals.status().ToString();
+  std::vector<Value> stack;
+  return program->EvalRow(cols.data(), 0, *literals, &stack);
+}
+
+TEST(ExpressionTest, Int64EdgesNeverTrapOrWrap) {
+  const Value min = I(INT64_MIN);
+  const Value max = I(INT64_MAX);
+  struct Case {
+    ArithOp op;
+    Value l, r;
+    Value expect;
+  };
+  const Case cases[] = {
+      {ArithOp::kDiv, min, I(-1), N()},  // does not fit: NULL, not SIGFPE
+      {ArithOp::kMod, min, I(-1), I(0)},
+      {ArithOp::kMod, I(7), I(-1), I(0)},
+      {ArithOp::kMod, I(-7), I(2), I(-1)},
+      {ArithOp::kDiv, min, I(1), min},
+      {ArithOp::kDiv, max, I(-1), I(-INT64_MAX)},
+      {ArithOp::kAdd, max, I(1), N()},
+      {ArithOp::kAdd, min, I(-1), N()},
+      {ArithOp::kAdd, max, min, I(-1)},
+      {ArithOp::kSub, min, I(1), N()},
+      {ArithOp::kSub, I(0), min, N()},
+      {ArithOp::kSub, I(-1), max, min},
+      {ArithOp::kMul, max, I(2), N()},
+      {ArithOp::kMul, min, I(-1), N()},
+      {ArithOp::kMul, I(1LL << 31), I(1LL << 31), I(1LL << 62)},
+  };
+  for (const Case& c : cases) {
+    // Both operands arrive as columns, so the program sees run-time
+    // values exactly like the evaluator does.
+    auto e = Expression::Arith(c.op, Col(0), Col(1));
+    SCOPED_TRACE(e->ToString() + " on " + c.l.ToString() + ", " +
+                 c.r.ToString());
+    Value tree = MustEval(e, Row{c.l, c.r});
+    Value program = ProgramEval(e, Row{c.l, c.r});
+    EXPECT_EQ(tree, c.expect);
+    EXPECT_EQ(program, c.expect);
+  }
+  auto neg = Expression::Neg(Col(0));
+  EXPECT_TRUE(MustEval(neg, Row{min}).is_null());
+  EXPECT_TRUE(ProgramEval(neg, Row{min}).is_null());
+  EXPECT_EQ(MustEval(neg, Row{max}), I(-INT64_MAX));
+  EXPECT_EQ(ProgramEval(neg, Row{max}), I(-INT64_MAX));
 }
 
 TEST(ExpressionTest, ArithNullPropagates) {

@@ -536,6 +536,41 @@ TEST_F(NetTest, TypedErrorsComeBackOverTheWire) {
   EXPECT_FALSE(verdict->reason.empty());
 }
 
+TEST_F(NetTest, Int64MinDividedByMinusOneDoesNotKillTheServer) {
+  // INT64_MIN / -1 and INT64_MIN % -1 trap in hardware (SIGFPE) unless the
+  // arithmetic kernel handles them; one such request must not take the
+  // server down.
+  Client client = ConnectedClient();
+  const struct {
+    const char* sql;
+    bool null;
+  } cases[] = {
+      {"SELECT (0 - 9223372036854775807 - 1) / -1 FROM t WHERE t.k = 2", true},
+      {"SELECT (0 - 9223372036854775807 - 1) % -1 FROM t WHERE t.k = 2",
+       false},
+  };
+  for (const auto& c : cases) {
+    QueryRequest request;
+    request.sql = c.sql;
+    auto wire = client.Query(request);
+    ASSERT_TRUE(wire.ok()) << c.sql << ": " << wire.status().ToString();
+    ASSERT_EQ(wire->result.rows.size(), static_cast<size_t>(kFanout));
+    for (const Row& row : wire->result.rows) {
+      if (c.null) {
+        EXPECT_TRUE(row[0].is_null()) << c.sql;
+      } else {
+        EXPECT_EQ(row[0], Value::Int64(0)) << c.sql;
+      }
+    }
+  }
+  ASSERT_TRUE(client.Ping().ok());
+  QueryRequest after;
+  after.sql = KeyQuery(2);
+  auto answer = client.Query(after);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->result.rows.size(), static_cast<size_t>(kFanout));
+}
+
 TEST_F(NetTest, GarbageFramingClosesOnlyThatConnection) {
   // Raw garbage on one connection: the server must drop it without
   // disturbing a well-behaved neighbour.

@@ -1493,7 +1493,6 @@ TEST(ShardedServiceTest, PerShardWritersAndReadersStress) {
   EXPECT_EQ(count->result.rows[0][0], I(32 + kWriters * kRowsPerWriter));
 
   // The post-stress per-shard gauges add up to the live rows.
-  ASSERT_TRUE(service.RefreshStatsTable().ok());
   auto shards = service.Query(
       {"SELECT value FROM beas_stats WHERE metric = 'rows_live'"});
   ASSERT_TRUE(shards.ok());
@@ -1559,21 +1558,15 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
   EXPECT_EQ(value_of("plan_cache_misses"),
             static_cast<double>(expect.misses));
   EXPECT_EQ(value_of("constraints_registered"), 2.0);
-  EXPECT_GE(value_of("tables"), 3.0);
+  EXPECT_EQ(value_of("tables"), 3.0);
   EXPECT_GT(value_of("dict_strings_total"), 0.0)
       << "string columns must be interned";
-  // The gauges count data tables only: beas_stats interns its metric
-  // names too, but like rows_live the dictionary gauges leave it out.
+  // The gauges count data tables only: the catalog holds nothing else.
   double data_strings = 0;
   for (const std::string& name : service_->db()->catalog()->TableNames()) {
     const StringDict* dict =
         (*service_->db()->catalog()->GetTable(name))->heap()->dict();
-    if (dict == nullptr) continue;
-    if (name == BeasService::kStatsTableName) {
-      EXPECT_TRUE(dict->is_sorted()) << "metric names intern in byte order";
-      continue;
-    }
-    data_strings += static_cast<double>(dict->size());
+    if (dict != nullptr) data_strings += static_cast<double>(dict->size());
   }
   EXPECT_EQ(value_of("dict_strings_total"), data_strings);
   EXPECT_GT(value_of("rows_live"), 0.0);
@@ -1604,17 +1597,18 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
     ADD_FAILURE() << "metric '" << metric << "' missing";
     return -1;
   };
-  // beas_stats' dictionary is already sorted, so the pass rebuilt data
-  // tables only and the gauge matches the maintenance counter.
+  // The pass rebuilt data tables only, so the gauge matches the
+  // maintenance counter.
   EXPECT_EQ(after_value_of("dict_rebuilds_total"),
             static_cast<double>(service_->maintenance()->dict_rebuilds()));
   EXPECT_GE(after_value_of("dict_sorted_tables"),
             after_value_of("dict_rebuilds_total"));
 
-  // The snapshot refreshes per query — hits observed above now appear.
+  // The snapshot is taken per query — a plan-cache hit (a new parameter
+  // of the cached template, so no result-cache hit) now appears.
   MustExecute(StringPrintf("SELECT call.region FROM call WHERE "
                            "call.pnum = %d AND call.date = '2016-03-15'",
-                           8));
+                           9));
   QueryResponse again =
       MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
   for (const Row& row : again.result.rows) {
@@ -1706,34 +1700,144 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
   Env::Default()->RemoveAll(dir);
 }
 
-TEST_F(ServiceTest, BeasStatsPollingDoesNotGrowStorageForever) {
-  // Refreshes tombstone-and-append; the service must recycle the table
-  // before dead slots accumulate without bound (a monitoring client polls
-  // this once a second, forever).
+TEST_F(ServiceTest, BeasStatsPollsLeaveNoTableInTheCatalog) {
+  // A monitoring client polls once a second, forever: each poll is
+  // answered from its own snapshot, so nothing accumulates in db_.
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(service_->RefreshStatsTable().ok());
+    QueryResponse resp = MustExecute("SELECT count(*) AS n FROM beas_stats");
+    ASSERT_EQ(resp.result.rows.size(), 1u);
+    ASSERT_GE(resp.result.rows[0][0].AsInt64(), 10);
   }
-  TableInfo* info =
-      *service_->db()->catalog()->GetTable(BeasService::kStatsTableName);
-  EXPECT_LT(info->heap()->NumSlots(), 6000u)
-      << "dead slots must be recycled, not accumulated";
-  EXPECT_NE(info->heap()->dict(), nullptr) << "beas_stats interns";
-  QueryResponse resp = MustExecute(
-      "SELECT count(*) AS n FROM beas_stats");
-  ASSERT_EQ(resp.result.rows.size(), 1u);
-  EXPECT_GE(resp.result.rows[0][0].AsInt64(), 10);
+  EXPECT_FALSE(
+      service_->db()->catalog()->HasTable(BeasService::kStatsTableName));
+  EXPECT_EQ(service_->db()->catalog()->TableNames().size(), 3u);
 
-  // The recycled table interns like any other, yet results over it are
-  // self-contained (Query detaches every answer), and AC constraints on the
-  // service-managed table are rejected — both guard the recycle against
-  // dangling references.
+  // Answers are self-contained (the snapshot's dictionary dies with the
+  // poll), and an access constraint on the name finds no table.
   QueryResponse held = MustExecute("SELECT metric FROM beas_stats");
   ASSERT_FALSE(held.result.rows.empty());
-  EXPECT_EQ(held.result.rows[0][0].dict(), nullptr);
-  EXPECT_FALSE(service_
-                   ->RegisterConstraint({"bad", BeasService::kStatsTableName,
-                                         {"metric"}, {"value"}, 32})
-                   .ok());
+  for (const Row& row : held.result.rows) {
+    EXPECT_EQ(row[0].dict(), nullptr);
+  }
+  EXPECT_EQ(held.decision.mode,
+            BeasSession::ExecutionDecision::Mode::kConventional);
+  EXPECT_FALSE(held.cacheable);
+  EXPECT_FALSE(held.cache_hit);
+  EXPECT_FALSE(held.result_cache_hit);
+  Status constraint = service_->RegisterConstraint(
+      {"bad", BeasService::kStatsTableName, {"metric"}, {"value"}, 32});
+  EXPECT_EQ(constraint.code(), StatusCode::kNotFound) << constraint.ToString();
+}
+
+TEST_F(ServiceTest, BeasStatsPollCompletesWhileAReaderHoldsReadScope) {
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread reader([&] {
+    Database::ReadScope lock(service_->db());
+    held.set_value();
+    released.wait();
+  });
+  held.get_future().wait();
+  std::future<Result<QueryResponse>> poll = std::async(
+      std::launch::async, [&] {
+        return service_->Query(
+            {"SELECT value FROM beas_stats WHERE metric = 'rows_live'"});
+      });
+  bool finished =
+      poll.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  release.set_value();
+  reader.join();
+  EXPECT_TRUE(finished) << "a poll must not wait for in-flight readers";
+  Result<QueryResponse> resp = poll.get();
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->result.rows.size(), 1u);
+  EXPECT_EQ(resp->result.rows[0][0], Value::Double(10));
+}
+
+TEST_F(ServiceTest, BeasStatsPollsLeaveTheCacheCountersUnchanged) {
+  MustExecute("SELECT call.region FROM call WHERE call.pnum = 7 AND "
+              "call.date = '2016-03-15'");
+  PlanCacheStats plans = service_->cache_stats();
+  ResultCacheStats results = service_->result_cache_stats();
+  for (int i = 0; i < 2; ++i) {
+    QueryResponse resp =
+        MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
+    EXPECT_FALSE(resp.result.rows.empty());
+  }
+  PlanCacheStats plans_after = service_->cache_stats();
+  ResultCacheStats results_after = service_->result_cache_stats();
+  EXPECT_EQ(plans_after.hits, plans.hits);
+  EXPECT_EQ(plans_after.misses, plans.misses);
+  EXPECT_EQ(plans_after.invalidations, plans.invalidations);
+  EXPECT_EQ(plans_after.uncacheable, plans.uncacheable);
+  EXPECT_EQ(plans_after.entries, plans.entries);
+  EXPECT_EQ(results_after.hits, results.hits);
+  EXPECT_EQ(results_after.misses, results.misses);
+  EXPECT_EQ(results_after.invalidations, results.invalidations);
+  EXPECT_EQ(results_after.entries, results.entries);
+  EXPECT_EQ(results_after.bytes, results.bytes);
+}
+
+TEST_F(ServiceTest, BeasStatsCheckModeIsStableAcrossPolls) {
+  const char* sql = "SELECT metric, value FROM beas_stats";
+  Result<QueryResponse> before = service_->Query({sql, QueryMode::kCheckOnly});
+  MustExecute(sql);
+  Result<QueryResponse> after = service_->Query({sql, QueryMode::kCheckOnly});
+  EXPECT_EQ(before.status().code(), after.status().code())
+      << before.status().ToString() << " vs " << after.status().ToString();
+  EXPECT_EQ(before.status().code(), StatusCode::kBindError);
+}
+
+TEST_F(ServiceTest, OnlyStatsOnlyAutoRequestsReachTheSnapshot) {
+  // The name inside a string literal: an ordinary query over `call`.
+  QueryResponse literal = MustExecute(
+      "SELECT call.recnum FROM call WHERE call.pnum = 7 AND "
+      "call.date = '2016-03-15' AND call.region <> 'beas_stats'");
+  EXPECT_EQ(literal.result.rows.size(), 2u);
+  EXPECT_EQ(literal.decision.mode,
+            BeasSession::ExecutionDecision::Mode::kBounded);
+  // Joins with data tables and the other modes see an unknown table.
+  for (QueryRequest request :
+       {QueryRequest{"SELECT call.recnum FROM call, beas_stats WHERE "
+                     "call.pnum = 7"},
+        QueryRequest{"SELECT metric FROM beas_stats",
+                     QueryMode::kBoundedOnly}}) {
+    Result<QueryResponse> resp = service_->Query(request);
+    EXPECT_EQ(resp.status().code(), StatusCode::kBindError)
+        << request.sql << ": " << resp.status().ToString();
+  }
+}
+
+TEST(ServiceReservedNameTest, CreateTableRejectsTheStatsTableName) {
+  const Schema schema({{"metric", TypeId::kString}, {"value", TypeId::kDouble}});
+  {
+    BeasService svc;
+    for (const char* name : {"beas_stats", "BEAS_Stats"}) {
+      EXPECT_EQ(svc.CreateTable(name, schema).status().code(),
+                StatusCode::kInvalidArgument)
+          << name;
+    }
+    EXPECT_TRUE(svc.db()->catalog()->TableNames().empty());
+  }
+  const char* base = std::getenv("TMPDIR");
+  std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
+                     "/beas_svc_reserved_XXXXXX";
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  ASSERT_NE(mkdtemp(buf.data()), nullptr);
+  std::string dir = buf.data();
+  {
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.durability.dir = dir;
+    BeasService svc(options);
+    ASSERT_TRUE(svc.durable()) << svc.durability_status().ToString();
+    EXPECT_EQ(svc.CreateTable("beas_stats", schema).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(svc.db()->catalog()->TableNames().empty());
+  }
+  Env::Default()->RemoveAll(dir);
 }
 
 // ---------------------------------------------------------------------------

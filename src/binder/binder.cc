@@ -10,23 +10,17 @@ namespace beas {
 struct Binder::Context {
   const std::vector<BoundAtom>* atoms;
   const std::vector<size_t>* offsets;
+  /// Non-null while binding HAVING, which ranges over the aggregation
+  /// output row of this query: a column binds to its GROUP BY slot and an
+  /// aggregate to its (possibly new, hidden) aggregate slot. Operators
+  /// bind and type-check exactly as in WHERE and SELECT.
+  BoundQuery* having = nullptr;
 };
 
 namespace {
 
 bool IsNumericType(TypeId t) {
   return t == TypeId::kInt64 || t == TypeId::kDouble;
-}
-
-/// `%` is integer-only: the evaluator cannot take a DOUBLE remainder, so
-/// a DOUBLE operand is refused here rather than per row at run time.
-Status CheckModOperands(const Expression& l, const Expression& r,
-                        const AstExpr& ast) {
-  if (l.ResultType() == TypeId::kDouble || r.ResultType() == TypeId::kDouble) {
-    return Status::BindError("% requires integer operands in " +
-                             ast.ToString());
-  }
-  return Status::OK();
 }
 
 /// Coerces a literal operand to `target` when implicitly allowed, so that
@@ -39,6 +33,13 @@ Result<ExprPtr> CoerceLiteral(ExprPtr e, TypeId target) {
     return Expression::Literal(std::move(v), e->literal_param);
   }
   return e;
+}
+
+/// Same function, DISTINCT flag and argument: one aggregate slot serves
+/// both (HAVING reuses a SELECT aggregate; ORDER BY names one).
+bool SameAggregate(const AggSpec& a, const AggSpec& b) {
+  return a.fn == b.fn && a.distinct == b.distinct &&
+         ((!a.arg && !b.arg) || (a.arg && b.arg && a.arg->Equals(*b.arg)));
 }
 
 Result<AggFn> AggFnFromName(const std::string& name, bool star_arg) {
@@ -127,7 +128,16 @@ Result<ExprPtr> Binder::BindScalar(const Context& ctx,
       const BoundAtom& atom = (*ctx.atoms)[ref.atom];
       TypeId type = atom.table->schema().ColumnAt(ref.col).type;
       size_t global = (*ctx.offsets)[ref.atom] + ref.col;
-      return Expression::Column(global, type, atom.alias + "." + ast.column);
+      ExprPtr column =
+          Expression::Column(global, type, atom.alias + "." + ast.column);
+      if (ctx.having == nullptr) return column;
+      for (size_t g = 0; g < ctx.having->group_by.size(); ++g) {
+        if (ctx.having->group_by[g]->Equals(*column)) {
+          return Expression::Column(g, type, column->ToString());
+        }
+      }
+      return Status::BindError("HAVING references '" + ast.ToString() +
+                               "' which is not in GROUP BY");
     }
     case AstExprType::kLiteral:
       return Expression::Literal(ast.literal, ast.literal_param);
@@ -179,8 +189,13 @@ Result<ExprPtr> Binder::BindScalar(const Context& ctx,
             return Status::BindError("arithmetic requires numeric operands in " +
                                      ast.ToString());
           }
-          if (ast.bin_op == AstBinOp::kMod) {
-            BEAS_RETURN_NOT_OK(CheckModOperands(*l, *r, ast));
+          // `%` is integer-only: the evaluator cannot take a DOUBLE
+          // remainder, so a DOUBLE operand is refused here rather than per
+          // row at run time.
+          if (ast.bin_op == AstBinOp::kMod &&
+              (lt == TypeId::kDouble || rt == TypeId::kDouble)) {
+            return Status::BindError("% requires integer operands in " +
+                                     ast.ToString());
           }
           ArithOp op;
           switch (ast.bin_op) {
@@ -245,9 +260,21 @@ Result<ExprPtr> Binder::BindScalar(const Context& ctx,
       BEAS_ASSIGN_OR_RETURN(ExprPtr e, BindScalar(ctx, *ast.children[0]));
       return Expression::IsNull(std::move(e), ast.negated);
     }
-    case AstExprType::kFunction:
-      return Status::BindError("aggregate '" + ast.func_name +
-                               "' is not allowed in this clause");
+    case AstExprType::kFunction: {
+      if (ctx.having == nullptr) {
+        return Status::BindError("aggregate '" + ast.func_name +
+                                 "' is not allowed in this clause");
+      }
+      // HAVING: the aggregate's slot in the aggregation output, reusing a
+      // matching aggregate or appending a hidden one.
+      BEAS_ASSIGN_OR_RETURN(AggSpec spec, BindAggregate(ctx, ast));
+      std::vector<AggSpec>& aggs = ctx.having->aggregates;
+      size_t slot = 0;
+      while (slot < aggs.size() && !SameAggregate(aggs[slot], spec)) ++slot;
+      if (slot == aggs.size()) aggs.push_back(std::move(spec));
+      return Expression::Column(ctx.having->group_by.size() + slot,
+                                aggs[slot].result_type, aggs[slot].name);
+    }
     case AstExprType::kStar:
       return Status::BindError("'*' is only valid in COUNT(*)");
   }
@@ -320,102 +347,20 @@ Status Binder::BindWhere(const Context& ctx, const AstExpr& ast,
   return Status::OK();
 }
 
-Result<ExprPtr> Binder::BindHaving(const Context& ctx, const AstExpr& ast,
-                                   BoundQuery* query) const {
-  size_t num_groups = query->group_by.size();
-  switch (ast.type) {
-    case AstExprType::kFunction: {
-      bool star = !ast.children.empty() &&
-                  ast.children[0]->type == AstExprType::kStar;
-      BEAS_ASSIGN_OR_RETURN(AggFn fn, AggFnFromName(ast.func_name, star));
-      ExprPtr arg;
-      if (!star) {
-        BEAS_ASSIGN_OR_RETURN(arg, BindScalar(ctx, *ast.children[0]));
-      }
-      // Reuse an existing aggregate if one matches, else append a hidden one.
-      for (size_t i = 0; i < query->aggregates.size(); ++i) {
-        const AggSpec& spec = query->aggregates[i];
-        bool same_arg = (!spec.arg && !arg) ||
-                        (spec.arg && arg && spec.arg->Equals(*arg));
-        if (spec.fn == fn && spec.distinct == ast.distinct_arg && same_arg) {
-          return Expression::Column(num_groups + i, spec.result_type, spec.name);
-        }
-      }
-      AggSpec spec;
-      spec.fn = fn;
-      spec.distinct = ast.distinct_arg;
-      spec.arg = arg;
-      if (fn == AggFn::kCountStar) {
-        spec.result_type = TypeId::kInt64;
-      } else {
-        BEAS_ASSIGN_OR_RETURN(spec.result_type, AggResultType(fn, arg));
-      }
-      spec.name = ast.ToString();
-      query->aggregates.push_back(spec);
-      return Expression::Column(num_groups + query->aggregates.size() - 1,
-                                spec.result_type, spec.name);
-    }
-    case AstExprType::kColumn: {
-      BEAS_ASSIGN_OR_RETURN(ExprPtr bound, BindScalar(ctx, ast));
-      for (size_t g = 0; g < query->group_by.size(); ++g) {
-        if (query->group_by[g]->Equals(*bound)) {
-          return Expression::Column(g, bound->ResultType(), bound->ToString());
-        }
-      }
-      return Status::BindError("HAVING references '" + ast.ToString() +
-                               "' which is not in GROUP BY");
-    }
-    case AstExprType::kLiteral:
-      return Expression::Literal(ast.literal, ast.literal_param);
-    case AstExprType::kBinary: {
-      BEAS_ASSIGN_OR_RETURN(ExprPtr l, BindHaving(ctx, *ast.children[0], query));
-      BEAS_ASSIGN_OR_RETURN(ExprPtr r, BindHaving(ctx, *ast.children[1], query));
-      switch (ast.bin_op) {
-        case AstBinOp::kAnd:
-          return Expression::Logic(LogicOp::kAnd, std::move(l), std::move(r));
-        case AstBinOp::kOr:
-          return Expression::Logic(LogicOp::kOr, std::move(l), std::move(r));
-        case AstBinOp::kEq:
-          return Expression::Compare(CompareOp::kEq, std::move(l), std::move(r));
-        case AstBinOp::kNe:
-          return Expression::Compare(CompareOp::kNe, std::move(l), std::move(r));
-        case AstBinOp::kLt:
-          return Expression::Compare(CompareOp::kLt, std::move(l), std::move(r));
-        case AstBinOp::kLe:
-          return Expression::Compare(CompareOp::kLe, std::move(l), std::move(r));
-        case AstBinOp::kGt:
-          return Expression::Compare(CompareOp::kGt, std::move(l), std::move(r));
-        case AstBinOp::kGe:
-          return Expression::Compare(CompareOp::kGe, std::move(l), std::move(r));
-        case AstBinOp::kAdd:
-          return Expression::Arith(ArithOp::kAdd, std::move(l), std::move(r));
-        case AstBinOp::kSub:
-          return Expression::Arith(ArithOp::kSub, std::move(l), std::move(r));
-        case AstBinOp::kMul:
-          return Expression::Arith(ArithOp::kMul, std::move(l), std::move(r));
-        case AstBinOp::kDiv:
-          return Expression::Arith(ArithOp::kDiv, std::move(l), std::move(r));
-        case AstBinOp::kMod:
-          BEAS_RETURN_NOT_OK(CheckModOperands(*l, *r, ast));
-          return Expression::Arith(ArithOp::kMod, std::move(l), std::move(r));
-      }
-      return Status::Internal("unhandled binary op in HAVING");
-    }
-    case AstExprType::kUnary: {
-      BEAS_ASSIGN_OR_RETURN(ExprPtr c, BindHaving(ctx, *ast.children[0], query));
-      return ast.un_op == AstUnOp::kNot ? Expression::Not(std::move(c))
-                                        : Expression::Neg(std::move(c));
-    }
-    case AstExprType::kBetween: {
-      BEAS_ASSIGN_OR_RETURN(ExprPtr e, BindHaving(ctx, *ast.children[0], query));
-      BEAS_ASSIGN_OR_RETURN(ExprPtr lo, BindHaving(ctx, *ast.children[1], query));
-      BEAS_ASSIGN_OR_RETURN(ExprPtr hi, BindHaving(ctx, *ast.children[2], query));
-      return Expression::Between(std::move(e), std::move(lo), std::move(hi));
-    }
-    default:
-      return Status::BindError("unsupported expression in HAVING: " +
-                               ast.ToString());
-  }
+Result<AggSpec> Binder::BindAggregate(const Context& ctx,
+                                      const AstExpr& ast) const {
+  bool star = !ast.children.empty() &&
+              ast.children[0]->type == AstExprType::kStar;
+  AggSpec spec;
+  BEAS_ASSIGN_OR_RETURN(spec.fn, AggFnFromName(ast.func_name, star));
+  spec.distinct = ast.distinct_arg;
+  spec.name = ast.ToString();
+  if (star) return spec;
+  // The argument ranges over input rows, never the aggregation output.
+  Context input{ctx.atoms, ctx.offsets, nullptr};
+  BEAS_ASSIGN_OR_RETURN(spec.arg, BindScalar(input, *ast.children[0]));
+  BEAS_ASSIGN_OR_RETURN(spec.result_type, AggResultType(spec.fn, spec.arg));
+  return spec;
 }
 
 Result<BoundQuery> Binder::Bind(const SelectStatement& stmt) {
@@ -446,7 +391,7 @@ Result<BoundQuery> Binder::Bind(const SelectStatement& stmt) {
   }
   query.total_columns = offset;
 
-  Context ctx{&query.atoms, &query.atom_offsets};
+  Context ctx{&query.atoms, &query.atom_offsets, nullptr};
 
   // WHERE.
   if (stmt.where) {
@@ -464,20 +409,9 @@ Result<BoundQuery> Binder::Bind(const SelectStatement& stmt) {
     OutputItem out;
     const AstExpr& ast = *item.expr;
     if (ast.type == AstExprType::kFunction) {
-      bool star = !ast.children.empty() &&
-                  ast.children[0]->type == AstExprType::kStar;
-      BEAS_ASSIGN_OR_RETURN(AggFn fn, AggFnFromName(ast.func_name, star));
-      AggSpec spec;
-      spec.fn = fn;
-      spec.distinct = ast.distinct_arg;
-      if (!star) {
-        BEAS_ASSIGN_OR_RETURN(spec.arg, BindScalar(ctx, *ast.children[0]));
-        BEAS_ASSIGN_OR_RETURN(spec.result_type, AggResultType(fn, spec.arg));
-      } else {
-        spec.result_type = TypeId::kInt64;
-      }
-      spec.name = item.alias.empty() ? ast.ToString() : item.alias;
-      out.agg = fn;
+      BEAS_ASSIGN_OR_RETURN(AggSpec spec, BindAggregate(ctx, ast));
+      if (!item.alias.empty()) spec.name = item.alias;
+      out.agg = spec.fn;
       out.slot = query.aggregates.size();
       out.name = spec.name;
       out.type = spec.result_type;
@@ -519,7 +453,8 @@ Result<BoundQuery> Binder::Bind(const SelectStatement& stmt) {
     if (!query.HasAggregates()) {
       return Status::BindError("HAVING requires GROUP BY or aggregates");
     }
-    BEAS_ASSIGN_OR_RETURN(query.having, BindHaving(ctx, *stmt.having, &query));
+    Context having{&query.atoms, &query.atom_offsets, &query};
+    BEAS_ASSIGN_OR_RETURN(query.having, BindScalar(having, *stmt.having));
   }
 
   // ORDER BY: resolve to output positions.
@@ -561,26 +496,13 @@ Result<BoundQuery> Binder::Bind(const SelectStatement& stmt) {
       }
     } else if (ast.type == AstExprType::kFunction) {
       // Match an aggregate output by (fn, distinct, argument).
-      bool star = !ast.children.empty() &&
-                  ast.children[0]->type == AstExprType::kStar;
-      auto fn = AggFnFromName(ast.func_name, star);
-      if (fn.ok()) {
-        ExprPtr arg;
-        if (!star) {
-          auto bound_arg = BindScalar(ctx, *ast.children[0]);
-          if (!bound_arg.ok()) return bound_arg.status();
-          arg = std::move(bound_arg).ValueOrDie();
-        }
-        for (size_t i = 0; i < query.outputs.size() && !resolved; ++i) {
-          const OutputItem& out = query.outputs[i];
-          if (out.agg != *fn) continue;
-          const AggSpec& spec = query.aggregates[out.slot];
-          bool same_arg = (!spec.arg && !arg) ||
-                          (spec.arg && arg && spec.arg->Equals(*arg));
-          if (same_arg && spec.distinct == ast.distinct_arg) {
-            bound.output_index = i;
-            resolved = true;
-          }
+      BEAS_ASSIGN_OR_RETURN(AggSpec spec, BindAggregate(ctx, ast));
+      for (size_t i = 0; i < query.outputs.size() && !resolved; ++i) {
+        const OutputItem& out = query.outputs[i];
+        if (out.agg != AggFn::kNone &&
+            SameAggregate(query.aggregates[out.slot], spec)) {
+          bound.output_index = i;
+          resolved = true;
         }
       }
     }

@@ -41,8 +41,7 @@ class Binder {
   Status BindWhere(const Context& ctx, const AstExpr& ast,
                    BoundQuery* query) const;
   Status ClassifyConjunct(const BoundQuery& query, Conjunct* conjunct) const;
-  Result<ExprPtr> BindHaving(const Context& ctx, const AstExpr& ast,
-                             BoundQuery* query) const;
+  Result<AggSpec> BindAggregate(const Context& ctx, const AstExpr& ast) const;
 
   const Catalog* catalog_;
 };

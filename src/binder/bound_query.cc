@@ -4,19 +4,6 @@
 
 namespace beas {
 
-const char* AggFnToString(AggFn fn) {
-  switch (fn) {
-    case AggFn::kNone: return "none";
-    case AggFn::kCountStar: return "count(*)";
-    case AggFn::kCount: return "count";
-    case AggFn::kSum: return "sum";
-    case AggFn::kAvg: return "avg";
-    case AggFn::kMin: return "min";
-    case AggFn::kMax: return "max";
-  }
-  return "?";
-}
-
 std::string Conjunct::ToString() const {
   return expr ? expr->ToString() : "<null>";
 }

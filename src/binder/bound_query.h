@@ -59,8 +59,6 @@ struct Conjunct {
 /// \brief Aggregate functions.
 enum class AggFn { kNone, kCountStar, kCount, kSum, kAvg, kMin, kMax };
 
-const char* AggFnToString(AggFn fn);
-
 /// \brief One aggregate computed by the query (visible or HAVING-only).
 struct AggSpec {
   AggFn fn = AggFn::kCountStar;

@@ -4,13 +4,11 @@
 #include <cassert>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bounded/columnar_tail.h"
 #include "common/failpoint.h"
-#include "common/string_util.h"
+#include "common/hash.h"
 #include "common/task_pool.h"
-#include "exec/grouping.h"
 #include "expr/evaluator.h"
 
 namespace beas {
@@ -93,247 +91,12 @@ void ParallelChunks(TaskPool* pool, size_t n, size_t min_chunk,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fetch chain, reference path (row-at-a-time). Differential tests hold the
-// vectorized path bit-identical to it; probe keys are served in
-// first-appearance order so budgeted runs agree too.
-// ---------------------------------------------------------------------------
-
-Result<BoundedExecutor::Fragment> BoundedExecutor::ReferenceFragment(
-    const BoundQuery& query, const BoundedPlan& plan,
-    const BoundedExecOptions& options) const {
-  Fragment fragment;
-  fragment.layout = plan.layout;
-  fragment.stats.root.label = "BoundedFetchChain";
-
-  // Initial conjuncts (literal-only predicates).
-  Row empty_row;
-  for (size_t ci : plan.initial_conjuncts) {
-    BEAS_ASSIGN_OR_RETURN(bool pass,
-                          EvalPredicate(*query.conjuncts[ci].expr, empty_row));
-    if (!pass) return fragment;  // empty result
-  }
-
-  // Unsatisfiable equality predicates -> empty T (plan has no steps but the
-  // query has atoms).
-  if (plan.steps.empty() && !query.atoms.empty()) return fragment;
-
-  // T starts as a single empty row of weight 1.
-  std::vector<Row> t_rows(1);
-  std::vector<uint64_t> t_weights(1, 1);
-
-  // Mapping from global column index to T position, grown per step.
-  std::unordered_map<size_t, size_t> layout_pos;
-  size_t t_width = 0;
-
-  // Expiry is latched: once the control is observed expired every later
-  // step serves zero non-null keys, exactly like an exhausted budget.
-  const ExecControl& control = options.control;
-  bool expired = false;
-
-  for (const FetchStep& step : plan.steps) {
-    // Test hook: a sleep(MS) action here makes a deadline pass mid-chain
-    // at a deterministic step boundary. No-op when nothing is armed.
-    (void)fail::Point("exec_step");
-    auto step_start = std::chrono::steady_clock::now();
-    OperatorStats step_stats;
-    if (options.collect_stats) {
-      step_stats.label =
-          "fetch[" + step.constraint.name + " on " +
-          query.atoms[step.atom].alias + "]";
-    }
-
-    const AcIndex* index = catalog_->IndexFor(step.constraint.name);
-    if (index == nullptr) {
-      return Status::Internal("no index registered for constraint '" +
-                              step.constraint.name + "'");
-    }
-
-    // Approximation: each step may consume whatever budget remains. This
-    // greedy allocation serves every probe whenever the budget exceeds the
-    // actual (not worst-case) need, and degrades later steps first when it
-    // does not; eta accounts for the unserved fraction either way.
-    StepBudget budget = BudgetFor(options, fragment.stats);
-
-    // --- Phase A: distinct probe keys from T (expanding IN-lists). ---
-    // Each T row yields one key per combination of IN-list values.
-    ComboShape shape = ShapeOf(step);
-
-    auto key_of = [&](const Row& row, size_t combo) {
-      ValueVec key;
-      key.reserve(step.key_sources.size());
-      size_t list_idx = 0;
-      size_t rem = combo;
-      for (const KeySource& src : step.key_sources) {
-        switch (src.kind) {
-          case KeySource::Kind::kConstant:
-            key.push_back(src.constant);
-            break;
-          case KeySource::Kind::kConstantList: {
-            size_t sz = shape.list_sizes[list_idx];
-            key.push_back((*shape.lists[list_idx])[rem % sz]);
-            rem /= sz;
-            ++list_idx;
-            break;
-          }
-          case KeySource::Kind::kFromT:
-            key.push_back(row[src.t_column]);
-            break;
-        }
-      }
-      return key;
-    };
-
-    // Distinct keys in first-appearance order (the order budget-capped
-    // serving follows, on both executor paths).
-    std::unordered_set<ValueVec, ValueVecHash, ValueVecEq> seen_keys;
-    std::vector<ValueVec> ordered_keys;
-    for (const Row& row : t_rows) {
-      for (size_t combo = 0; combo < shape.combos; ++combo) {
-        ValueVec key = key_of(row, combo);
-        if (seen_keys.insert(key).second) ordered_keys.push_back(std::move(key));
-      }
-    }
-
-    // --- Phase B: probe each distinct key once (budget-capped). ---
-    std::unordered_map<ValueVec, AcIndex::BucketView, ValueVecHash, ValueVecEq>
-        fetched;
-    uint64_t fetched_this_step = 0;
-    size_t served = 0;
-    size_t key_index = 0;
-    for (const ValueVec& key : ordered_keys) {
-      // Deterministic expiry poll: index 0 (the step boundary) and every
-      // kExpiryCheckInterval-th key — the same schedule the vectorized
-      // path runs, so both observe expiry at the same key.
-      if (control.active() && !expired &&
-          key_index % ExecControl::kExpiryCheckInterval == 0) {
-        expired = control.Expired();
-      }
-      ++key_index;
-      // NULL key components never match (SQL equality).
-      bool has_null = false;
-      for (const Value& v : key) has_null |= v.is_null();
-      if (has_null) {
-        fetched.emplace(key, AcIndex::BucketView{});
-        ++served;
-        continue;
-      }
-      if (expired) {
-        continue;  // unserved, like an exhausted budget: eta shrinks
-      }
-      if (budget.capped && fetched_this_step >= budget.cap) {
-        continue;  // unserved: rows keyed by it are dropped, eta shrinks
-      }
-      AcIndex::BucketView bucket = index->LookupWithCounts(key);
-      ++fragment.stats.keys_probed;
-      fetched_this_step += bucket.size();
-      fragment.stats.tuples_fetched += bucket.size();
-      fetched.emplace(key, bucket);
-      ++served;
-    }
-    if (!ordered_keys.empty()) {
-      fragment.stats.eta *= static_cast<double>(served) /
-                            static_cast<double>(ordered_keys.size());
-    }
-
-    // --- Phase C: join T with the fetched partial tuples. ---
-    // Column -> value source within the fetched data: X columns take the
-    // key value (X has priority if a column is in both X and Y).
-    std::unordered_map<size_t, size_t> x_pos;  // table col -> key position
-    for (size_t i = 0; i < step.x_cols.size(); ++i) x_pos[step.x_cols[i]] = i;
-    std::unordered_map<size_t, size_t> y_pos;  // table col -> y position
-    for (size_t i = 0; i < step.y_cols.size(); ++i) {
-      if (!x_pos.count(step.y_cols[i])) y_pos[step.y_cols[i]] = i;
-    }
-
-    std::vector<Row> new_rows;
-    std::vector<uint64_t> new_weights;
-    for (size_t r = 0; r < t_rows.size(); ++r) {
-      for (size_t combo = 0; combo < shape.combos; ++combo) {
-        ValueVec key = key_of(t_rows[r], combo);
-        auto it = fetched.find(key);
-        if (it == fetched.end()) continue;  // unserved under budget: dropped
-        const AcIndex::BucketView& bucket = it->second;
-        for (size_t b = 0; b < bucket.size(); ++b) {
-          Row out = t_rows[r];
-          out.reserve(t_width + step.added_columns.size());
-          for (const AttrRef& attr : step.added_columns) {
-            auto xp = x_pos.find(attr.col);
-            if (xp != x_pos.end()) {
-              out.push_back(key[xp->second]);
-            } else {
-              out.push_back((*bucket.rows)[b][y_pos.at(attr.col)]);
-            }
-          }
-          new_rows.push_back(std::move(out));
-          new_weights.push_back(t_weights[r] * (*bucket.multiplicities)[b]);
-        }
-      }
-    }
-
-    // Extend the layout mapping.
-    for (const AttrRef& attr : step.added_columns) {
-      layout_pos[query.GlobalIndex(attr)] = t_width++;
-    }
-
-    // Apply the conjuncts that just became evaluable.
-    for (size_t ci : step.conjuncts_after) {
-      ExprPtr rebound = RebindColumns(query.conjuncts[ci].expr, layout_pos);
-      if (!rebound) {
-        return Status::Internal("rebind failed for conjunct " +
-                                query.conjuncts[ci].ToString());
-      }
-      std::vector<Row> kept_rows;
-      std::vector<uint64_t> kept_weights;
-      for (size_t r = 0; r < new_rows.size(); ++r) {
-        BEAS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*rebound, new_rows[r]));
-        if (pass) {
-          kept_rows.push_back(std::move(new_rows[r]));
-          kept_weights.push_back(new_weights[r]);
-        }
-      }
-      new_rows = std::move(kept_rows);
-      new_weights = std::move(kept_weights);
-    }
-
-    // Deduplicate T, merging weights: BEAS manipulates distinct partial
-    // tuples; multiplicities live in the weights.
-    std::unordered_map<ValueVec, uint64_t, ValueVecHash, ValueVecEq> merged;
-    std::vector<Row> dedup_rows;
-    for (size_t r = 0; r < new_rows.size(); ++r) {
-      auto [it2, inserted] = merged.try_emplace(new_rows[r], 0);
-      if (inserted) dedup_rows.push_back(new_rows[r]);
-      it2->second += new_weights[r];
-    }
-    t_rows = std::move(dedup_rows);
-    t_weights.clear();
-    t_weights.reserve(t_rows.size());
-    for (const Row& row : t_rows) t_weights.push_back(merged.at(row));
-
-    if (options.collect_stats) {
-      step_stats.rows_out = t_rows.size();
-      step_stats.tuples_accessed = fetched_this_step;
-      step_stats.self_millis = MillisSince(step_start);
-      step_stats.total_millis = step_stats.self_millis;
-      fragment.stats.root.children.push_back(std::move(step_stats));
-    }
-  }
-
-  fragment.rows = std::move(t_rows);
-  fragment.weights = std::move(t_weights);
-  fragment.stats.timed_out = expired;
-  for (const auto& child : fragment.stats.root.children) {
-    fragment.stats.root.total_millis += child.total_millis;
-  }
-  fragment.stats.root.tuples_accessed = fragment.stats.tuples_fetched;
-  fragment.stats.root.rows_out = fragment.rows.size();
-  return fragment;
-}
-
-// ---------------------------------------------------------------------------
 // Fetch chain, vectorized path: columnar T, deduplicated probe keys in
 // first-appearance order, batched (optionally sharded) index probes,
 // gather-based join, compiled predicate programs, hash-based weighted
-// dedup. Bit-identical to the reference path (rows, order, weights, η).
+// dedup. Bit-identical to the row-at-a-time reference path that
+// differential tests run (tests/support/reference_executor.h): rows,
+// order, weights, η.
 //
 // With hash-partitioned storage (BEAS_SHARDS > 1) each step runs
 // shard-parallel end to end: the probe batch partitions by AC-index
@@ -352,10 +115,17 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ReferenceFragment(
 // identically, so parity with the reference path is preserved.
 // ---------------------------------------------------------------------------
 
-Result<BoundedExecutor::BatchFragment>
-BoundedExecutor::ExecuteFragmentVectorized(
+Result<BoundedExecutor::BatchFragment> BoundedExecutor::ExecuteBatchFragment(
     const BoundQuery& query, const BoundedPlan& plan,
-    const CompiledPlan& compiled, const BoundedExecOptions& options) const {
+    const BoundedExecOptions& options) const {
+  // Step programs: the caller's, or compiled on the fly when absent or
+  // stale.
+  const CompiledPlan* compiled = options.compiled;
+  CompiledPlan local;
+  if (compiled == nullptr || compiled->steps.size() != plan.steps.size()) {
+    BEAS_ASSIGN_OR_RETURN(local, CompileBoundedPlan(query, plan, *catalog_));
+    compiled = &local;
+  }
   BatchFragment fragment;
   fragment.layout = plan.layout;
   fragment.stats.root.label = "BoundedFetchChain";
@@ -387,7 +157,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
 
   for (size_t si = 0; si < plan.steps.size(); ++si) {
     const FetchStep& step = plan.steps[si];
-    const StepProgram& prog = compiled.steps[si];
+    const StepProgram& prog = compiled->steps[si];
     // Same deterministic step-boundary test hook as the reference path.
     (void)fail::Point("exec_step");
     auto step_start = std::chrono::steady_clock::now();
@@ -901,20 +671,6 @@ BoundedExecutor::ExecuteFragmentVectorized(
   return fragment;
 }
 
-Result<BoundedExecutor::BatchFragment> BoundedExecutor::ExecuteBatchFragment(
-    const BoundQuery& query, const BoundedPlan& plan,
-    const BoundedExecOptions& options) const {
-  const CompiledPlan* compiled = options.compiled;
-  CompiledPlan local;
-  if (compiled == nullptr || compiled->steps.size() != plan.steps.size()) {
-    Result<CompiledPlan> built = CompileBoundedPlan(query, plan, *catalog_);
-    if (!built.ok()) return built.status();
-    local = std::move(*built);
-    compiled = &local;
-  }
-  return ExecuteFragmentVectorized(query, plan, *compiled, options);
-}
-
 Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragment(
     const BoundQuery& query, const BoundedPlan& plan,
     const BoundedExecOptions& options) const {
@@ -929,21 +685,12 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragment(
 }
 
 // ---------------------------------------------------------------------------
-// Relational tail. Execute runs it columnar over the fetch chain's batch
-// (bounded/columnar_tail.h): compiled key/output programs, code-aware
-// grouping, encoded-key sorts — no Row materialization. The scalar tail
-// below is the fallback for tail expressions ExprProgram cannot compile
-// and the reference tail ExecuteReference runs (weighted grouping /
-// DISTINCT over ValueVecGrouper group indices).
+// Relational tail: Execute runs it columnar over the fetch chain's batch
+// (bounded/columnar_tail.h) — compiled key/output programs, code-aware
+// grouping, encoded-key sorts, no Row materialization.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// A plan with no fetch steps over a query with atoms: some equality
-/// predicate is unsatisfiable, T is empty and its layout holds no columns.
-bool Unsatisfiable(const BoundQuery& query, const BoundedPlan& plan) {
-  return plan.steps.empty() && !query.atoms.empty();
-}
 
 QueryResult EmptyResult(const BoundQuery& query) {
   QueryResult result;
@@ -953,144 +700,6 @@ QueryResult EmptyResult(const BoundQuery& query) {
     result.column_types.push_back(out.type);
   }
   return result;
-}
-
-/// Projection / weighted aggregation / DISTINCT / ORDER BY / LIMIT over a
-/// materialized T, appending to `result->rows`.
-Status ScalarTail(const BoundQuery& query, const BoundedPlan& plan,
-                  const BoundedExecutor::Fragment& fragment,
-                  QueryResult* result) {
-  if (Unsatisfiable(query, plan)) {
-    // Skip rebinding: there are no T columns. Global aggregates still
-    // produce their one empty-input row (COUNT(*) = 0).
-    if (query.HasAggregates() && query.group_by.empty()) {
-      Row agg_row;
-      for (const AggSpec& spec : query.aggregates) {
-        BEAS_ASSIGN_OR_RETURN(Value v,
-                              FinalizeWeighted(spec, WeightedAggState{}));
-        agg_row.push_back(std::move(v));
-      }
-      bool pass = true;
-      if (query.having) {
-        BEAS_ASSIGN_OR_RETURN(pass, EvalPredicate(*query.having, agg_row));
-      }
-      if (pass) {
-        Row out_row;
-        for (const OutputItem& out : query.outputs) {
-          out_row.push_back(agg_row[out.slot]);
-        }
-        result->rows.push_back(std::move(out_row));
-      }
-    }
-    return Status::OK();
-  }
-
-  // Global column index -> T position.
-  std::unordered_map<size_t, size_t> layout_pos;
-  for (size_t p = 0; p < fragment.layout.size(); ++p) {
-    layout_pos[query.GlobalIndex(fragment.layout[p])] = p;
-  }
-
-  if (query.HasAggregates()) {
-    // Weighted grouping over T.
-    std::vector<ExprPtr> groups;
-    for (const ExprPtr& g : query.group_by) {
-      ExprPtr rebound = RebindColumns(g, layout_pos);
-      if (!rebound) return Status::Internal("rebind failed for GROUP BY");
-      groups.push_back(std::move(rebound));
-    }
-    std::vector<AggSpec> aggs;
-    for (const AggSpec& spec : query.aggregates) {
-      AggSpec copy = spec;
-      if (copy.arg) {
-        copy.arg = RebindColumns(copy.arg, layout_pos);
-        if (!copy.arg) return Status::Internal("rebind failed for aggregate");
-      }
-      aggs.push_back(std::move(copy));
-    }
-
-    ValueVecGrouper grouper;
-    std::vector<std::vector<WeightedAggState>> group_states;
-    for (size_t r = 0; r < fragment.rows.size(); ++r) {
-      const Row& row = fragment.rows[r];
-      uint64_t weight = fragment.weights[r];
-      ValueVec key;
-      key.reserve(groups.size());
-      for (const ExprPtr& g : groups) {
-        BEAS_ASSIGN_OR_RETURN(Value v, Eval(*g, row));
-        key.push_back(std::move(v));
-      }
-      size_t gid = grouper.IdFor(std::move(key));
-      if (gid == group_states.size()) {
-        group_states.emplace_back(aggs.size());
-      }
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        Value v;
-        if (aggs[i].fn != AggFn::kCountStar) {
-          BEAS_ASSIGN_OR_RETURN(v, Eval(*aggs[i].arg, row));
-        }
-        BEAS_RETURN_NOT_OK(
-            AccumulateWeighted(aggs[i], v, weight, &group_states[gid][i]));
-      }
-    }
-    if (groups.empty() && grouper.size() == 0) {
-      grouper.IdFor(ValueVec{});
-      group_states.emplace_back(aggs.size());
-    }
-
-    for (size_t gid = 0; gid < grouper.size(); ++gid) {
-      const std::vector<WeightedAggState>& states = group_states[gid];
-      Row agg_row = grouper.key(gid);
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        BEAS_ASSIGN_OR_RETURN(Value v, FinalizeWeighted(aggs[i], states[i]));
-        agg_row.push_back(std::move(v));
-      }
-      if (query.having) {
-        BEAS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*query.having, agg_row));
-        if (!pass) continue;
-      }
-      Row out_row;
-      out_row.reserve(query.outputs.size());
-      size_t num_groups = groups.size();
-      for (const OutputItem& out : query.outputs) {
-        size_t pos = out.agg == AggFn::kNone ? out.slot : num_groups + out.slot;
-        out_row.push_back(agg_row[pos]);
-      }
-      result->rows.push_back(std::move(out_row));
-    }
-  } else {
-    // Scalar projection with bag expansion by weight.
-    std::vector<ExprPtr> outputs;
-    for (const OutputItem& out : query.outputs) {
-      ExprPtr rebound = RebindColumns(out.expr, layout_pos);
-      if (!rebound) return Status::Internal("rebind failed for output");
-      outputs.push_back(std::move(rebound));
-    }
-    for (size_t r = 0; r < fragment.rows.size(); ++r) {
-      Row out_row;
-      out_row.reserve(outputs.size());
-      for (const ExprPtr& e : outputs) {
-        BEAS_ASSIGN_OR_RETURN(Value v, Eval(*e, fragment.rows[r]));
-        out_row.push_back(std::move(v));
-      }
-      if (query.distinct) {
-        result->rows.push_back(std::move(out_row));
-      } else {
-        for (uint64_t w = 0; w < fragment.weights[r]; ++w) {
-          result->rows.push_back(out_row);
-        }
-      }
-    }
-    if (query.distinct) {
-      ValueVecGrouper seen;
-      for (Row& row : result->rows) seen.IdFor(std::move(row));
-      result->rows = std::move(seen).ReleaseKeys();
-    }
-  }
-
-  // ORDER BY over output positions, then LIMIT.
-  SortRowsAndLimit(query, &result->rows);
-  return Status::OK();
 }
 
 }  // namespace
@@ -1103,35 +712,31 @@ Result<QueryResult> BoundedExecutor::Execute(
                         ExecuteBatchFragment(query, plan, options));
   QueryResult result = EmptyResult(query);
   auto tail_start = std::chrono::steady_clock::now();
-  bool columnar = false;
-  if (!Unsatisfiable(query, plan)) {
-    std::vector<int64_t> slot_of_column(query.total_columns, -1);
+  std::vector<int64_t> slot_of_column(query.total_columns, -1);
+  if (plan.steps.empty() && !query.atoms.empty()) {
+    // Unsatisfiable plan: T is empty and has no layout. The tail runs over
+    // an empty batch with a slot per query column, which answers a global
+    // aggregate's one empty-input row (HAVING applied) and nothing else.
+    bf.batch = TupleBatch(query.total_columns);
+    for (size_t c = 0; c < query.total_columns; ++c) {
+      slot_of_column[c] = static_cast<int64_t>(c);
+    }
+  } else {
     for (size_t p = 0; p < bf.layout.size(); ++p) {
       slot_of_column[query.GlobalIndex(bf.layout[p])] =
           static_cast<int64_t>(p);
     }
-    // The tail never truncates — its input T is final and dropping tail
-    // work would make the reported η dishonest — but an expired query
-    // sheds the fan-out: it has no claim on workers other queries need.
-    TaskPool* tail_pool = bf.stats.timed_out ? nullptr : options.probe_pool;
-    BEAS_ASSIGN_OR_RETURN(columnar, RunColumnarTail(query, bf.batch,
-                                                    slot_of_column, tail_pool,
-                                                    &result));
   }
-  if (!columnar) {
-    // A tail expression did not compile (or the plan is unsatisfiable):
-    // materialize T for the scalar tail.
-    Fragment fragment;
-    fragment.layout = std::move(bf.layout);
-    fragment.rows = bf.batch.ToRows();
-    fragment.weights = std::move(bf.batch.weights());
-    BEAS_RETURN_NOT_OK(ScalarTail(query, plan, fragment, &result));
-  }
+  // The tail never truncates — its input T is final and dropping tail
+  // work would make the reported η dishonest — but an expired query
+  // sheds the fan-out: it has no claim on workers other queries need.
+  TaskPool* tail_pool = bf.stats.timed_out ? nullptr : options.probe_pool;
+  BEAS_RETURN_NOT_OK(
+      RunColumnarTail(query, bf.batch, slot_of_column, tail_pool, &result));
 
   if (options.collect_stats) {
     OperatorStats tail;
-    tail.label = columnar ? "RelationalTail(columnar group/sort/limit)"
-                          : "RelationalTail(project/aggregate/sort/limit)";
+    tail.label = "RelationalTail(columnar group/sort/limit)";
     tail.rows_out = result.rows.size();
     tail.self_millis = MillisSince(tail_start);
     tail.total_millis = tail.self_millis;
@@ -1145,18 +750,6 @@ Result<QueryResult> BoundedExecutor::Execute(
   result.tuples_accessed = bf.stats.tuples_fetched;
   result.millis = MillisSince(start);
   if (stats_out != nullptr) *stats_out = bf.stats;
-  return result;
-}
-
-Result<QueryResult> BoundedExecutor::ExecuteReference(
-    const BoundQuery& query, const BoundedPlan& plan,
-    const BoundedExecOptions& options, BoundedExecStats* stats_out) const {
-  BEAS_ASSIGN_OR_RETURN(Fragment fragment,
-                        ReferenceFragment(query, plan, options));
-  QueryResult result = EmptyResult(query);
-  BEAS_RETURN_NOT_OK(ScalarTail(query, plan, fragment, &result));
-  result.tuples_accessed = fragment.stats.tuples_fetched;
-  if (stats_out != nullptr) *stats_out = fragment.stats;
   return result;
 }
 

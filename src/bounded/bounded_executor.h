@@ -79,14 +79,8 @@ struct BoundedExecStats {
 /// AcIndex::LookupBatch (sharded across a TaskPool when large), joined by
 /// index-gather, filtered with compiled predicate programs, and
 /// deduplicated by precomputed row hashes; the relational tail then runs
-/// over the batch (bounded/columnar_tail.h). Only a tail expression
-/// ExprProgram cannot compile (or an unsatisfiable plan, whose T has no
-/// columns) sends the materialized T through the scalar tail.
-///
-/// The row-at-a-time fetch chain and the scalar tail also form a
-/// reference implementation (ExecuteReference / ReferenceFragment): a
-/// second evaluation of the same plan that differential tests hold the
-/// vectorized path bit-identical to. Nothing outside tests calls it.
+/// over the batch (bounded/columnar_tail.h). There is one tail: an
+/// unsatisfiable plan runs it too, over an empty batch.
 class BoundedExecutor {
  public:
   explicit BoundedExecutor(const AsCatalog* catalog) : catalog_(catalog) {}
@@ -111,21 +105,6 @@ class BoundedExecutor {
                                    const BoundedPlan& plan,
                                    const BoundedExecOptions& options = {}) const;
 
-  /// \name Reference implementation (differential tests only).
-  /// The same answers as Execute / ExecuteFragment — rows, row order,
-  /// weights, η and probe counters — from the row-at-a-time fetch chain
-  /// and the scalar tail. No diagnostics (plan text, per-step timings);
-  /// `options.compiled` and `options.probe_pool` are ignored.
-  /// @{
-  Result<QueryResult> ExecuteReference(
-      const BoundQuery& query, const BoundedPlan& plan,
-      const BoundedExecOptions& options = {},
-      BoundedExecStats* stats_out = nullptr) const;
-  Result<Fragment> ReferenceFragment(
-      const BoundQuery& query, const BoundedPlan& plan,
-      const BoundedExecOptions& options = {}) const;
-  /// @}
-
  private:
   /// The vectorized fetch chain's product before any materialization: T
   /// as a columnar batch (string columns still dictionary-encoded). The
@@ -137,15 +116,11 @@ class BoundedExecutor {
     BoundedExecStats stats;
   };
 
-  /// Vectorized chain with compile-on-the-fly when `options.compiled` is
+  /// The fetch chain, with compile-on-the-fly when `options.compiled` is
   /// absent or stale.
   Result<BatchFragment> ExecuteBatchFragment(
       const BoundQuery& query, const BoundedPlan& plan,
       const BoundedExecOptions& options) const;
-
-  Result<BatchFragment> ExecuteFragmentVectorized(
-      const BoundQuery& query, const BoundedPlan& plan,
-      const CompiledPlan& compiled, const BoundedExecOptions& options) const;
 
   const AsCatalog* catalog_;
 };

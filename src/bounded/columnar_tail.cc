@@ -1,6 +1,7 @@
 #include "bounded/columnar_tail.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <optional>
 
@@ -45,29 +46,33 @@ struct TailColumn {
   }
 };
 
-/// Resolves `expr` against the batch layout. False = not soundly
-/// compilable; the caller falls back to the scalar tail.
-bool ResolveTailColumn(const Expression& expr, const TupleBatch& t,
-                       const std::vector<int64_t>& slots, TailColumn* out) {
-  if (expr.kind == ExprKind::kColumnRef) {
-    if (expr.column_index >= slots.size() || slots[expr.column_index] < 0) {
-      return false;
-    }
+/// Resolves `expr` against the batch layout. Every bound tail expression
+/// resolves: a covered plan's T holds every column its tail reads, and
+/// the binder refuses every expression ExprProgram does not compile. The
+/// error return keeps a broken invariant from becoming undefined
+/// behaviour in builds without asserts.
+Status ResolveTailColumn(const Expression& expr, const TupleBatch& t,
+                         const std::vector<int64_t>& slots, TailColumn* out) {
+  if (expr.kind == ExprKind::kColumnRef && expr.column_index < slots.size() &&
+      slots[expr.column_index] >= 0) {
     out->slot = slots[expr.column_index];
-    return true;
+    return Status::OK();
   }
   std::optional<ExprProgram> prog = ExprProgram::Compile(expr, slots);
-  if (!prog.has_value()) return false;
-  Result<std::vector<Value>> lits = prog->BindLiterals(expr);
-  if (!lits.ok()) return false;
+  assert(prog.has_value());
+  if (!prog.has_value()) {
+    return Status::Internal("tail expression does not compile: " +
+                            expr.ToString());
+  }
+  BEAS_ASSIGN_OR_RETURN(std::vector<Value> lits, prog->BindLiterals(expr));
   out->slot = -1;
   out->owned.values.reserve(t.num_rows());
   std::vector<Value> stack;
   for (size_t r = 0; r < t.num_rows(); ++r) {
     out->owned.values.push_back(
-        prog->EvalRow(t.columns().data(), r, *lits, &stack));
+        prog->EvalRow(t.columns().data(), r, lits, &stack));
   }
-  return true;
+  return Status::OK();
 }
 
 /// Key-row hash over the key columns: encoded columns hash the raw code
@@ -179,27 +184,24 @@ struct ChunkFold {
   Status status;
 };
 
-Result<bool> RunAggregateTail(const BoundQuery& query, const TupleBatch& t,
-                              const std::vector<int64_t>& slots,
-                              TaskPool* pool, QueryResult* result) {
+Status RunAggregateTail(const BoundQuery& query, const TupleBatch& t,
+                        const std::vector<int64_t>& slots, TaskPool* pool,
+                        QueryResult* result) {
   size_t num_rows = t.num_rows();
   const std::vector<uint64_t>& weights = t.weights();
   size_t num_aggs = query.aggregates.size();
 
   std::vector<TailColumn> group_cols(query.group_by.size());
   for (size_t g = 0; g < query.group_by.size(); ++g) {
-    if (!ResolveTailColumn(*query.group_by[g], t, slots, &group_cols[g])) {
-      return false;
-    }
+    BEAS_RETURN_NOT_OK(
+        ResolveTailColumn(*query.group_by[g], t, slots, &group_cols[g]));
   }
   std::vector<TailColumn> agg_cols(num_aggs);
   std::vector<const BatchColumn*> agg_ptrs(num_aggs, nullptr);
   for (size_t i = 0; i < num_aggs; ++i) {
     if (query.aggregates[i].fn == AggFn::kCountStar) continue;
-    if (query.aggregates[i].arg == nullptr) return false;
-    if (!ResolveTailColumn(*query.aggregates[i].arg, t, slots, &agg_cols[i])) {
-      return false;
-    }
+    BEAS_RETURN_NOT_OK(
+        ResolveTailColumn(*query.aggregates[i].arg, t, slots, &agg_cols[i]));
     agg_ptrs[i] = &agg_cols[i].of(t);
   }
   std::vector<const BatchColumn*> key_ptrs;
@@ -299,12 +301,12 @@ Result<bool> RunAggregateTail(const BoundQuery& query, const TupleBatch& t,
     result->rows.push_back(std::move(out_row));
   }
   SortRowsAndLimit(query, &result->rows);
-  return true;
+  return Status::OK();
 }
 
-Result<bool> RunProjectionTail(const BoundQuery& query, const TupleBatch& t,
-                               const std::vector<int64_t>& slots,
-                               QueryResult* result) {
+Status RunProjectionTail(const BoundQuery& query, const TupleBatch& t,
+                         const std::vector<int64_t>& slots,
+                         QueryResult* result) {
   size_t num_rows = t.num_rows();
   const std::vector<uint64_t>& weights = t.weights();
 
@@ -312,10 +314,8 @@ Result<bool> RunProjectionTail(const BoundQuery& query, const TupleBatch& t,
   std::vector<const BatchColumn*> out_ptrs;
   out_ptrs.reserve(query.outputs.size());
   for (size_t i = 0; i < query.outputs.size(); ++i) {
-    if (query.outputs[i].expr == nullptr ||
-        !ResolveTailColumn(*query.outputs[i].expr, t, slots, &out_cols[i])) {
-      return false;
-    }
+    BEAS_RETURN_NOT_OK(
+        ResolveTailColumn(*query.outputs[i].expr, t, slots, &out_cols[i]));
     out_ptrs.push_back(&out_cols[i].of(t));
   }
 
@@ -337,7 +337,7 @@ Result<bool> RunProjectionTail(const BoundQuery& query, const TupleBatch& t,
       result->rows.push_back(materialize(grouper.first_row(g)));
     }
     SortRowsAndLimit(query, &result->rows);
-    return true;
+    return Status::OK();
   }
 
   // Bag expansion by weight, as row indices — rows materialize only after
@@ -371,7 +371,7 @@ Result<bool> RunProjectionTail(const BoundQuery& query, const TupleBatch& t,
   }
   result->rows.reserve(take);
   for (size_t i = 0; i < take; ++i) result->rows.push_back(materialize(idx[i]));
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
@@ -394,17 +394,15 @@ void SortRowsAndLimit(const BoundQuery& query, std::vector<Row>* rows) {
   }
 }
 
-Result<bool> RunColumnarTail(const BoundQuery& query, const TupleBatch& t,
-                             const std::vector<int64_t>& slot_of_column,
-                             TaskPool* pool, QueryResult* result) {
-  Result<bool> handled =
+Status RunColumnarTail(const BoundQuery& query, const TupleBatch& t,
+                       const std::vector<int64_t>& slot_of_column,
+                       TaskPool* pool, QueryResult* result) {
+  BEAS_RETURN_NOT_OK(
       query.HasAggregates()
           ? RunAggregateTail(query, t, slot_of_column, pool, result)
-          : RunProjectionTail(query, t, slot_of_column, result);
-  if (handled.ok() && *handled) {
-    TailBatchesTotal().fetch_add(1, std::memory_order_relaxed);
-  }
-  return handled;
+          : RunProjectionTail(query, t, slot_of_column, result));
+  TailBatchesTotal().fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 }  // namespace beas

@@ -16,8 +16,7 @@ class TaskPool;
 
 /// \name Tail telemetry (process-wide, queryable via beas_stats).
 /// @{
-/// Batches the columnar tail consumed (one per bounded execution whose
-/// tail ran columnar end to end).
+/// Batches the columnar tail consumed (one per bounded execution).
 std::atomic<uint64_t>& TailBatchesTotal();
 /// Rows fed through the code-aware grouper (GROUP BY keys + DISTINCT
 /// dedup), the unit of work the columnar tail saves a Row materialization
@@ -27,10 +26,9 @@ std::atomic<uint64_t>& TailRowsGrouped();
 
 /// \brief ORDER BY over output positions (stable, Value::Compare — which
 /// fast-paths to code comparisons on sorted dictionaries), then LIMIT.
-/// The one definition both tails share: the scalar reference tail sorts
-/// its materialized rows with exactly the comparator the columnar tail
-/// uses for its grouped/DISTINCT outputs, so the bit-identical-tails
-/// invariant cannot be broken by fixing ordering semantics in one place.
+/// The columnar tail sorts its grouped/DISTINCT outputs with it, and the
+/// test-only reference tail sorts its rows with it, so ordering semantics
+/// cannot drift between the two.
 void SortRowsAndLimit(const BoundQuery& query, std::vector<Row>* rows);
 
 /// \brief Runs a bounded query's relational tail — projection, weighted
@@ -57,15 +55,14 @@ void SortRowsAndLimit(const BoundQuery& query, std::vector<Row>* rows);
 ///    materialize.
 ///
 /// `slot_of_column` maps every global column index of `query` to its T
-/// slot (-1 = not produced). Returns false — with `result` untouched —
-/// when some tail expression is not soundly compilable against the batch
-/// layout; the caller then falls back to the scalar row-at-a-time tail,
-/// which remains the differential reference. On true, `result->rows` is
-/// complete (including ORDER BY and LIMIT) and bit-identical to the
-/// scalar tail's output, weights and all.
-Result<bool> RunColumnarTail(const BoundQuery& query, const TupleBatch& t,
-                             const std::vector<int64_t>& slot_of_column,
-                             TaskPool* pool, QueryResult* result);
+/// slot (-1 = not produced). Every bound tail compiles against the layout
+/// of the plan that produced `t` (asserted; an Internal error without
+/// asserts). On success `result->rows` is complete, including ORDER BY
+/// and LIMIT, and bit-identical to the row-at-a-time reference tail's
+/// output.
+Status RunColumnarTail(const BoundQuery& query, const TupleBatch& t,
+                       const std::vector<int64_t>& slot_of_column,
+                       TaskPool* pool, QueryResult* result);
 
 }  // namespace beas
 

@@ -49,12 +49,6 @@ class Result {
   T* operator->() { return &ValueOrDie(); }
   const T* operator->() const { return &ValueOrDie(); }
 
-  /// Moves the value out; requires ok().
-  T TakeValue() {
-    assert(ok());
-    return std::move(*value_);
-  }
-
  private:
   Status status_;
   std::optional<T> value_;

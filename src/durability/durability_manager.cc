@@ -283,12 +283,6 @@ Status DurabilityManager::CheckQuarantine(const std::string& table,
       "writes refused (reads still serve)");
 }
 
-bool DurabilityManager::IsShardQuarantined(const std::string& table,
-                                           size_t shard) const {
-  std::lock_guard<std::mutex> lk(quarantine_mutex_);
-  return quarantined_.count({ToLower(table), shard}) != 0;
-}
-
 // ---------------------------------------------------------------------------
 // Commit gate.
 // ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ struct DurabilityOptions {
 
   /// The I/O environment all durability reads and writes go through.
   /// nullptr selects Env::Default() (the posix filesystem); tests inject
-  /// a FaultInjectingEnv to model power cuts and bit rot.
+  /// a fault-injecting Env to model power cuts and bit rot.
   Env* env = nullptr;
 };
 
@@ -243,9 +243,6 @@ class DurabilityManager {
   /// Scrub under the caller's gate + structural lock (the maintenance
   /// scrub hook's calling convention).
   Status ScrubLocked(ScrubReport* report = nullptr);
-
-  /// True if scrub quarantined heap shard `shard` of `table`.
-  bool IsShardQuarantined(const std::string& table, size_t shard) const;
 
   DurabilityCounters counters() const;
 

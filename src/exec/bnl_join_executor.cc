@@ -99,9 +99,4 @@ std::string BnlJoinExecutor::Label() const {
          ", passes=" + std::to_string(num_inner_passes_) + ")";
 }
 
-OperatorStats BnlJoinExecutor::InnerStats() const {
-  if (inner_) return inner_->CollectStats();
-  return OperatorStats{};
-}
-
 }  // namespace beas

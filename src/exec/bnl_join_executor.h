@@ -33,10 +33,6 @@ class BnlJoinExecutor : public Executor {
   /// Number of inner-plan executions so far (rescans; for tests/benches).
   size_t num_inner_passes() const { return num_inner_passes_; }
 
-  /// Statistics must include the dynamically created inner executors;
-  /// the last inner executor's stats are folded into tuples_accessed_
-  /// as passes complete.
-  OperatorStats InnerStats() const;
 
  private:
   Status FillBuffer();

@@ -18,8 +18,6 @@ class ExecContext {
  public:
   uint64_t base_tuples_read = 0;
   bool collect_timing = true;
-
-  void Reset() { base_tuples_read = 0; }
 };
 
 /// \brief Per-operator statistics snapshot for performance analysis

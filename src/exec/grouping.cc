@@ -31,15 +31,6 @@ size_t ValueVecGrouper::IdFor(ValueVec&& key) {
   }
 }
 
-std::vector<ValueVec> ValueVecGrouper::ReleaseKeys() && {
-  std::vector<ValueVec> out = std::move(keys_);
-  keys_.clear();
-  key_hashes_.clear();
-  slots_.assign(16, kEmptySlot);
-  mask_ = 15;
-  return out;
-}
-
 void ValueVecGrouper::Grow() {
   size_t capacity = slots_.size() * 2;
   mask_ = capacity - 1;
@@ -70,8 +61,13 @@ Status AccumulateWeighted(const AggSpec& spec, const Value& v, uint64_t weight,
     case AggFn::kSum:
     case AggFn::kAvg:
       state->count += weight;
-      state->sum_i += static_cast<int64_t>(weight) *
-                      (v.type() == TypeId::kDouble ? 0 : v.AsInt64());
+      if (v.type() != TypeId::kDouble) {
+        __int128 term = 0;
+        state->sum_overflow |=
+            __builtin_mul_overflow(static_cast<__int128>(weight),
+                                   static_cast<__int128>(v.AsInt64()), &term) ||
+            __builtin_add_overflow(state->sum_i, term, &state->sum_i);
+      }
       state->sum_d += static_cast<double>(weight) * v.AsDouble();
       break;
     case AggFn::kMin:
@@ -96,8 +92,15 @@ Result<Value> FinalizeWeighted(const AggSpec& spec,
       return Value::Int64(static_cast<int64_t>(state.count));
     case AggFn::kSum:
       if (state.count == 0) return Value::Null();
-      return spec.result_type == TypeId::kDouble ? Value::Double(state.sum_d)
-                                                 : Value::Int64(state.sum_i);
+      if (spec.result_type == TypeId::kDouble) {
+        return Value::Double(state.sum_d);
+      }
+      if (state.sum_overflow ||
+          state.sum_i < std::numeric_limits<int64_t>::min() ||
+          state.sum_i > std::numeric_limits<int64_t>::max()) {
+        return Value::Null();
+      }
+      return Value::Int64(static_cast<int64_t>(state.sum_i));
     case AggFn::kAvg:
       if (state.count == 0) return Value::Null();
       return Value::Double(state.sum_d / static_cast<double>(state.count));
@@ -131,7 +134,9 @@ Status MergeWeightedAggState(const AggSpec& spec, WeightedAggState&& src,
     case AggFn::kSum:
     case AggFn::kAvg:
       dst->count += src.count;
-      dst->sum_i += src.sum_i;
+      dst->sum_overflow |= src.sum_overflow ||
+                           __builtin_add_overflow(dst->sum_i, src.sum_i,
+                                                  &dst->sum_i);
       dst->sum_d += src.sum_d;
       break;
     case AggFn::kMin:

@@ -13,10 +13,8 @@ namespace beas {
 
 /// \brief Incremental group index over ValueVec keys: assigns dense group
 /// ids in first-appearance order using 64-bit hashes and open addressing.
-/// Replaces unordered_map<ValueVec, ...> in every grouping tail — the
-/// conventional AggregateExecutor, the bounded executor's scalar
-/// reference tail, and DISTINCT projections (one hash per key, no rehash
-/// on growth collisions, keys moved not copied).
+/// The conventional AggregateExecutor groups with it (one hash per key, no
+/// rehash on growth collisions, keys moved not copied).
 class ValueVecGrouper {
  public:
   ValueVecGrouper();
@@ -28,9 +26,6 @@ class ValueVecGrouper {
   size_t size() const { return keys_.size(); }
   const std::vector<ValueVec>& keys() const { return keys_; }
   const ValueVec& key(size_t id) const { return keys_[id]; }
-
-  /// Moves the keys out (first-appearance order); the grouper is reset.
-  std::vector<ValueVec> ReleaseKeys() &&;
 
  private:
   void Grow();
@@ -57,7 +52,12 @@ struct ValueEqFn {
 /// what keeps COUNT/SUM/AVG exact over deduplicated partial tuples.
 struct WeightedAggState {
   uint64_t count = 0;
-  int64_t sum_i = 0;
+  /// Exact integer SUM: 128 bits hold any realistic Σ weight·v, so serial
+  /// and chunk-parallel folds agree and only FinalizeWeighted decides
+  /// whether the total fits in INT64 (NULL when not, like row-level `+`).
+  /// `sum_overflow` latches the one case 128 bits cannot hold.
+  __int128 sum_i = 0;
+  bool sum_overflow = false;
   double sum_d = 0;
   Value min_max;
   bool has_value = false;

@@ -185,6 +185,45 @@ TEST_F(BinderTest, HavingNonGroupedColumnRejected) {
       << "HAVING requires aggregation";
 }
 
+// HAVING operators bind through the same checked code as WHERE and SELECT:
+// an ill-typed operand fails at bind, for every database, instead of at
+// run time once some group exists.
+TEST_F(BinderTest, HavingOperatorsAreTypeChecked) {
+  for (const char* sql : {
+           "SELECT call.region FROM call GROUP BY call.region "
+           "HAVING call.region + 1 > 2",
+           "SELECT call.region FROM call GROUP BY call.region "
+           "HAVING -call.region = 'a'",
+           "SELECT call.region FROM call GROUP BY call.region "
+           "HAVING count(*) = call.region",
+           "SELECT call.region FROM call GROUP BY call.region "
+           "HAVING count(*) BETWEEN 'a' AND 'b'",
+       }) {
+    EXPECT_EQ(BindError(sql).code(), StatusCode::kBindError) << sql;
+  }
+}
+
+// ...and coerce literals the same way: a date string compared with a DATE
+// aggregate is a DATE, as it is in WHERE.
+TEST_F(BinderTest, HavingCoercesDateLiterals) {
+  using testing_util::Dt;
+  for (Row row : std::vector<Row>{{I(1), I(10), Dt("2016-02-20"), S("R1")},
+                                  {I(2), I(11), Dt("2016-03-05"), S("R1")},
+                                  {I(3), I(12), Dt("2016-02-27"), S("R2")},
+                                  {I(4), I(13), Dt("2016-03-01"), S("R3")}}) {
+    ASSERT_TRUE(db_.Insert("call", std::move(row)).ok());
+  }
+  const char* sql =
+      "SELECT call.region, count(*) FROM call GROUP BY call.region "
+      "HAVING max(call.date) >= '2016-03-01' ORDER BY 1";
+  BoundQuery q = MustBind(sql);
+  ASSERT_NE(q.having, nullptr);
+  EXPECT_EQ(q.having->children[1]->literal.type(), TypeId::kDate);
+  auto result = db_.Query(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows, (std::vector<Row>{{S("R1"), I(2)}, {S("R3"), I(1)}}));
+}
+
 TEST_F(BinderTest, ModuloOfDoubleRejectedAtBind) {
   // `%` is integer-only; a DOUBLE operand fails here for every row, not at
   // run time for whichever rows the data happens to produce.

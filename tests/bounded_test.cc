@@ -6,6 +6,7 @@
 #include "bounded/be_checker.h"
 #include "bounded/bounded_executor.h"
 #include "bounded/plan_generator.h"
+#include "support/reference_executor.h"
 #include "test_util.h"
 
 namespace beas {
@@ -213,6 +214,10 @@ TEST_F(BoundedTest, SearchPicksMinimumBoundOrder) {
   EXPECT_EQ(c.plan.steps[2].constraint.table, "call");
 }
 
+// An unsatisfiable plan has no fetch steps, so its tail runs over an empty
+// T: global aggregates still answer their one empty-input row (HAVING
+// applied), everything else answers nothing — as in the conventional
+// engine.
 TEST_F(BoundedTest, UnsatisfiableQueryIsCoveredWithEmptyPlan) {
   CoverageResult c = MustCheck(
       "SELECT call.recnum FROM call WHERE call.pnum = 1 AND call.pnum = 2 "
@@ -220,12 +225,34 @@ TEST_F(BoundedTest, UnsatisfiableQueryIsCoveredWithEmptyPlan) {
   EXPECT_TRUE(c.covered);
   EXPECT_TRUE(c.unsatisfiable);
   EXPECT_EQ(c.plan.total_access_bound, 0u);
-  // Executing it returns an empty answer.
-  auto r = session_->ExecuteBounded(
-      "SELECT call.recnum FROM call WHERE call.pnum = 1 AND call.pnum = 2 "
-      "AND call.date = '2016-03-15'");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->rows.empty());
+  const std::string never = " WHERE call.pnum = 1 AND call.pnum = 2";
+  const std::string queries[] = {
+      "SELECT call.recnum FROM call" + never + " AND call.date = '2016-03-15'",
+      "SELECT count(*), sum(call.recnum), avg(call.recnum), "
+      "min(call.region), max(call.date) FROM call" + never,
+      "SELECT count(*) FROM call" + never + " HAVING count(*) = 0",
+      "SELECT count(*) FROM call" + never + " HAVING count(*) > 0",
+      "SELECT sum(call.recnum), count(DISTINCT call.region) FROM call" +
+          never + " HAVING count(*) = 0 OR sum(call.recnum) > 0",
+      "SELECT call.region, count(*) FROM call" + never +
+          " GROUP BY call.region",
+      "SELECT DISTINCT call.region FROM call" + never +
+          " ORDER BY call.region LIMIT 2",
+      "SELECT call.recnum + 1, call.date FROM call" + never +
+          " ORDER BY call.date DESC LIMIT 1",
+      "SELECT count(*), sum(package.pid) FROM call, package" + never +
+          " AND package.pnum = call.pnum AND package.year = 2016",
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    ASSERT_TRUE(MustCheck(sql).unsatisfiable);
+    auto bounded = session_->ExecuteBounded(sql);
+    ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+    auto conventional = db_.Query(sql);
+    ASSERT_TRUE(conventional.ok()) << conventional.status().ToString();
+    EXPECT_EQ(bounded->column_types, conventional->column_types);
+    EXPECT_EQ(bounded->rows, conventional->rows);
+  }
 }
 
 TEST_F(BoundedTest, BudgetCheckWithoutExecution) {
@@ -476,8 +503,9 @@ TEST_F(BoundedTest, BudgetExhaustionServesZeroKeysMidChain) {
     SCOPED_TRACE(reference ? "reference" : "vectorized");
     auto run = [&](const BoundedExecOptions& options,
                    BoundedExecStats* stats) {
-      return reference ? executor.ExecuteReference(q, cov.plan, options, stats)
-                       : executor.Execute(q, cov.plan, options, stats);
+      return reference
+                 ? ExecuteReference(*catalog_, q, cov.plan, options, stats)
+                 : executor.Execute(q, cov.plan, options, stats);
     };
     BoundedExecOptions options;
     options.fetch_budget = 3;  // exactly consumed by step 1

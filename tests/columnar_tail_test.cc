@@ -1,9 +1,9 @@
 // Columnar relational tail: differential coverage against the reference
 // path's scalar tail on large batches (including the chunk-parallel
 // fold), the zero-decode ORDER BY pin on sorted dictionaries, the tail
-// telemetry counters, the scalar-tail fallback for tails that do not
-// compile, and answer stability across an order-preserving dictionary
-// rebuild mid-workload.
+// telemetry counters, exact integer SUM, binder refusal of tails that
+// would not compile, and answer stability across an order-preserving
+// dictionary rebuild mid-workload.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "common/hash.h"
 #include "common/task_pool.h"
 #include "maintenance/maintenance.h"
+#include "support/reference_executor.h"
 #include "test_util.h"
 
 namespace beas {
@@ -134,7 +135,7 @@ TEST(ColumnarTailTest, BitIdenticalToScalarTailAcrossFoldModes) {
       BoundedExecOptions ref_opts;
       ref_opts.fetch_budget = budget;
       auto reference =
-          executor.ExecuteReference(*bound, coverage->plan, ref_opts);
+          ExecuteReference(*env.catalog, *bound, coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
       // Columnar tail, serial and pool-parallel fold.
@@ -245,7 +246,7 @@ TEST(ColumnarTailTest, AnswersIdenticalBeforeAndAfterDictRebuild) {
     auto result = executor.Execute(*bound, coverage->plan);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Render(*result), snapshots[q]);
-    auto reference = executor.ExecuteReference(*bound, coverage->plan);
+    auto reference = ExecuteReference(*env.catalog, *bound, coverage->plan);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(Render(*reference), snapshots[q]);
   }
@@ -270,6 +271,62 @@ TEST(ColumnarTailTest, TelemetryCountersAdvance) {
   EXPECT_EQ(TailBatchesTotal().load(), batches + 1);
   EXPECT_GE(TailRowsGrouped().load(), grouped + 4800)
       << "every T row is grouped without materialization";
+}
+
+// Integer SUM is exact: the total decides, not the partial sums. A total
+// outside INT64 answers NULL (the rule of row-level `+`); partial sums that
+// overflow on the way to a total that fits do not change it. Serial and
+// chunk-parallel folds (4800 rows) and the conventional engine agree.
+TEST(ColumnarTailTest, IntegerSumIsExactAndNullOutsideInt64) {
+  const int64_t big = 5000000000000000000;  // 5e18; two of them overflow
+  Database db;
+  ASSERT_TRUE(db.CreateTable("s", Schema({{"g", TypeId::kInt64},
+                                          {"id", TypeId::kInt64},
+                                          {"v", TypeId::kInt64}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 4800; ++i) {
+    rows.push_back({I(1), I(i), I(i < 2400 ? big : -big)});  // Σ = 0
+    if (i < 3) rows.push_back({I(2), I(i), I(big)});         // Σ = 1.5e19
+  }
+  for (int i = 0; i < 3; ++i) rows.push_back({I(3), I(0), I(big)});  // w = 3
+  rows.push_back({I(4), I(0), I(big)});
+  rows.push_back({I(4), I(1), I(big)});
+  rows.push_back({I(4), I(2), I(-big)});  // Σ = 5e18 via a 1e19 prefix
+  ASSERT_TRUE(db.InsertBatch("s", std::move(rows)).ok());
+  AsCatalog catalog(&db);
+  ASSERT_TRUE(catalog.Register({"sg", "s", {"g"}, {"id", "v"}, 4800}).ok());
+  BeasSession session(&db, &catalog);
+  BoundedExecutor executor(&catalog);
+  TaskPool pool(3);
+
+  const std::pair<int64_t, Value> cases[] = {
+      {1, I(0)},
+      {2, Value::Null()},
+      {3, Value::Null()},
+      {4, I(big)},
+  };
+  for (const auto& [g, expect] : cases) {
+    std::string sql = "SELECT count(*), sum(s.v) FROM s WHERE s.g = " +
+                      std::to_string(g);
+    SCOPED_TRACE(sql);
+    auto coverage = session.Check(sql);
+    ASSERT_TRUE(coverage.ok()) << coverage.status().ToString();
+    ASSERT_TRUE(coverage->covered) << coverage->reason;
+    auto bound = db.Bind(sql);
+    ASSERT_TRUE(bound.ok());
+    auto conventional = db.Query(sql);
+    ASSERT_TRUE(conventional.ok()) << conventional.status().ToString();
+    ASSERT_EQ(conventional->rows.size(), 1u);
+    EXPECT_EQ(conventional->rows[0][1], expect);
+    for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
+      BoundedExecOptions opts;
+      opts.probe_pool = p;
+      auto got = executor.Execute(*bound, coverage->plan, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->rows, conventional->rows);
+    }
+  }
 }
 
 // `%` with a DOUBLE operand was the one tail expression ExprProgram does

@@ -11,12 +11,12 @@
 #include "common/exec_control.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
-#include "common/test_env.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
+#include "support/test_env.h"
 
 namespace beas {
 namespace {

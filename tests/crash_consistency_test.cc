@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/test_env.h"
 #include "service/beas_service.h"
+#include "support/test_env.h"
 #include "test_util.h"
 
 namespace beas {

@@ -21,12 +21,12 @@
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "common/shard_config.h"
-#include "common/test_env.h"
 #include "durability/durability_manager.h"
 #include "durability/segment.h"
 #include "durability/serde.h"
 #include "durability/wal.h"
 #include "service/beas_service.h"
+#include "support/test_env.h"
 #include "test_util.h"
 
 namespace beas {

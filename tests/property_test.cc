@@ -30,6 +30,7 @@
 #include "discovery/profiler.h"
 #include "maintenance/maintenance.h"
 #include "service/beas_service.h"
+#include "support/reference_executor.h"
 #include "test_util.h"
 
 namespace beas {
@@ -287,12 +288,13 @@ void ExpectFragmentsIdentical(const BoundedExecutor::Fragment& s,
 
 /// The fetch chain on the reference path or on the vectorized one.
 Result<BoundedExecutor::Fragment> FragmentOn(bool reference,
-                                             const BoundedExecutor& executor,
+                                             const AsCatalog& catalog,
                                              const BoundQuery& query,
                                              const BoundedPlan& plan,
                                              const BoundedExecOptions& opts) {
-  return reference ? executor.ReferenceFragment(query, plan, opts)
-                   : executor.ExecuteFragment(query, plan, opts);
+  return reference ? ReferenceFragment(catalog, query, plan, opts)
+                   : BoundedExecutor(&catalog).ExecuteFragment(query, plan,
+                                                               opts);
 }
 
 class VectorizedScalarDifferential : public ::testing::TestWithParam<uint64_t> {
@@ -316,13 +318,15 @@ TEST_P(VectorizedScalarDifferential, PathsAgreeBitForBit) {
       BoundedExecOptions opts;
       opts.fetch_budget = budget;
 
-      auto frag_s = executor.ReferenceFragment(*bound, coverage->plan, opts);
+      auto frag_s =
+          ReferenceFragment(*env.catalog, *bound, coverage->plan, opts);
       auto frag_v = executor.ExecuteFragment(*bound, coverage->plan, opts);
       ASSERT_TRUE(frag_s.ok()) << frag_s.status().ToString();
       ASSERT_TRUE(frag_v.ok()) << frag_v.status().ToString();
       ExpectFragmentsIdentical(*frag_s, *frag_v);
 
-      auto res_s = executor.ExecuteReference(*bound, coverage->plan, opts);
+      auto res_s =
+          ExecuteReference(*env.catalog, *bound, coverage->plan, opts);
       auto res_v = executor.Execute(*bound, coverage->plan, opts);
       ASSERT_TRUE(res_s.ok());
       ASSERT_TRUE(res_v.ok());
@@ -539,7 +543,8 @@ TEST_P(StringChainDifferential, EncodedAndScalarPathsAgreeBitForBit) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
       BoundedExecOptions opts;
       opts.fetch_budget = budget;
-      auto frag_s = executor.ReferenceFragment(*bound, coverage->plan, opts);
+      auto frag_s =
+          ReferenceFragment(*env.catalog, *bound, coverage->plan, opts);
       auto frag_v = executor.ExecuteFragment(*bound, coverage->plan, opts);
       ASSERT_TRUE(frag_s.ok()) << frag_s.status().ToString();
       ASSERT_TRUE(frag_v.ok()) << frag_v.status().ToString();
@@ -583,8 +588,6 @@ TEST_P(ShardCountDifferential, ShardingIsInvisibleBitForBit) {
                   ->num_shards(),
               shards);
   }
-  std::vector<BoundedExecutor> executors;
-  for (RandomDb& env : envs) executors.emplace_back(env.catalog.get());
   TaskPool pool(3);
 
   Rng qrng(GetParam() * 52379 + 17);
@@ -604,8 +607,8 @@ TEST_P(ShardCountDifferential, ShardingIsInvisibleBitForBit) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
       BoundedExecOptions ref_opts;
       ref_opts.fetch_budget = budget;
-      auto reference = executors[0].ReferenceFragment(
-          *ref_bound, ref_coverage->plan, ref_opts);
+      auto reference = ReferenceFragment(
+          *envs[0].catalog, *ref_bound, ref_coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
       for (size_t e = 0; e < envs.size(); ++e) {
@@ -625,7 +628,7 @@ TEST_P(ShardCountDifferential, ShardingIsInvisibleBitForBit) {
             BoundedExecOptions opts;
             opts.fetch_budget = budget;
             opts.probe_pool = p;
-            auto frag = FragmentOn(reference_path, executors[e], *bound,
+            auto frag = FragmentOn(reference_path, *envs[e].catalog, *bound,
                                    coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             ExpectFragmentsIdentical(*reference, *frag);
@@ -726,7 +729,7 @@ TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShardsAndRebuilds) {
         BoundedExecOptions ref_opts;
         ref_opts.fetch_budget = budget;
         auto reference =
-            executor.ExecuteReference(*bound, coverage->plan, ref_opts);
+            ExecuteReference(*env.catalog, *bound, coverage->plan, ref_opts);
         ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
         for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
@@ -809,8 +812,6 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
           << registered.ToString();
     }
   }
-  std::vector<BoundedExecutor> executors;
-  for (RandomDb& env : envs) executors.emplace_back(env.catalog.get());
   TaskPool pool(3);
   std::atomic<bool> cancelled{true};
 
@@ -847,7 +848,7 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
     // answer's η sits under, and the answer the executor must return again
     // once the pressure is gone.
     auto exact =
-        executors[0].ReferenceFragment(*ref_bound, ref_coverage->plan);
+        ReferenceFragment(*envs[0].catalog, *ref_bound, ref_coverage->plan);
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
     ASSERT_FALSE(exact->stats.timed_out);
 
@@ -857,8 +858,8 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
       BoundedExecOptions ref_opts;
       ref_opts.fetch_budget = budget;
       ref_opts.control.cancel = &cancelled;
-      auto reference = executors[0].ReferenceFragment(
-          *ref_bound, ref_coverage->plan, ref_opts);
+      auto reference = ReferenceFragment(
+          *envs[0].catalog, *ref_bound, ref_coverage->plan, ref_opts);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       // The token trips the first expiry poll — but a chain that never
       // reaches a probe key (unsatisfiable plans) has nothing to shed and
@@ -888,7 +889,7 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
             opts.fetch_budget = budget;
             opts.probe_pool = p;
             opts.control.cancel = &cancelled;
-            auto frag = FragmentOn(reference_path, executors[e], *bound,
+            auto frag = FragmentOn(reference_path, *envs[e].catalog, *bound,
                                    coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             ExpectFragmentsIdentical(*reference, *frag);
@@ -897,7 +898,7 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
             // cancel token: both trip the very first expiry poll.
             BoundedExecOptions dead_opts = opts;
             dead_opts.control = ExecControl::After(std::chrono::milliseconds(0));
-            auto dead = FragmentOn(reference_path, executors[e], *bound,
+            auto dead = FragmentOn(reference_path, *envs[e].catalog, *bound,
                                    coverage->plan, dead_opts);
             ASSERT_TRUE(dead.ok()) << dead.status().ToString();
             ExpectFragmentsIdentical(*reference, *dead);
@@ -931,7 +932,7 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
             BoundedExecOptions opts;
             opts.control =
                 ExecControl::After(std::chrono::milliseconds(deadline_ms));
-            auto frag = FragmentOn(reference_path, executors[e], *bound,
+            auto frag = FragmentOn(reference_path, *envs[e].catalog, *bound,
                                    coverage->plan, opts);
             ASSERT_TRUE(frag.ok()) << frag.status().ToString();
             EXPECT_GE(frag->stats.eta, prev_eta)
@@ -948,8 +949,8 @@ TEST_P(DeadlineCancelDifferential, ExpiryIsBudgetExhaustionBitForBit) {
     }
 
     // Fault disarmed: the executor is unharmed and exact again.
-    auto after =
-        executors[0].ExecuteFragment(*ref_bound, ref_coverage->plan);
+    auto after = FragmentOn(false, *envs[0].catalog, *ref_bound,
+                            ref_coverage->plan, {});
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     ExpectFragmentsIdentical(*exact, *after);
   }

@@ -17,13 +17,13 @@
 #include "common/hash.h"
 #include "common/shard_config.h"
 #include "common/string_util.h"
-#include "common/test_env.h"
 #include "service/beas_service.h"
 #include "service/plan_cache.h"
 #include "service/result_cache.h"
 #include "service/template_key.h"
 #include "sql/canonical_template.h"
 #include "sql/sql_template.h"
+#include "support/test_env.h"
 #include "test_util.h"
 #include "workload/tlc_queries.h"
 

@@ -1,4 +1,4 @@
-#include "common/test_env.h"
+#include "support/test_env.h"
 
 #include <algorithm>
 #include <cstring>

@@ -1,5 +1,5 @@
-#ifndef BEAS_COMMON_TEST_ENV_H_
-#define BEAS_COMMON_TEST_ENV_H_
+#ifndef BEAS_TESTS_SUPPORT_TEST_ENV_H_
+#define BEAS_TESTS_SUPPORT_TEST_ENV_H_
 
 #include <atomic>
 #include <cstdint>
@@ -171,4 +171,4 @@ class FaultInjectingEnv : public Env {
 
 }  // namespace beas
 
-#endif  // BEAS_COMMON_TEST_ENV_H_
+#endif  // BEAS_TESTS_SUPPORT_TEST_ENV_H_

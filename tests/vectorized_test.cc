@@ -114,7 +114,7 @@ TEST(ValueVecGrouperTest, AssignsDenseIdsInFirstAppearanceOrder) {
   for (int i = 0; i < 100; ++i) grouper.IdFor({I(100 + i)});
   EXPECT_EQ(grouper.IdFor({I(7)}), 1u);
   EXPECT_EQ(grouper.size(), 103u);
-  std::vector<ValueVec> keys = std::move(grouper).ReleaseKeys();
+  const std::vector<ValueVec>& keys = grouper.keys();
   EXPECT_EQ(keys[0], ValueVec{I(5)});
   EXPECT_EQ(keys[1], ValueVec{I(7)});
 }

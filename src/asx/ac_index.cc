@@ -120,39 +120,6 @@ void AcIndex::LookupBatch(const ValueVec* keys, size_t count, BucketView* out,
   }
 }
 
-void AcIndex::RemapDictCodes(const std::vector<uint32_t>& old_to_new) {
-  if (dict_ == nullptr) return;
-  auto remap = [&](Value* v) {
-    if (v->dict() == dict_) {
-      *v = Value::DictString(dict_, old_to_new[v->dict_code()]);
-    }
-  };
-  for (std::unique_ptr<SubIndex>& sub : shards_) {
-    // Keys are const inside the map; extract() hands them back mutable.
-    // The remapped key hashes identically (ValueVecHash folds byte
-    // hashes, which a renumbering does not change), so re-insertion is
-    // collision-free by construction.
-    decltype(sub->buckets) rebuilt;
-    rebuilt.reserve(sub->buckets.size());
-    while (!sub->buckets.empty()) {
-      auto node = sub->buckets.extract(sub->buckets.begin());
-      for (Value& v : node.key()) remap(&v);
-      Bucket& bucket = node.mapped();
-      for (Row& y : bucket.distinct_y) {
-        for (Value& v : y) remap(&v);
-      }
-      // positions keys mirror distinct_y; rebuild them from the remapped
-      // rows rather than extracting node-by-node.
-      bucket.positions.clear();
-      for (size_t i = 0; i < bucket.distinct_y.size(); ++i) {
-        bucket.positions.emplace(bucket.distinct_y[i], i);
-      }
-      rebuilt.insert(std::move(node));
-    }
-    sub->buckets = std::move(rebuilt);
-  }
-}
-
 void AcIndex::OnInsert(const Row& row) {
   ValueVec key = KeyOf(row);
   for (const Value& v : key) {

@@ -108,16 +108,6 @@ class AcIndex {
   void LookupBatch(const ValueVec* keys, size_t count, BucketView* out,
                    TaskPool* pool) const;
 
-  /// Renumbers every dictionary-backed value stored in this index — X-key
-  /// components and Y-projection cells — after the indexed heap's
-  /// dictionary was rebuilt into sorted order (`old_to_new` is the
-  /// permutation TableHeap::RebuildDictSorted returned). Byte hashes are
-  /// code-independent, so every key keeps its hash and its sub-index;
-  /// only the stored code payloads change. Caller holds the structural
-  /// lock exclusively (no readers, no writers, same section as the heap
-  /// rebuild).
-  void RemapDictCodes(const std::vector<uint32_t>& old_to_new);
-
   /// Incremental maintenance on tuple insert (locks the key's sub-index).
   void OnInsert(const Row& row);
 

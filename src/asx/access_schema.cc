@@ -164,19 +164,6 @@ Status AsCatalog::AdjustLimit(const std::string& name, uint64_t new_n) {
   return Status::NotFound("no access constraint named '" + name + "'");
 }
 
-Result<bool> AsCatalog::RebuildTableDictSorted(const std::string& table) {
-  BEAS_ASSIGN_OR_RETURN(TableInfo * info, db_->catalog()->GetTable(table));
-  std::vector<uint32_t> old_to_new;
-  if (!info->heap()->RebuildDictSorted(&old_to_new)) return false;
-  // Indexes project heap rows, so their stored keys and Y-cells carry the
-  // old numbering; remap them in the same exclusive section.
-  for (AcIndex* index : IndexesForTable(table)) {
-    index->RemapDictCodes(old_to_new);
-  }
-  NotifyChange(ChangeKind::kDictRebuilt, info->name(), /*name=*/"");
-  return true;
-}
-
 std::string AsCatalog::MetadataReport() const {
   std::string out =
       StringPrintf("%-8s %-52s %10s %10s %10s %12s %s\n", "name",

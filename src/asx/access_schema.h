@@ -97,11 +97,6 @@ class AsCatalog {
     kConstraintRegistered,
     kConstraintUnregistered,
     kLimitAdjusted,
-    /// A table's string dictionary was renumbered into sorted order:
-    /// dictionary-backed values minted before the rebuild decode wrong,
-    /// so anything cached that could hold them (plans, prepared
-    /// bindings) must be dropped for the table.
-    kDictRebuilt,
   };
 
   /// Listener invoked after every schema change, with the affected table
@@ -113,16 +108,6 @@ class AsCatalog {
   void AddChangeListener(ChangeListener listener) {
     listeners_.push_back(std::move(listener));
   }
-
-  /// Renumbers `table`'s string dictionary into byte-sorted order and
-  /// remaps every consumer the catalog knows about: the heap's stored
-  /// rows and all AC indexes built over it, then fires kDictRebuilt so
-  /// the service layer evicts the table's cached plans. Caller holds the
-  /// Database structural lock exclusively (the maintenance module's
-  /// adjustment cycle is the intended call site). Returns true when a
-  /// rebuild actually happened (false: no dictionary, or already
-  /// sorted).
-  Result<bool> RebuildTableDictSorted(const std::string& table);
 
   /// Human-readable system-table dump: one line per constraint with
   /// index statistics (keys, entries, max bucket, bytes, conforming?).

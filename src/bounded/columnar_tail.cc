@@ -156,10 +156,8 @@ class BatchKeyGrouper {
 };
 
 /// Three-way comparison of two rows within one column, matching
-/// Value::Compare semantics (NULL first, NULL == NULL). On an encoded
-/// column of a sorted dictionary this is a pure code compare — the
-/// zero-decode ORDER BY promise; an unsorted dictionary decodes (and the
-/// decode is counted, so tests can pin its absence).
+/// Value::Compare semantics (NULL first, NULL == NULL). Equal codes of an
+/// encoded column are equal strings; distinct ones compare their bytes.
 int CompareColumnRows(const BatchColumn& col, size_t a, size_t b) {
   if (col.encoded()) {
     uint32_t ca = col.codes[a];
@@ -167,8 +165,6 @@ int CompareColumnRows(const BatchColumn& col, size_t a, size_t b) {
     if (ca == cb) return 0;
     if (ca == StringDict::kNullCode) return -1;
     if (cb == StringDict::kNullCode) return 1;
-    if (col.dict->is_sorted()) return ca < cb ? -1 : 1;
-    ++tls_string_order_decodes;
     int c = col.dict->str(ca).compare(col.dict->str(cb));
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }

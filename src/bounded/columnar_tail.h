@@ -24,8 +24,8 @@ std::atomic<uint64_t>& TailBatchesTotal();
 std::atomic<uint64_t>& TailRowsGrouped();
 /// @}
 
-/// \brief ORDER BY over output positions (stable, Value::Compare — which
-/// fast-paths to code comparisons on sorted dictionaries), then LIMIT.
+/// \brief ORDER BY over output positions (stable, Value::Compare), then
+/// LIMIT.
 /// The columnar tail sorts its grouped/DISTINCT outputs with it, and the
 /// test-only reference tail sorts its rows with it, so ordering semantics
 /// cannot drift between the two.
@@ -49,10 +49,8 @@ void SortRowsAndLimit(const BoundQuery& query, std::vector<Row>* rows);
 ///    in-order merge — group ids still appear in first-row order, so
 ///    results are bit-identical to the serial fold;
 ///  * ORDER BY on the bag-expansion path sorts row *indices* by column
-///    comparators — dictionary-encoded keys of a sorted dictionary
-///    compare codes with zero byte decodes (pinned via
-///    tls_string_order_decodes) — and only the post-LIMIT survivors
-///    materialize.
+///    comparators — dictionary-encoded keys compare equal codes without
+///    touching bytes — and only the post-LIMIT survivors materialize.
 ///
 /// `slot_of_column` maps every global column index of `query` to its T
 /// slot (-1 = not produced). Every bound tail compiles against the layout

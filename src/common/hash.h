@@ -68,15 +68,6 @@ inline uint64_t HashBytes(const void* data, size_t len,
 /// thread_local increment — not atomic — so it never contends.
 inline thread_local uint64_t tls_hash_string_calls = 0;
 
-/// \brief Byte-level string *ordering* comparisons (ORDER BY, range
-/// predicates, MIN/MAX) performed on the calling thread. The
-/// order-preserving dictionary mode promises *zero per-comparison
-/// decodes* once a dictionary is sorted — ordering consumers compare
-/// uint32 codes instead of decoding bytes; tests pin that promise
-/// against this counter, like tls_hash_string_calls pins zero per-probe
-/// byte hashing. Plain thread_local increment — never contends.
-inline thread_local uint64_t tls_string_order_decodes = 0;
-
 /// \brief Cross-dictionary code translations performed on the calling
 /// thread: one increment per *distinct* left-dictionary code a col = col
 /// equality conjunct resolves against the other column's dictionary (via

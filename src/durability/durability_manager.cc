@@ -128,12 +128,12 @@ Status DurabilityManager::Open() {
 
     // Structural-op logging hooks. Registered after recovery, so replayed
     // operations were never at risk of being re-logged; from here on,
-    // every DDL / constraint change / dict rebuild that reaches the
-    // engine gets a meta record.
+    // every DDL / constraint change that reaches the engine gets a meta
+    // record.
     db_->RegisterDdlHook([this](const std::string& table) { OnDdl(table); });
     catalog_->AddChangeListener(
-        [this](AsCatalog::ChangeKind kind, const std::string& table,
-               const std::string& name) { OnCatalogChange(kind, table, name); });
+        [this](AsCatalog::ChangeKind kind, const std::string& /*table*/,
+               const std::string& name) { OnCatalogChange(kind, name); });
 
     for (size_t k = 0; k < wal_shard_count_; ++k) {
       shard_wals_[k]->drainer = std::thread([this, k] { DrainerLoop(k); });
@@ -508,13 +508,12 @@ Status DurabilityManager::ApplyRecord(const WalRecord& record) {
       Database::StructuralScope lock(db_);
       return catalog_->AdjustLimit(name, limit);
     }
-    case WalRecordType::kDictRebuild: {
-      std::string table = r.GetString();
-      if (!r.ok()) return Status::IoError("bad dict-rebuild record");
-      MarkStructuralDirty();
-      Database::StructuralScope lock(db_);
-      return catalog_->RebuildTableDictSorted(table).status();
-    }
+    // Written by earlier versions after a dictionary renumbering. Codes
+    // no longer change, and nothing persisted or answered depends on code
+    // order (rows, index cells and WAL records carry string bytes; every
+    // hash is a byte hash), so the record has nothing to apply.
+    case WalRecordType::kDictRebuild:
+      return Status::OK();
   }
   return Status::IoError("unknown WAL record type");
 }
@@ -560,7 +559,6 @@ void DurabilityManager::OnDdl(const std::string& table) {
 }
 
 void DurabilityManager::OnCatalogChange(AsCatalog::ChangeKind kind,
-                                        const std::string& table,
                                         const std::string& name) {
   if (replaying_) return;
   Status logged = Status::OK();
@@ -586,12 +584,6 @@ void DurabilityManager::OnCatalogChange(AsCatalog::ChangeKind kind,
       payload.PutString(name);
       payload.PutU64((*c)->limit_n);
       logged = LogMeta(WalRecordType::kAdjustLimit, payload.Take());
-      break;
-    }
-    case AsCatalog::ChangeKind::kDictRebuilt: {
-      ByteSink payload;
-      payload.PutString(table);
-      logged = LogMeta(WalRecordType::kDictRebuild, payload.Take());
       break;
     }
   }
@@ -905,8 +897,9 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
   BEAS_ASSIGN_OR_RETURN(
       SegmentView meta_view,
       OpenSegment(env_, base + ".meta.seg", SegmentKind::kTableMeta));
-  BEAS_ASSIGN_OR_RETURN(TableMetaRestore meta,
-                        ParseTableMetaPayload(meta_view.reader()));
+  BEAS_ASSIGN_OR_RETURN(
+      TableMetaRestore meta,
+      ParseTableMetaPayload(meta_view.reader(), meta_view.version));
   // Callers (Recover's restore section, scrub repair) hold the structural
   // lock exclusively; the self-locking CreateTable would deadlock here.
   BEAS_ASSIGN_OR_RETURN(TableInfo * info,
@@ -916,10 +909,10 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
     BEAS_ASSIGN_OR_RETURN(
         SegmentView dict_view,
         OpenSegment(env_, base + ".dict.seg", SegmentKind::kDict));
-    BEAS_ASSIGN_OR_RETURN(DictRestore dict,
-                          ParseDictPayload(dict_view.reader()));
-    BEAS_RETURN_NOT_OK(heap->RestoreDict(std::move(dict.strings), dict.sorted,
-                                         dict.out_of_order, dict.rebuilds));
+    BEAS_ASSIGN_OR_RETURN(
+        std::vector<std::string> strings,
+        ParseDictPayload(dict_view.reader(), dict_view.version));
+    BEAS_RETURN_NOT_OK(heap->RestoreDict(std::move(strings)));
   }
   std::vector<std::vector<Row>> rows(meta.num_shards);
   std::vector<std::vector<uint8_t>> live(meta.num_shards);
@@ -1029,17 +1022,20 @@ Status DurabilityManager::VerifyCheckpoint(
     BEAS_ASSIGN_OR_RETURN(
         SegmentView view,
         OpenSegment(env_, base + ".meta.seg", SegmentKind::kTableMeta));
-    note(base + ".meta.seg", SegmentKind::kTableMeta,
-         Crc32c(view.payload, view.payload_len), table, 0, "");
+    note(base + ".meta.seg", SegmentKind::kTableMeta, view.crc, table, 0, "");
     BEAS_ASSIGN_OR_RETURN(TableMetaRestore tm,
-                          ParseTableMetaPayload(view.reader()));
+                          ParseTableMetaPayload(view.reader(), view.version));
     TableBaseline baseline;
     if (tm.has_dict) {
-      uint32_t crc = 0;
-      BEAS_RETURN_NOT_OK(check(base + ".dict.seg", SegmentKind::kDict, &crc));
+      // The disk pass re-checks the file's CRC; the memory pass compares
+      // BuildDictPayload against the payload in the current layout, which
+      // differs from the file for a version 1 dictionary.
+      BEAS_ASSIGN_OR_RETURN(
+          SegmentView dict,
+          OpenSegment(env_, base + ".dict.seg", SegmentKind::kDict));
+      BEAS_ASSIGN_OR_RETURN(baseline.dict_crc, DictBaselineCrc(dict));
       baseline.has_dict = true;
-      baseline.dict_crc = crc;
-      note(base + ".dict.seg", SegmentKind::kDict, crc, table, 0, "");
+      note(base + ".dict.seg", SegmentKind::kDict, dict.crc, table, 0, "");
     }
     baseline.shard_crcs.resize(tm.num_shards, 0);
     for (uint32_t s = 0; s < tm.num_shards; ++s) {

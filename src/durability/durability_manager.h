@@ -96,10 +96,10 @@ struct ScrubReport {
 ///
 /// ## Structural operations (meta records)
 ///
-/// DDL, constraint registration/unregistration, bound adjustments and
-/// dictionary rebuilds are logged *after* they apply, synchronously, to a
-/// dedicated meta WAL — hooked via Database's DDL hook and AsCatalog's
-/// change listener, so the service layer cannot forget to log one. The
+/// DDL, constraint registration/unregistration and bound adjustments
+/// are logged *after* they apply, synchronously, to a dedicated meta WAL
+/// — hooked via Database's DDL hook and AsCatalog's change listener, so
+/// the service layer cannot forget to log one. The
 /// *commit gate* (a shared_mutex ordered before every Database lock)
 /// keeps them strictly ordered against data records: data writers hold it
 /// shared from enqueue to ack; structural sections take it exclusive and
@@ -291,7 +291,7 @@ class DurabilityManager {
   struct TableBaseline {
     std::vector<uint32_t> shard_crcs;  ///< CRC of BuildShardRowsPayload
     bool has_dict = false;
-    uint32_t dict_crc = 0;
+    uint32_t dict_crc = 0;  ///< CRC of BuildDictPayload (DictBaselineCrc)
   };
 
   /// A parsed manifest / CKMETA payload.
@@ -327,8 +327,7 @@ class DurabilityManager {
 
   /// Hook bodies (registered on `db_`/`catalog_` by Open()).
   void OnDdl(const std::string& table);
-  void OnCatalogChange(AsCatalog::ChangeKind kind, const std::string& table,
-                       const std::string& name);
+  void OnCatalogChange(AsCatalog::ChangeKind kind, const std::string& name);
 
   /// kUnavailable if (table, shard) — or any shard of `table` when
   /// `shard` < 0 — is quarantined.

@@ -1,6 +1,7 @@
 #include "durability/segment.h"
 
 #include "common/crc32.h"
+#include "common/shard_config.h"
 
 namespace beas {
 namespace durability {
@@ -24,75 +25,90 @@ Status WriteSegmentFile(Env* env, const std::string& path, SegmentKind kind,
   return f->Sync();
 }
 
+namespace {
+
+// Size of the order trailer that ends a version 1 dictionary payload:
+// sorted u8, out_of_order u64, rebuilds u64.
+constexpr uint64_t kDictV1TrailerBytes = 1 + 8 + 8;
+
+struct SegmentHeader {
+  uint32_t version = 0;
+  uint8_t kind = 0;
+  uint32_t crc = 0;
+  uint64_t payload_len = 0;
+};
+
+// Validates the framing of a mapped segment file: magic, a readable
+// version, the payload length and the payload CRC.
+Result<SegmentHeader> ValidateSegment(const RandomAccessFile& file,
+                                      const std::string& path) {
+  if (file.size() < kSegHeaderBytes) {
+    return Status::Corruption("segment too small: " + path);
+  }
+  ByteReader header(file.data(), kSegHeaderBytes);
+  uint32_t magic = header.GetU32();
+  SegmentHeader h;
+  h.version = header.GetU32();
+  h.kind = header.GetU8();
+  h.crc = header.GetU32();
+  h.payload_len = header.GetU64();
+  if (magic != kSegMagic) {
+    return Status::Corruption("not a BEAS segment: " + path);
+  }
+  if (h.version < kSegMinVersion || h.version > kSegVersion) {
+    return Status::Corruption("unsupported segment version " +
+                              std::to_string(h.version) + ": " + path);
+  }
+  if (h.payload_len != file.size() - kSegHeaderBytes) {
+    return Status::Corruption("segment length mismatch: " + path);
+  }
+  if (Crc32c(file.data() + kSegHeaderBytes, h.payload_len) != h.crc) {
+    return Status::Corruption("segment CRC mismatch: " + path);
+  }
+  return h;
+}
+
+}  // namespace
+
 Result<SegmentView> OpenSegment(Env* env, const std::string& path,
                                 SegmentKind kind) {
   SegmentView view;
   BEAS_ASSIGN_OR_RETURN(view.file, env->NewRandomAccessFile(path));
-  if (view.file->size() < kSegHeaderBytes) {
-    return Status::Corruption("segment too small: " + path);
-  }
-  ByteReader header(view.file->data(), kSegHeaderBytes);
-  uint32_t magic = header.GetU32();
-  uint32_t version = header.GetU32();
-  uint8_t file_kind = header.GetU8();
-  uint32_t crc = header.GetU32();
-  uint64_t payload_len = header.GetU64();
-  if (magic != kSegMagic) {
-    return Status::Corruption("not a BEAS segment: " + path);
-  }
-  if (version != kSegVersion) {
-    return Status::Corruption("unsupported segment version " +
-                              std::to_string(version) + ": " + path);
-  }
-  if (file_kind != static_cast<uint8_t>(kind)) {
+  BEAS_ASSIGN_OR_RETURN(SegmentHeader h, ValidateSegment(*view.file, path));
+  if (h.kind != static_cast<uint8_t>(kind)) {
     return Status::Corruption("segment kind mismatch: " + path);
   }
-  if (payload_len != view.file->size() - kSegHeaderBytes) {
-    return Status::Corruption("segment length mismatch: " + path);
-  }
+  view.version = h.version;
+  view.crc = h.crc;
   view.payload = view.file->data() + kSegHeaderBytes;
-  view.payload_len = payload_len;
-  if (Crc32c(view.payload, payload_len) != crc) {
-    return Status::Corruption("segment CRC mismatch: " + path);
-  }
+  view.payload_len = h.payload_len;
   return view;
+}
+
+Result<uint32_t> DictBaselineCrc(const SegmentView& view) {
+  uint64_t len = view.payload_len;
+  if (view.version == 1) {
+    if (len < kDictV1TrailerBytes) {
+      return Status::Corruption("truncated dict segment");
+    }
+    len -= kDictV1TrailerBytes;
+  }
+  return Crc32c(view.payload, len);
 }
 
 Result<SegmentKind> VerifySegmentFile(Env* env, const std::string& path,
                                       uint32_t* payload_crc_out) {
   BEAS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
                         env->NewRandomAccessFile(path));
-  if (file->size() < kSegHeaderBytes) {
-    return Status::Corruption("segment too small: " + path);
-  }
-  ByteReader header(file->data(), kSegHeaderBytes);
-  uint32_t magic = header.GetU32();
-  uint32_t version = header.GetU32();
-  uint8_t file_kind = header.GetU8();
-  uint32_t crc = header.GetU32();
-  uint64_t payload_len = header.GetU64();
-  if (magic != kSegMagic) {
-    return Status::Corruption("not a BEAS segment: " + path);
-  }
-  if (version != kSegVersion) {
-    return Status::Corruption("unsupported segment version " +
-                              std::to_string(version) + ": " + path);
-  }
-  if (payload_len != file->size() - kSegHeaderBytes) {
-    return Status::Corruption("segment length mismatch: " + path);
-  }
-  if (Crc32c(file->data() + kSegHeaderBytes, payload_len) != crc) {
-    return Status::Corruption("segment CRC mismatch: " + path);
-  }
-  if (payload_crc_out != nullptr) *payload_crc_out = crc;
-  return static_cast<SegmentKind>(file_kind);
+  BEAS_ASSIGN_OR_RETURN(SegmentHeader h, ValidateSegment(*file, path));
+  if (payload_crc_out != nullptr) *payload_crc_out = h.crc;
+  return static_cast<SegmentKind>(h.kind);
 }
 
 std::string BuildTableMetaPayload(const TableInfo& table) {
   const TableHeap& heap = table.heap();
   ByteSink sink;
   WriteSchema(&sink, heap.schema());
-  sink.PutU8(heap.dict() != nullptr ? 1 : 0);
   sink.PutU32(static_cast<uint32_t>(heap.num_shards()));
   sink.PutI64(heap.shard_key_col());
   sink.PutU64(heap.NumSlots());
@@ -104,22 +120,28 @@ std::string BuildTableMetaPayload(const TableInfo& table) {
   return sink.Take();
 }
 
-Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r) {
+Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r,
+                                               uint32_t version) {
   TableMetaRestore out;
   BEAS_ASSIGN_OR_RETURN(out.schema, ReadSchema(&r));
-  uint8_t dict_flag = r.GetU8();
+  const uint8_t dict_flag = version == 1 ? r.GetU8() : 0;
   out.num_shards = r.GetU32();
   out.shard_key_col = r.GetI64();
   uint64_t slots = r.GetU64();
   if (!r.ok() || slots > r.remaining()) {
     return Status::IoError("truncated table meta");
   }
-  // Every heap with a STRING column interns it, so the flag is a
-  // function of the schema; a mismatch means the bytes are damaged.
+  if (out.num_shards == 0 || out.num_shards > kMaxStorageShards) {
+    return Status::Corruption("table meta shard count " +
+                              std::to_string(out.num_shards) +
+                              " out of range");
+  }
+  // Every heap with a STRING column interns it. A version 1 flag byte is
+  // therefore a function of the schema; a mismatch means damaged bytes.
   for (const Column& c : out.schema.columns()) {
     out.has_dict |= c.type == TypeId::kString;
   }
-  if (dict_flag != (out.has_dict ? 1 : 0)) {
+  if (version == 1 && dict_flag != (out.has_dict ? 1 : 0)) {
     return Status::Corruption("table meta dictionary flag " +
                               std::to_string(dict_flag) +
                               " contradicts its schema");
@@ -140,25 +162,25 @@ std::string BuildDictPayload(const StringDict& dict) {
   for (uint32_t code = 0; code < dict.size(); ++code) {
     sink.PutString(dict.str(code));
   }
-  sink.PutU8(dict.is_sorted() ? 1 : 0);
-  sink.PutU64(dict.out_of_order_codes());
-  sink.PutU64(dict.rebuilds());
   return sink.Take();
 }
 
-Result<DictRestore> ParseDictPayload(ByteReader r) {
-  DictRestore out;
+Result<std::vector<std::string>> ParseDictPayload(ByteReader r,
+                                                  uint32_t version) {
   uint64_t count = r.GetU64();
   if (!r.ok() || count > r.remaining()) {
     return Status::IoError("truncated dict segment");
   }
-  out.strings.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) out.strings.push_back(r.GetString());
-  out.sorted = r.GetU8() != 0;
-  out.out_of_order = r.GetU64();
-  out.rebuilds = r.GetU64();
+  std::vector<std::string> strings;
+  strings.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) strings.push_back(r.GetString());
+  if (version == 1) {  // the order trailer: read and ignored
+    r.GetU8();
+    r.GetU64();
+    r.GetU64();
+  }
   if (!r.ok()) return Status::IoError("truncated dict segment");
-  return out;
+  return strings;
 }
 
 std::string BuildShardRowsPayload(const TableHeap& heap, size_t shard) {

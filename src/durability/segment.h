@@ -18,7 +18,7 @@ namespace durability {
 /// directory `seg/ck<N>/` of these plus a manifest committing the set.
 enum class SegmentKind : uint8_t {
   kTableMeta = 1,  ///< schema, shard layout, global slot directory
-  kDict = 2,       ///< string dictionary incl. sorted-rebuild state
+  kDict = 2,       ///< string dictionary (strings in code order)
   kShardRows = 3,  ///< one heap shard's rows + live flags
   kIndex = 4,      ///< one AC index's cells (keys, Y-sets, multiplicities)
   kManifest = 5,   ///< the checkpoint commit record
@@ -30,9 +30,18 @@ enum class SegmentKind : uint8_t {
 ///
 /// `crc` is CRC-32C of the payload. Readers mmap the file, validate the
 /// header against the mapped bytes, and parse the payload in place.
+///
+/// Writers emit kSegVersion; readers accept every version from
+/// kSegMinVersion. Version 2 dropped two redundant fields, both still
+/// read (and ignored or checked) in version 1 files:
+///  * the dictionary payload's order trailer (sorted u8, out_of_order u64,
+///    rebuilds u64) — dictionary codes no longer change after interning;
+///  * the table meta payload's dictionary flag byte — it follows from the
+///    schema (every heap with a STRING column interns it).
 /// @{
 constexpr uint32_t kSegMagic = 0x47455342u;  // "BSEG"
-constexpr uint32_t kSegVersion = 1;
+constexpr uint32_t kSegVersion = 2;
+constexpr uint32_t kSegMinVersion = 1;
 constexpr uint64_t kSegHeaderBytes = 21;
 
 /// Writes a complete segment file (truncate + append + fsync). Segment
@@ -48,6 +57,8 @@ Status WriteSegmentFile(Env* env, const std::string& path, SegmentKind kind,
 /// place (no copy beyond what the Env's view itself holds).
 struct SegmentView {
   std::unique_ptr<RandomAccessFile> file;
+  uint32_t version = kSegVersion;
+  uint32_t crc = 0;  ///< the validated payload CRC-32C
   const char* payload = nullptr;
   uint64_t payload_len = 0;
 
@@ -58,6 +69,12 @@ struct SegmentView {
 /// kind / length / CRC mismatch.
 Result<SegmentView> OpenSegment(Env* env, const std::string& path,
                                 SegmentKind kind);
+
+/// The scrubber's memory baseline of a dictionary segment: the CRC of its
+/// payload in the current layout, which is what BuildDictPayload over the
+/// restored dictionary produces. For a version 1 file that is the CRC of
+/// the payload without its order trailer.
+Result<uint32_t> DictBaselineCrc(const SegmentView& view);
 
 /// Validates `path`'s framing and payload CRC without pinning the kind —
 /// the verify-before-commit and scrub passes sweep whole checkpoint
@@ -82,22 +99,21 @@ std::string BuildIndexPayload(const AcIndex& index);
 struct TableMetaRestore {
   Schema schema;
   /// The table has a dictionary segment: exactly when the schema has a
-  /// STRING column (a flag byte that disagrees is rejected as corruption).
+  /// STRING column (a version 1 flag byte that disagrees is rejected as
+  /// corruption).
   bool has_dict = false;
   uint32_t num_shards = 1;
   int64_t shard_key_col = -1;
   /// Global slot directory: (shard, local) per slot, insertion order.
   std::vector<std::pair<uint32_t, uint32_t>> directory;
 };
-Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r);
+/// `version` is the segment file's (SegmentView::version).
+Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r,
+                                               uint32_t version);
 
-struct DictRestore {
-  std::vector<std::string> strings;  ///< code order
-  bool sorted = true;
-  uint64_t out_of_order = 0;
-  uint64_t rebuilds = 0;
-};
-Result<DictRestore> ParseDictPayload(ByteReader r);
+/// The dictionary's strings in code order.
+Result<std::vector<std::string>> ParseDictPayload(ByteReader r,
+                                                  uint32_t version);
 
 struct ShardRowsRestore {
   std::vector<Row> rows;          ///< strings inline; canonicalize after

@@ -14,8 +14,8 @@ namespace durability {
 
 /// \brief Kinds of logged operations. Data records (insert/batch/delete)
 /// flow through the per-shard group-commit queues; structural records
-/// (DDL, constraint changes, dictionary rebuilds) go to the meta WAL,
-/// logged synchronously under the commit gate.
+/// (DDL, constraint changes) go to the meta WAL, logged synchronously
+/// under the commit gate.
 enum class WalRecordType : uint8_t {
   kInsert = 1,
   kInsertBatch = 2,
@@ -24,6 +24,8 @@ enum class WalRecordType : uint8_t {
   kRegisterConstraint = 5,
   kUnregisterConstraint = 6,
   kAdjustLimit = 7,
+  /// Reserved: earlier versions logged a dictionary renumbering. Nothing
+  /// writes it now; replay skips it.
   kDictRebuild = 8,
 };
 

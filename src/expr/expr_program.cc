@@ -232,9 +232,8 @@ int64_t LiteralCode(const StringDict& dict, const Value& lit) {
 }
 
 /// col-op-lit over an encoded column. Equality ops compare codes;
-/// ordering ops compare codes against a binary-searched code bound when
-/// the dictionary is sorted (zero byte decodes), and decode to bytes per
-/// row otherwise.
+/// ordering ops compare each row's bytes with the literal (codes carry no
+/// order).
 void FilterEncodedCmp(const BatchColumn& col, CompareOp cmp, const Value& lit,
                       size_t num_rows, std::vector<char>* keep) {
   const StringDict& dict = *col.dict;
@@ -269,50 +268,6 @@ void FilterEncodedCmp(const BatchColumn& col, CompareOp cmp, const Value& lit,
     return;
   }
   const std::string& s = lit.AsString();
-  if (dict.is_sorted()) {
-    // Order-preserving codes: the literal becomes a code bound once per
-    // batch, each row is a uint32 compare. kNullCode (0xFFFFFFFF) sits
-    // above every real code, so the `<` forms exclude NULL for free; the
-    // `>` forms exclude it explicitly.
-    switch (cmp) {
-      case CompareOp::kLt: {
-        uint32_t bound = dict.LowerBoundCode(s);
-        for (size_t r = 0; r < num_rows; ++r) {
-          if ((*keep)[r] && col.codes[r] >= bound) (*keep)[r] = 0;
-        }
-        return;
-      }
-      case CompareOp::kLe: {
-        uint32_t bound = dict.UpperBoundCode(s);
-        for (size_t r = 0; r < num_rows; ++r) {
-          if ((*keep)[r] && col.codes[r] >= bound) (*keep)[r] = 0;
-        }
-        return;
-      }
-      case CompareOp::kGt: {
-        uint32_t bound = dict.UpperBoundCode(s);
-        for (size_t r = 0; r < num_rows; ++r) {
-          uint32_t c = col.codes[r];
-          if ((*keep)[r] && (c < bound || c == StringDict::kNullCode)) {
-            (*keep)[r] = 0;
-          }
-        }
-        return;
-      }
-      case CompareOp::kGe: {
-        uint32_t bound = dict.LowerBoundCode(s);
-        for (size_t r = 0; r < num_rows; ++r) {
-          uint32_t c = col.codes[r];
-          if ((*keep)[r] && (c < bound || c == StringDict::kNullCode)) {
-            (*keep)[r] = 0;
-          }
-        }
-        return;
-      }
-      default:
-        break;  // unreachable: equality handled above
-    }
-  }
   for (size_t r = 0; r < num_rows; ++r) {
     if (!(*keep)[r]) continue;
     uint32_t c = col.codes[r];
@@ -320,48 +275,30 @@ void FilterEncodedCmp(const BatchColumn& col, CompareOp cmp, const Value& lit,
       (*keep)[r] = 0;
       continue;
     }
-    ++tls_string_order_decodes;
     int three_way = dict.str(c).compare(s);
     three_way = three_way < 0 ? -1 : (three_way > 0 ? 1 : 0);
     if (!CmpPasses(cmp, three_way)) (*keep)[r] = 0;
   }
 }
 
-/// col-op-col over two encoded columns. Same dictionary: interning
-/// deduplicates, so equality is a raw code compare, and ordering is too
-/// once the dictionary is sorted. Different dictionaries: equality
-/// conjuncts translate each *distinct* left code into the right
+/// col-op-col equality over two encoded columns. Same dictionary:
+/// interning deduplicates, so equality is a raw code compare. Different
+/// dictionaries: each *distinct* left code translates into the right
 /// dictionary once per batch — FindWithHash with the left dictionary's
 /// precomputed byte hash, so no bytes are hashed or decoded — and then
 /// every row is a uint32 compare against the translated code. A left
 /// string absent from the right dictionary can equal no right-column
 /// value: `=` fails and `<>` passes for its rows. NULL on either side
 /// yields SQL NULL, which a predicate drops, for `=` and `<>` alike.
-/// Returns false for the shapes that still need bytes (ordering over an
-/// unsorted or foreign dictionary); the caller falls back to the generic
-/// row loop.
+/// Returns false for ordering comparisons, which need bytes; the caller
+/// falls back to the generic row loop.
 bool FilterEncodedColCmpCol(const BatchColumn& lhs, const BatchColumn& rhs,
                             CompareOp cmp, size_t num_rows,
                             std::vector<char>* keep) {
+  if (cmp != CompareOp::kEq && cmp != CompareOp::kNe) return false;
   const StringDict* left_dict = lhs.dict;
   const StringDict* right_dict = rhs.dict;
-  bool equality = cmp == CompareOp::kEq || cmp == CompareOp::kNe;
-  if (left_dict == right_dict) {
-    if (!equality && !left_dict->is_sorted()) return false;
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (!(*keep)[r]) continue;
-      uint32_t a = lhs.codes[r];
-      uint32_t b = rhs.codes[r];
-      if (a == StringDict::kNullCode || b == StringDict::kNullCode) {
-        (*keep)[r] = 0;
-        continue;
-      }
-      int three_way = a < b ? -1 : (a > b ? 1 : 0);
-      if (!CmpPasses(cmp, three_way)) (*keep)[r] = 0;
-    }
-    return true;
-  }
-  if (!equality) return false;
+  const bool same_dict = left_dict == right_dict;
   // Lazily-filled translation table: left code -> right code, or -1 when
   // the left string was never interned on the right. Repeated codes — the
   // reason the column was dictionary-encoded — translate exactly once per
@@ -372,7 +309,7 @@ bool FilterEncodedColCmpCol(const BatchColumn& lhs, const BatchColumn& rhs,
   constexpr int64_t kUntranslated = -2;
   const bool dense = left_dict->size() <= 2 * num_rows + 64;
   std::vector<int64_t> dense_table;
-  if (dense) dense_table.assign(left_dict->size(), kUntranslated);
+  if (dense && !same_dict) dense_table.assign(left_dict->size(), kUntranslated);
   std::unordered_map<uint32_t, int64_t> sparse_table;
   auto translate = [&](uint32_t a) -> int64_t {
     int64_t* slot;
@@ -395,15 +332,20 @@ bool FilterEncodedColCmpCol(const BatchColumn& lhs, const BatchColumn& rhs,
       (*keep)[r] = 0;
       continue;
     }
-    int64_t t = translate(a);
-    bool eq = t >= 0 && static_cast<uint32_t>(t) == b;
+    bool eq;
+    if (same_dict) {
+      eq = a == b;
+    } else {
+      int64_t t = translate(a);
+      eq = t >= 0 && static_cast<uint32_t>(t) == b;
+    }
     if ((cmp == CompareOp::kEq ? eq : !eq) == false) (*keep)[r] = 0;
   }
   return true;
 }
 
-/// col BETWEEN lo AND hi over an encoded column: a code-interval test on
-/// a sorted dictionary, byte order decoded per row otherwise.
+/// col BETWEEN lo AND hi over an encoded column: each row's bytes compare
+/// with both bounds.
 void FilterEncodedBetween(const BatchColumn& col, const Value& lo,
                           const Value& hi, size_t num_rows,
                           std::vector<char>* keep) {
@@ -414,17 +356,6 @@ void FilterEncodedBetween(const BatchColumn& col, const Value& lo,
   }
   const std::string& lo_s = lo.AsString();
   const std::string& hi_s = hi.AsString();
-  if (dict.is_sorted()) {
-    // Pass iff lb <= code < ub. kNullCode exceeds every real code, so
-    // the upper bound rejects NULL rows for free.
-    uint32_t lb = dict.LowerBoundCode(lo_s);
-    uint32_t ub = dict.UpperBoundCode(hi_s);
-    for (size_t r = 0; r < num_rows; ++r) {
-      uint32_t c = col.codes[r];
-      if ((*keep)[r] && (c < lb || c >= ub)) (*keep)[r] = 0;
-    }
-    return;
-  }
   for (size_t r = 0; r < num_rows; ++r) {
     if (!(*keep)[r]) continue;
     uint32_t c = col.codes[r];
@@ -432,7 +363,6 @@ void FilterEncodedBetween(const BatchColumn& col, const Value& lo,
       (*keep)[r] = 0;
       continue;
     }
-    tls_string_order_decodes += 2;
     const std::string& v = dict.str(c);
     if (v.compare(lo_s) < 0 || v.compare(hi_s) > 0) (*keep)[r] = 0;
   }

@@ -49,41 +49,19 @@ MaintenanceManager::RevalidateAndSuggest(double headroom) const {
 }
 
 Status MaintenanceManager::RunAdjustmentCycle(double headroom,
-                                              size_t* changed_out,
-                                              const DictRebuildPolicy& policy) {
+                                              size_t* changed_out) {
   std::vector<Adjustment> changed;
   for (Adjustment& adj : RevalidateAndSuggest(headroom)) {
     if (adj.suggested_n != adj.declared_n) changed.push_back(std::move(adj));
   }
   if (changed_out != nullptr) *changed_out = changed.size();
   BEAS_RETURN_NOT_OK(ApplySuggestions(changed));
-  BEAS_RETURN_NOT_OK(MaintainDictionaries(policy).status());
   // Scrub strictly before checkpoint: a failed scrub (unrepairable
   // corruption) must not be followed by a checkpoint that would replace
   // the last good on-disk copy with the rotted in-memory state.
   if (scrub_hook_) BEAS_RETURN_NOT_OK(scrub_hook_());
   if (checkpoint_hook_) return checkpoint_hook_();
   return Status::OK();
-}
-
-Result<size_t> MaintenanceManager::MaintainDictionaries(
-    const DictRebuildPolicy& policy) {
-  size_t rebuilt = 0;
-  for (const std::string& table : db_->catalog()->TableNames()) {
-    BEAS_ASSIGN_OR_RETURN(TableInfo * info, db_->catalog()->GetTable(table));
-    const StringDict* dict = info->heap()->dict();
-    if (dict == nullptr || dict->is_sorted()) continue;
-    if (dict->size() < policy.min_strings) continue;
-    double fraction = static_cast<double>(dict->out_of_order_codes()) /
-                      static_cast<double>(dict->size());
-    if (fraction < policy.min_out_of_order_fraction) continue;
-    BEAS_ASSIGN_OR_RETURN(bool did, catalog_->RebuildTableDictSorted(table));
-    if (did) {
-      ++rebuilt;
-      dict_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return rebuilt;
 }
 
 Status MaintenanceManager::ApplySuggestions(

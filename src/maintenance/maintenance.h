@@ -65,38 +65,6 @@ class MaintenanceManager {
   /// derived from the old N values are stale.
   Status ApplySuggestions(const std::vector<Adjustment>& adjustments);
 
-  /// \brief When the adjustment cycle rebuilds a table's string
-  /// dictionary into sorted order. Codes are handed out in
-  /// first-appearance order, so a dictionary accumulates *out-of-order
-  /// debt* as data arrives; once the debt passes these thresholds, string
-  /// ORDER BY / range predicates on the table pay a byte decode per
-  /// comparison that one renumbering pass would eliminate forever (until
-  /// new out-of-order strings arrive).
-  struct DictRebuildPolicy {
-    /// Skip dictionaries below this size: tiny tables decode cheaply and
-    /// the rebuild would churn caches for nothing.
-    size_t min_strings = 64;
-    /// Rebuild when out_of_order_codes / size exceeds this fraction.
-    /// 0 rebuilds any unsorted dictionary that clears min_strings.
-    double min_out_of_order_fraction = 0.05;
-  };
-
-  /// Scans every table and sorted-rebuilds each dictionary whose
-  /// out-of-order debt exceeds `policy` (AsCatalog::RebuildTableDictSorted:
-  /// renumber codes, remap heap rows and AC indexes, fire kDictRebuilt so
-  /// cached plans for the table are evicted). Caller holds the Database
-  /// structural lock exclusively — same contract as ApplySuggestions.
-  /// Returns the number of dictionaries rebuilt.
-  Result<size_t> MaintainDictionaries(const DictRebuildPolicy& policy);
-  Result<size_t> MaintainDictionaries() {
-    return MaintainDictionaries(DictRebuildPolicy{});
-  }
-
-  /// Lifetime count of dictionaries rebuilt through this manager.
-  uint64_t dict_rebuilds() const {
-    return dict_rebuilds_.load(std::memory_order_relaxed);
-  }
-
   /// Invoked at the end of every RunAdjustmentCycle, under the same
   /// exclusive structural section the cycle itself runs in. The service
   /// layer points this at the durability subsystem's MaybeCheckpoint so
@@ -121,16 +89,11 @@ class MaintenanceManager {
 
   /// One periodic maintenance round: revalidate, then apply only the
   /// suggestions that actually change a declared bound (no-op adjustments
-  /// would needlessly invalidate cached plans), then run dictionary
-  /// maintenance under `dict_policy` (order-preserving rebuilds), then
-  /// fire the scrub hook followed by the checkpoint hook (if set).
-  /// Returns the number of bounds changed via `changed_out` (optional).
-  Status RunAdjustmentCycle(double headroom, size_t* changed_out,
-                            const DictRebuildPolicy& dict_policy);
+  /// would needlessly invalidate cached plans), then fire the scrub hook
+  /// followed by the checkpoint hook (if set). Returns the number of
+  /// bounds changed via `changed_out` (optional).
   Status RunAdjustmentCycle(double headroom = 1.2,
-                            size_t* changed_out = nullptr) {
-    return RunAdjustmentCycle(headroom, changed_out, DictRebuildPolicy{});
-  }
+                            size_t* changed_out = nullptr);
 
  private:
   Database* db_;
@@ -138,7 +101,6 @@ class MaintenanceManager {
   CheckpointHook checkpoint_hook_;
   ScrubHook scrub_hook_;
   std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> dict_rebuilds_{0};
 };
 
 }  // namespace beas

@@ -165,11 +165,14 @@ void Server::Stop() {
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& t : readers_) {
-      if (t.joinable()) t.join();
+    // Join outside the lock: a reader takes it to report its own end.
+    std::unordered_map<uint64_t, std::thread> readers;
+    {
+      std::lock_guard<std::mutex> lock(threads_mutex_);
+      readers.swap(readers_);
+      finished_readers_.clear();
     }
-    readers_.clear();
+    for (auto& [id, t] : readers) t.join();
   }
   for (std::thread& t : dispatchers_) {
     if (t.joinable()) t.join();
@@ -215,8 +218,26 @@ void Server::AcceptLoop() {
       conns_.push_back(conn);
     }
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    readers_.emplace_back([this, conn] { ReaderLoop(conn); });
+    ReapFinishedReadersLocked();
+    // Spawned under the lock, so the reader's end-of-connection report
+    // cannot precede its own entry.
+    uint64_t id = next_reader_id_++;
+    readers_.emplace(id, std::thread([this, id, conn]() mutable {
+                       ReaderLoop(std::move(conn));
+                       std::lock_guard<std::mutex> done(threads_mutex_);
+                       finished_readers_.push_back(id);
+                     }));
   }
+}
+
+void Server::ReapFinishedReadersLocked() {
+  for (uint64_t id : finished_readers_) {
+    auto it = readers_.find(id);
+    if (it == readers_.end()) continue;
+    it->second.join();
+    readers_.erase(it);
+  }
+  finished_readers_.clear();
 }
 
 void Server::Enqueue(WorkItem item) {

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -97,6 +98,8 @@ class Server {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
+  /// Joins every reader whose connection has ended. Holds threads_mutex_.
+  void ReapFinishedReadersLocked();
   void DispatchLoop();
   void Enqueue(WorkItem item);
   /// Executes one request and writes its response frame.
@@ -120,7 +123,13 @@ class Server {
   std::mutex threads_mutex_;
   std::thread accept_thread_;
   std::vector<std::thread> dispatchers_;
-  std::vector<std::thread> readers_;
+  /// One reader per open connection, by id. A reader whose connection
+  /// ends appends its id to finished_readers_; the next accept joins it,
+  /// so a long-lived server keeps no thread (and no stack) per closed
+  /// connection. Stop() joins whatever is left.
+  std::unordered_map<uint64_t, std::thread> readers_;
+  std::vector<uint64_t> finished_readers_;
+  uint64_t next_reader_id_ = 0;
 
   std::mutex conns_mutex_;
   std::vector<std::weak_ptr<Connection>> conns_;

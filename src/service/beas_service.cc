@@ -59,13 +59,12 @@ bool ReadsOnlyStatsTable(const std::string& sql) {
 
 /// Detaches dictionary-backed string Values into self-contained inline
 /// strings. Results cross the service boundary and outlive the shared
-/// lock they were computed under; a dictionary-backed Value in them would
-/// silently change meaning when a later maintenance cycle renumbers the
-/// table's dictionary (RunAdjustmentCycle's order-preserving rebuilds) —
-/// the same hazard class as DROP TABLE, but triggered autonomously. The
-/// copy is paid once per result cell, at the boundary of answers that are
-/// bounded-small by construction; everything inside the engine stays on
-/// the zero-copy code path.
+/// lock they were computed under; a dictionary-backed Value in them points
+/// into a table's heap, which DROP TABLE frees and a scrub repair replaces
+/// by reloading the table from its checkpoint. The copy is paid once per
+/// result cell, at the boundary of answers that are bounded-small by
+/// construction; everything inside the engine stays on the zero-copy code
+/// path.
 void DetachResultStrings(QueryResult* result) {
   for (Row& row : result->rows) {
     for (Value& v : row) {
@@ -674,8 +673,6 @@ std::vector<Row> BeasService::SampleStats() {
   PlanCacheStats cache = cache_.stats();
   double dict_strings = 0;
   double dict_bytes = 0;
-  double dict_sorted_tables = 0;
-  double dict_rebuilds_total = 0;
   double num_tables = 0;
   double num_rows = 0;
   size_t lock_shards = db_.num_shard_locks();
@@ -691,10 +688,6 @@ std::vector<Row> BeasService::SampleStats() {
       TableHeap::DictGauges gauges = (*table)->heap()->SampleDictGauges();
       dict_strings += static_cast<double>(gauges.strings);
       dict_bytes += static_cast<double>(gauges.bytes);
-      if ((*table)->heap()->dict() != nullptr && gauges.sorted) {
-        dict_sorted_tables += 1;
-      }
-      dict_rebuilds_total += static_cast<double>(gauges.rebuilds);
     }
   }
   for (size_t s = 0; s < lock_shards; ++s) {
@@ -754,8 +747,6 @@ std::vector<Row> BeasService::SampleStats() {
   add("rows_live", num_rows);
   add("dict_strings_total", dict_strings);
   add("dict_bytes_total", dict_bytes);
-  add("dict_sorted_tables", dict_sorted_tables);
-  add("dict_rebuilds_total", dict_rebuilds_total);
   // Process-wide counters (like tls_hash_string_calls): a process hosting
   // several BeasService instances reports their combined tail activity
   // under each service's beas_stats.

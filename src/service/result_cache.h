@@ -51,7 +51,7 @@ struct ResultCacheStats {
 /// Stale entries are dropped by the reader that caught them
 /// (RemoveStale), counted as invalidations.
 ///
-/// Maintenance / DDL / constraint / dictionary-rebuild events keep the
+/// Maintenance / DDL / constraint events keep the
 /// plan cache's hard-evict semantics: the service routes the same hooks
 /// into InvalidateTable / Clear here.
 ///

@@ -23,33 +23,13 @@ namespace beas {
 ///  * equality of two values of the *same* dictionary is a code compare —
 ///    interning deduplicates, so distinct codes imply distinct bytes.
 ///
-/// ## Ordering (the sort boundary, and the order-preserving mode)
+/// ## Ordering
 ///
-/// Codes are assigned in first-appearance order, so a freshly grown
-/// dictionary is generally NOT order-preserving: `code(a) < code(b)` says
-/// nothing about `a < b`, and ordering consumers (ORDER BY, range
-/// predicates, MIN/MAX) decode to bytes at the comparison.
-///
-/// The dictionary however *knows* whether its codes happen to be in byte
-/// order: `is_sorted()` is maintained incrementally (one compare per
-/// Intern against the running maximum), and `out_of_order_codes()` counts
-/// how many interned strings broke the order. When the maintenance module
-/// decides the debt is worth paying, `SortedRebuild()` renumbers every
-/// code into byte-sorted order — after which ordering consumers compare
-/// codes directly (Value::Compare, the ExprProgram range kernels and the
-/// columnar tail's sort all fast-path on `is_sorted()`), and
-/// `LowerBoundCode`/`UpperBoundCode` turn range literals into code
-/// bounds by binary search.
-///
-/// A rebuild invalidates the code half of every dictionary-backed Value
-/// minted before it (the byte hashes are unchanged — they are hashes of
-/// the bytes, not the codes — but the code -> string mapping moved).
-/// Callers therefore renumber every stored consumer under the same
-/// exclusive section: TableHeap::RebuildDictSorted remaps its rows and
-/// AcIndex::RemapDictCodes its keys and Y-projections. Results already
-/// returned to clients are NOT remapped; like dropping a table, a rebuild
-/// makes previously returned dictionary-backed rows unreadable (decode or
-/// copy them before triggering maintenance if they must survive it).
+/// Codes are assigned in first-appearance order and never change for the
+/// lifetime of the dictionary, so `code(a) < code(b)` says nothing about
+/// `a < b`. Codes serve hashing and equality only (the AC index of §3 is
+/// a hash index); ordering consumers (ORDER BY, range predicates,
+/// MIN/MAX) compare the bytes.
 ///
 /// ## Byte-exactness
 ///
@@ -60,12 +40,9 @@ namespace beas {
 /// ## Thread-safety
 ///
 /// Same single-writer/multi-reader contract as the owning TableHeap:
-/// Intern and SortedRebuild mutate and require exclusive access (a
-/// rebuild additionally requires that *no* reader holds codes across it —
-/// the Database structural lock provides exactly that); all const members
-/// are safe from concurrent readers. Interned strings live in a deque, so
-/// `str(code)` references stay valid across later Interns (but not across
-/// a SortedRebuild, which permutes the storage).
+/// Intern mutates and requires exclusive access; all const members are
+/// safe from concurrent readers. Interned strings live in a deque, so
+/// `str(code)` references stay valid across later Interns.
 class StringDict {
  public:
   /// Sentinel used by encoded columns for SQL NULL (never a real code).
@@ -100,45 +77,10 @@ class StringDict {
   /// Number of distinct strings interned.
   size_t size() const { return strings_.size(); }
 
-  /// \name Order-preserving mode.
-  /// @{
-  /// True when codes are in byte order: a < b <=> str(a) < str(b). Holds
-  /// trivially for an empty dictionary, survives appends that arrive in
-  /// sorted order, and is restored by SortedRebuild.
-  bool is_sorted() const { return sorted_; }
-
-  /// Number of interned strings that arrived out of byte order since the
-  /// last rebuild (the maintenance module's rebuild-debt signal).
-  uint64_t out_of_order_codes() const { return out_of_order_; }
-
-  /// Number of sorted rebuilds performed over this dictionary's lifetime.
-  uint64_t rebuilds() const { return rebuilds_; }
-
-  /// Renumbers every code into byte-sorted order and returns the old ->
-  /// new code permutation (empty when the dictionary was already sorted —
-  /// a no-op). Requires exclusive access to every consumer of this
-  /// dictionary's codes; see the class comment.
-  std::vector<uint32_t> SortedRebuild();
-
-  /// Smallest code whose string is >= `s` (== size() when every interned
-  /// string is < `s`). Only meaningful when is_sorted(); the range
-  /// kernels use it to turn ordering literals into pure code bounds.
-  uint32_t LowerBoundCode(const std::string& s) const;
-
-  /// Smallest code whose string is > `s` (== size() when none is).
-  uint32_t UpperBoundCode(const std::string& s) const;
-  /// @}
-
   /// \brief Resets this (empty) dictionary to a checkpointed state:
-  /// `strings` in code order plus the order-tracking metadata the
-  /// incremental path would have accumulated. Re-interning the strings
-  /// rebuilds the hash table deterministically, but the order state is
-  /// overwritten from the arguments — after a historical SortedRebuild,
-  /// replaying interns would miscount out-of-order debt and rebuilds,
-  /// and recovery must restore those bit-identically (future maintenance
-  /// decisions depend on them). Errors if the dictionary is non-empty.
-  Status RestoreFrom(std::vector<std::string> strings, bool sorted,
-                     uint64_t out_of_order, uint64_t rebuilds);
+  /// `strings` in code order. Re-interning them assigns exactly code i to
+  /// strings[i]. Errors if the dictionary is non-empty.
+  Status RestoreFrom(std::vector<std::string> strings);
 
   /// Rough memory footprint (strings + hash/slot tables). O(1): string
   /// bytes are accumulated at intern time, so monitoring surfaces can
@@ -156,11 +98,6 @@ class StringDict {
   std::vector<uint32_t> slots_;     ///< open addressing; kNullCode = empty
   size_t mask_;
   uint64_t string_bytes_ = 0;  ///< Σ per-string footprint, kept by Intern
-
-  bool sorted_ = true;         ///< codes currently in byte order?
-  uint32_t max_code_ = 0;      ///< code of the lexicographic maximum
-  uint64_t out_of_order_ = 0;  ///< interns that broke the order
-  uint64_t rebuilds_ = 0;      ///< lifetime SortedRebuild count
 };
 
 /// \brief One column of a columnar batch, in one of two representations:

@@ -83,28 +83,6 @@ void TableHeap::InsertBatchUnchecked(std::vector<Row> rows) {
   for (Row& row : rows) Place(std::move(row));
 }
 
-bool TableHeap::RebuildDictSorted(std::vector<uint32_t>* old_to_new) {
-  old_to_new->clear();
-  if (dict() == nullptr || dict_.is_sorted()) return false;
-  // Renumbering changes stored representations; belt-and-braces alongside
-  // the maintenance hard-evict events that also fire for rebuilds.
-  BumpVersionEpoch();
-  *old_to_new = dict_.SortedRebuild();
-  // Every stored row minted codes of the old numbering; remap in place.
-  // Tombstoned rows are remapped too — a dangling old code in a dead row
-  // would decode to the wrong string if the slot is ever inspected.
-  for (Shard& sh : shards_) {
-    for (Row& row : sh.rows) {
-      for (Value& v : row) {
-        if (v.dict() == &dict_) {
-          v = Value::DictString(&dict_, (*old_to_new)[v.dict_code()]);
-        }
-      }
-    }
-  }
-  return true;
-}
-
 Status TableHeap::Delete(SlotId slot) {
   if (slot >= directory_.size()) {
     return Status::OutOfRange("slot " + std::to_string(slot) + " out of range");

@@ -147,8 +147,6 @@ class TableHeap {
   struct DictGauges {
     uint64_t strings = 0;
     uint64_t bytes = 0;
-    bool sorted = false;    ///< codes currently in byte order
-    uint64_t rebuilds = 0;  ///< lifetime sorted rebuilds
   };
   DictGauges SampleDictGauges() const {
     DictGauges g;
@@ -156,22 +154,9 @@ class TableHeap {
     std::lock_guard<std::mutex> lock(dict_mutex_);
     g.strings = dict_.size();
     g.bytes = dict_.ApproxBytes();
-    g.sorted = dict_.is_sorted();
-    g.rebuilds = dict_.rebuilds();
     return g;
   }
 
-  /// Renumbers the table's dictionary into byte-sorted order (see
-  /// StringDict::SortedRebuild) and remaps every stored row — live and
-  /// tombstoned — to the new codes. Returns false (and leaves
-  /// `old_to_new` empty) when the table has no dictionary or it is
-  /// already sorted. The caller must hold exclusive access to the whole
-  /// database (the structural lock): every reader and writer of any
-  /// shard, and every index built over this heap, observes the
-  /// renumbering; AC indexes must be remapped with the returned
-  /// permutation under the same exclusive section
-  /// (AcIndex::RemapDictCodes).
-  bool RebuildDictSorted(std::vector<uint32_t>* old_to_new);
   /// @}
 
   /// Validates arity and coerces column types of `row` in place (the
@@ -277,10 +262,8 @@ class TableHeap {
   /// Restores a checkpointed dictionary into this (empty) heap; see
   /// StringDict::RestoreFrom. Must run before RestoreContent so restored
   /// rows can be canonicalized against the final dictionary.
-  Status RestoreDict(std::vector<std::string> strings, bool sorted,
-                     uint64_t out_of_order, uint64_t rebuilds) {
-    return dict_.RestoreFrom(std::move(strings), sorted, out_of_order,
-                             rebuilds);
+  Status RestoreDict(std::vector<std::string> strings) {
+    return dict_.RestoreFrom(std::move(strings));
   }
 
   /// Restores checkpointed storage into this (empty) heap: per-shard rows

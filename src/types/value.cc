@@ -70,22 +70,10 @@ int Value::Compare(const Value& other) const {
   }
   if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
     // Same dictionary: equal codes <=> equal bytes (interning dedups).
-    // Distinct codes of a *sorted* dictionary compare directly — after a
-    // SortedRebuild, code order is byte order, so ORDER BY / ranges /
-    // MIN-MAX on dictionary values cost a uint32 compare. Unsorted
-    // (first-appearance) codes still decode here — the sort boundary —
-    // and the decode is counted so tests can pin its absence.
-    if (dict_ != nullptr && dict_ == other.dict_) {
-      if (i_ == other.i_) return 0;
-      if (dict_->is_sorted()) return i_ < other.i_ ? -1 : 1;
-      // Distinct codes of an unsorted dictionary: an ordering consumer
-      // is decoding at the sort boundary (equality consumers take
-      // Equals' code path and never reach here with equal bytes).
-      ++tls_string_order_decodes;
-    }
-    const std::string& a = AsString();
-    const std::string& b = other.AsString();
-    return a.compare(b) < 0 ? -1 : (a == b ? 0 : 1);
+    // Codes carry no order, so distinct strings compare their bytes.
+    if (dict_ != nullptr && dict_ == other.dict_ && i_ == other.i_) return 0;
+    int c = AsString().compare(other.AsString());
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   // Heterogeneous (string vs numeric): order by type tag for stability.
   return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;

@@ -79,15 +79,11 @@ class BoundedTest : public ::testing::Test {
   }
 
   BoundQuery MustBind(const std::string& sql) {
-    auto q = db_.Bind(sql);
-    EXPECT_TRUE(q.ok()) << q.status().ToString();
-    return std::move(*q);
+    return testing_util::ValueOrThrow(db_.Bind(sql), "bind " + sql);
   }
 
   CoverageResult MustCheck(const std::string& sql) {
-    auto c = session_->Check(sql);
-    EXPECT_TRUE(c.ok()) << c.status().ToString();
-    return std::move(*c);
+    return testing_util::ValueOrThrow(session_->Check(sql), "check " + sql);
   }
 
   Database db_;

@@ -1,18 +1,16 @@
 // Columnar relational tail: differential coverage against the reference
 // path's scalar tail on large batches (including the chunk-parallel
-// fold), the zero-decode ORDER BY pin on sorted dictionaries, the tail
-// telemetry counters, exact integer SUM, binder refusal of tails that
-// would not compile, and answer stability across an order-preserving
-// dictionary rebuild mid-workload.
+// fold), string ORDER BY in byte order over first-appearance codes, the
+// tail telemetry counters, exact integer SUM, binder refusal of tails
+// that would not compile, and answers that do not depend on the order
+// strings were interned in.
 
 #include <gtest/gtest.h>
 
 #include "bounded/beas_session.h"
 #include "bounded/bounded_executor.h"
 #include "bounded/columnar_tail.h"
-#include "common/hash.h"
 #include "common/task_pool.h"
-#include "maintenance/maintenance.h"
 #include "support/reference_executor.h"
 #include "test_util.h"
 
@@ -71,7 +69,7 @@ TailEnv MakeTailEnv(bool sorted_inserts = false) {
 }
 
 /// Renders a result's rows for representation-independent comparison
-/// (dictionary rebuilds renumber codes; bytes must not change).
+/// (two databases intern the same strings under different codes).
 std::vector<std::vector<std::string>> Render(const QueryResult& result) {
   std::vector<std::vector<std::string>> out;
   out.reserve(result.rows.size());
@@ -151,19 +149,8 @@ TEST(ColumnarTailTest, BitIdenticalToScalarTailAcrossFoldModes) {
   }
 }
 
-TEST(ColumnarTailTest, SortedDictOrderByPerformsZeroDecodes) {
+TEST(ColumnarTailTest, StringOrderByIsByteOrderOverFirstAppearanceCodes) {
   TailEnv env = MakeTailEnv();
-  {
-    // Renumber both dictionaries into byte order through the maintenance
-    // module (the production trigger).
-    MaintenanceManager maintenance(env.db.get(), env.catalog.get());
-    MaintenanceManager::DictRebuildPolicy force;
-    force.min_strings = 1;
-    force.min_out_of_order_fraction = 0.0;
-    auto rebuilt = maintenance.MaintainDictionaries(force);
-    ASSERT_TRUE(rebuilt.ok());
-    ASSERT_GE(*rebuilt, 1u);
-  }
   BoundedExecutor executor(env.catalog.get());
   const char* sql =
       "SELECT b.src, b.tag FROM e1 a, e2 b WHERE a.src = 'root' AND "
@@ -174,82 +161,55 @@ TEST(ColumnarTailTest, SortedDictOrderByPerformsZeroDecodes) {
   auto bound = env.db->Bind(sql);
   ASSERT_TRUE(bound.ok());
 
-  auto result = executor.Execute(*bound, coverage->plan, {});  // warm-up
+  auto result = executor.Execute(*bound, coverage->plan, {});
   ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->rows.empty());
-
-  uint64_t decodes_before = tls_string_order_decodes;
-  auto pinned = executor.Execute(*bound, coverage->plan, {});
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(tls_string_order_decodes, decodes_before)
-      << "string ORDER BY on a sorted dictionary must compare codes only";
-  ExpectResultsIdentical(*result, *pinned);
-
-  // Control: the same workload on first-appearance codes decodes.
-  TailEnv unsorted = MakeTailEnv();
-  ASSERT_FALSE(
-      (*unsorted.db->catalog()->GetTable("e2"))->heap()->dict()->is_sorted());
-  BoundedExecutor unsorted_executor(unsorted.catalog.get());
-  auto coverage2 = unsorted.session->Check(sql);
-  ASSERT_TRUE(coverage2.ok());
-  auto bound2 = unsorted.db->Bind(sql);
-  ASSERT_TRUE(bound2.ok());
-  uint64_t control_before = tls_string_order_decodes;
-  auto control =
-      unsorted_executor.Execute(*bound2, coverage2->plan, {});
-  ASSERT_TRUE(control.ok());
-  EXPECT_GT(tls_string_order_decodes, control_before)
-      << "unsorted codes still decode at the sort boundary";
+  ASSERT_EQ(result->rows.size(), 50u);
+  for (size_t r = 1; r < result->rows.size(); ++r) {
+    EXPECT_LE(CompareValueVec(result->rows[r - 1], result->rows[r]), 0)
+        << "row " << r;
+  }
+  auto again = executor.Execute(*bound, coverage->plan, {});
+  ASSERT_TRUE(again.ok());
+  ExpectResultsIdentical(*result, *again);
+  auto conventional = env.db->Query(sql);
+  ASSERT_TRUE(conventional.ok()) << conventional.status().ToString();
+  EXPECT_EQ(Render(*result), Render(*conventional));
 }
 
-TEST(ColumnarTailTest, AnswersIdenticalBeforeAndAfterDictRebuild) {
-  TailEnv env = MakeTailEnv();
-  BoundedExecutor executor(env.catalog.get());
-
-  // Snapshot every query's answer (rendered to bytes — the rebuild
-  // renumbers codes, so retained Values would decode wrong by design).
-  std::vector<std::vector<std::vector<std::string>>> snapshots;
-  std::vector<std::string> covered;
+TEST(ColumnarTailTest, AnswersDoNotDependOnInternOrder) {
+  // The same rows, with e1's node names interned in descending and in
+  // ascending byte order: codes differ, answers must not.
+  TailEnv out_of_order = MakeTailEnv(/*sorted_inserts=*/false);
+  TailEnv in_order = MakeTailEnv(/*sorted_inserts=*/true);
+  BoundedExecutor executor(out_of_order.catalog.get());
+  BoundedExecutor in_order_executor(in_order.catalog.get());
+  size_t covered = 0;
   for (const char* sql : kTailQueries) {
-    auto coverage = env.session->Check(sql);
+    SCOPED_TRACE(sql);
+    auto coverage = out_of_order.session->Check(sql);
     ASSERT_TRUE(coverage.ok());
     if (!coverage->covered) continue;
-    auto bound = env.db->Bind(sql);
-    ASSERT_TRUE(bound.ok());
-    auto result = executor.Execute(*bound, coverage->plan, {});
-    ASSERT_TRUE(result.ok());
-    snapshots.push_back(Render(*result));
-    covered.push_back(sql);
-  }
-  ASSERT_FALSE(covered.empty());
-
-  // Renumber mid-workload.
-  MaintenanceManager maintenance(env.db.get(), env.catalog.get());
-  MaintenanceManager::DictRebuildPolicy force;
-  force.min_strings = 1;
-  force.min_out_of_order_fraction = 0.0;
-  auto rebuilt = maintenance.MaintainDictionaries(force);
-  ASSERT_TRUE(rebuilt.ok());
-  ASSERT_GE(*rebuilt, 1u);
-  ASSERT_TRUE(
-      (*env.db->catalog()->GetTable("e2"))->heap()->dict()->is_sorted());
-
-  // Every answer — vectorized and reference path — is byte-identical to
-  // the pre-rebuild snapshot.
-  for (size_t q = 0; q < covered.size(); ++q) {
-    SCOPED_TRACE(covered[q]);
-    auto coverage = env.session->Check(covered[q]);
-    ASSERT_TRUE(coverage.ok());
-    ASSERT_TRUE(coverage->covered);
-    auto bound = env.db->Bind(covered[q]);
+    ++covered;
+    auto bound = out_of_order.db->Bind(sql);
     ASSERT_TRUE(bound.ok());
     auto result = executor.Execute(*bound, coverage->plan);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(Render(*result), snapshots[q]);
-    auto reference = ExecuteReference(*env.catalog, *bound, coverage->plan);
+    auto reference =
+        ExecuteReference(*out_of_order.catalog, *bound, coverage->plan);
     ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(Render(*reference), snapshots[q]);
+    EXPECT_EQ(Render(*reference), Render(*result));
+
+    auto in_order_coverage = in_order.session->Check(sql);
+    ASSERT_TRUE(in_order_coverage.ok());
+    ASSERT_TRUE(in_order_coverage->covered);
+    auto in_order_bound = in_order.db->Bind(sql);
+    ASSERT_TRUE(in_order_bound.ok());
+    auto in_order_result =
+        in_order_executor.Execute(*in_order_bound, in_order_coverage->plan);
+    ASSERT_TRUE(in_order_result.ok());
+    EXPECT_EQ(Render(*in_order_result), Render(*result));
   }
+  EXPECT_GT(covered, 0u);
 }
 
 TEST(ColumnarTailTest, TelemetryCountersAdvance) {

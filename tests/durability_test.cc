@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -191,36 +192,56 @@ TEST(DurabilitySerdeTest, UnknownSchemaColumnTypeIsRejected) {
   EXPECT_EQ(schema.status().code(), StatusCode::kIoError);
 }
 
-// The table meta segment's dictionary flag is a function of the schema:
-// every heap with a STRING column interns it. A flag that disagrees (for
-// example 0 on a STRING schema, which no writer produces) is corruption.
+// A version 1 table meta segment carries a dictionary flag, which is a
+// function of the schema: every heap with a STRING column interns it. A
+// flag that disagrees (for example 0 on a STRING schema, which no writer
+// produces) is corruption. Version 2 drops the byte and derives the same
+// answer from the schema. A shard count outside [1, kMaxStorageShards],
+// which no heap has, is corruption in either version.
 TEST(DurabilitySerdeTest, TableMetaDictFlagMustMatchTheSchema) {
-  auto meta = [](const Schema& schema, uint8_t dict_flag) {
+  auto meta = [](const Schema& schema, uint32_t version, uint8_t dict_flag,
+                 uint32_t shards = 1) {
     ByteSink sink;
     durability::WriteSchema(&sink, schema);
-    sink.PutU8(dict_flag);
-    sink.PutU32(1);   // shards
+    if (version == 1) sink.PutU8(dict_flag);
+    sink.PutU32(shards);
     sink.PutI64(-1);  // shard key column
     sink.PutU64(0);   // slots
     return durability::ParseTableMetaPayload(
-        ByteReader(sink.str().data(), sink.size()));
+        ByteReader(sink.str().data(), sink.size()), version);
   };
   Schema strings({{"k", TypeId::kInt64}, {"v", TypeId::kString}});
   Schema numeric({{"k", TypeId::kInt64}, {"d", TypeId::kDouble}});
 
-  auto with_dict = meta(strings, 1);
+  auto with_dict = meta(strings, 1, 1);
   ASSERT_TRUE(with_dict.ok()) << with_dict.status().ToString();
   EXPECT_TRUE(with_dict->has_dict);
-  auto without_dict = meta(numeric, 0);
+  auto without_dict = meta(numeric, 1, 0);
   ASSERT_TRUE(without_dict.ok()) << without_dict.status().ToString();
   EXPECT_FALSE(without_dict->has_dict);
 
   for (const auto& [schema, flag] :
        {std::pair<Schema, uint8_t>{strings, 0}, {numeric, 1}, {strings, 2}}) {
-    auto bad = meta(schema, flag);
+    auto bad = meta(schema, 1, flag);
     ASSERT_FALSE(bad.ok()) << "flag " << static_cast<int>(flag);
     EXPECT_EQ(bad.status().code(), StatusCode::kCorruption)
         << bad.status().ToString();
+  }
+
+  auto v2_strings = meta(strings, 2, 0);
+  ASSERT_TRUE(v2_strings.ok()) << v2_strings.status().ToString();
+  EXPECT_TRUE(v2_strings->has_dict);
+  EXPECT_EQ(v2_strings->num_shards, 1u);
+  auto v2_numeric = meta(numeric, 2, 0);
+  ASSERT_TRUE(v2_numeric.ok()) << v2_numeric.status().ToString();
+  EXPECT_FALSE(v2_numeric->has_dict);
+
+  for (uint32_t version : {1u, 2u}) {
+    for (uint32_t shards : {0u, static_cast<uint32_t>(kMaxStorageShards + 1)}) {
+      auto bad = meta(strings, version, 1, shards);
+      ASSERT_FALSE(bad.ok()) << "version " << version << " shards " << shards;
+      EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+    }
   }
 }
 
@@ -377,11 +398,11 @@ Schema CallSchema() {
                  {"region", TypeId::kString}});
 }
 
-/// Exercises every WAL record type: DDL, single inserts, a large batch
-/// whose strings arrive out of byte order (arming a dictionary rebuild),
+/// Exercises every WAL record type that is still written: DDL, single
+/// inserts, a large batch whose strings arrive out of byte order,
 /// constraint registration, deletes, an explicit checkpoint, a
-/// maintenance cycle (bound adjustments + dict rebuild + hook-driven
-/// checkpoint), and post-checkpoint writes that land in the WAL tail.
+/// maintenance cycle (bound adjustments + hook-driven checkpoint), and
+/// post-checkpoint writes that land in the WAL tail.
 std::vector<ScriptOp> BuildOpScript() {
   std::vector<ScriptOp> ops;
   ops.push_back({true, [](BeasService* s) {
@@ -406,9 +427,8 @@ std::vector<ScriptOp> BuildOpScript() {
                        {"psi1", "call", {"pnum", "date"},
                         {"recnum", "region"}, 500});
                  }});
-  // 70 distinct region strings interned in DESCENDING byte order: enough
-  // out-of-order debt that the later adjustment cycle sorted-rebuilds the
-  // dictionary (min_strings = 64, min fraction 5%).
+  // 70 distinct region strings interned in DESCENDING byte order: codes
+  // run against byte order, and recovery must restore them exactly.
   ops.push_back({true, [](BeasService* s) {
                    std::vector<Row> rows;
                    for (int i = 69; i >= 0; --i) {
@@ -446,8 +466,8 @@ std::vector<ScriptOp> BuildOpScript() {
 /// A deterministic rendering of everything durability promises to restore
 /// bit-identically: every table's slot directory, live flags and rows (in
 /// slot order — exact placement, not just content), the dictionary's full
-/// code assignment and order-tracking state, every AC index bucket, and
-/// the answers of a bounded query.
+/// code assignment, every AC index bucket, and the answers of a bounded
+/// query.
 std::string StateFingerprint(BeasService* svc) {
   std::ostringstream out;
   Database* db = svc->db();
@@ -465,10 +485,7 @@ std::string StateFingerprint(BeasService* svc) {
     }
     const StringDict* dict = heap.dict();
     if (dict != nullptr) {
-      out << "  dict size=" << dict->size()
-          << " sorted=" << dict->is_sorted()
-          << " out_of_order=" << dict->out_of_order_codes()
-          << " rebuilds=" << dict->rebuilds() << "\n";
+      out << "  dict size=" << dict->size() << "\n";
       for (uint32_t code = 0; code < dict->size(); ++code) {
         out << "    " << code << " => " << dict->str(code) << "\n";
       }
@@ -912,6 +929,137 @@ TEST(DurabilityCountersTest, WalAndCheckpointCountersAdvance) {
   std::unique_ptr<BeasService> replayed = MakeService(tmp.path + "/data");
   ASSERT_TRUE(replayed->durable());
   EXPECT_GE(replayed->durability_counters().recovery_replayed_records, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Upgrade from the version 1 segment format.
+// ---------------------------------------------------------------------------
+
+// tests/data/v1_dict_rebuild was written, at 2 storage shards, by the last
+// version whose dictionaries could be renumbered into byte order:
+//  1. CREATE TABLE emp(id INT64, name STRING, dept STRING) and constraint
+//     psi_dept: dept -> (id, name), N = 100;
+//  2. rows 1..8 (hotel, golf, ..., alpha: names in descending byte order;
+//     odd ids in d2, even ids in d1) in one batch;
+//  3. a forced dictionary renumbering, then a checkpoint: version 1
+//     segments, whose table meta carries the dictionary flag byte and
+//     whose dictionary ends in the order trailer (sorted 1, rebuilds 1);
+//  4. rows 9..13 (zulu d3, yankee d1, kilo d3, india d1, lima d3), the
+//     delete of row 3, a second forced renumbering — a record of the
+//     reserved WAL type 8 in the meta WAL past the checkpoint — and row 14
+//     (juliet d2).
+const char* const kUpgradeQueries[] = {
+    "SELECT emp.id, emp.name FROM emp WHERE emp.dept = 'd1' "
+    "ORDER BY emp.name",
+    "SELECT emp.id, emp.name FROM emp WHERE emp.dept = 'd2' AND "
+    "emp.name < 'golf' ORDER BY emp.id",
+    "SELECT min(emp.name) AS lo, max(emp.name) AS hi FROM emp "
+    "WHERE emp.dept = 'd1'",
+    "SELECT emp.name FROM emp WHERE emp.dept = 'd3' AND "
+    "emp.name BETWEEN 'kilo' AND 'zulu' ORDER BY emp.name DESC",
+};
+
+using UpgradeAnswers = std::vector<std::vector<std::string>>;
+
+UpgradeAnswers AnswerUpgradeQueries(BeasService* svc) {
+  UpgradeAnswers out;
+  for (const char* sql : kUpgradeQueries) {
+    std::vector<std::string> rows;
+    auto resp = svc->Query({sql, QueryMode::kBoundedOnly});
+    if (!resp.ok()) {
+      rows.push_back("error: " + resp.status().ToString());
+    } else {
+      for (const Row& row : resp->result.rows) rows.push_back(RowToString(row));
+    }
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+/// The segment version of `dir`'s committed checkpoint: its manifest's and
+/// its table segments', which must agree.
+uint32_t CommittedSegmentVersion(const std::string& dir) {
+  Env* env = Env::Default();
+  auto manifest = durability::OpenSegment(env, dir + "/MANIFEST",
+                                          durability::SegmentKind::kManifest);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return 0;
+  const uint64_t id = manifest->reader().GetU64();
+  const std::string base = dir + "/seg/ck" + std::to_string(id) + "/t_emp";
+  auto meta = durability::OpenSegment(env, base + ".meta.seg",
+                                      durability::SegmentKind::kTableMeta);
+  auto dict = durability::OpenSegment(env, base + ".dict.seg",
+                                      durability::SegmentKind::kDict);
+  EXPECT_TRUE(meta.ok() && dict.ok());
+  if (!meta.ok() || !dict.ok()) return 0;
+  EXPECT_EQ(meta->version, manifest->version);
+  EXPECT_EQ(dict->version, manifest->version);
+  return manifest->version;
+}
+
+/// Recovers `dir` (a copy of the fixture), checks `expect`, scrubs, runs an
+/// adjustment cycle and a checkpoint, then reopens from the version 2
+/// checkpoint and checks the answers again.
+void CheckUpgrade(const std::string& dir, const UpgradeAnswers& expect) {
+  ASSERT_EQ(CommittedSegmentVersion(dir), 1u);
+  {
+    std::unique_ptr<BeasService> svc = MakeService(dir);
+    ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
+    EXPECT_EQ(AnswerUpgradeQueries(svc.get()), expect);
+    durability::ScrubReport report;
+    Status scrubbed = svc->Scrub(&report);
+    EXPECT_TRUE(scrubbed.ok()) << scrubbed.ToString();
+    EXPECT_GT(report.segments_checked, 0u);
+    EXPECT_EQ(report.corruptions_found, 0u);
+    EXPECT_EQ(report.repairs, 0u);
+    size_t changed = 0;
+    Status cycle = svc->RunAdjustmentCycle(1.2, &changed);
+    ASSERT_TRUE(cycle.ok()) << cycle.ToString();
+    Status checkpoint = svc->Checkpoint();
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+    EXPECT_EQ(AnswerUpgradeQueries(svc.get()), expect);
+  }
+  EXPECT_EQ(CommittedSegmentVersion(dir), durability::kSegVersion);
+  std::unique_ptr<BeasService> again = MakeService(dir);
+  ASSERT_TRUE(again->durable()) << again->durability_status().ToString();
+  EXPECT_EQ(again->durability_counters().recovery_replayed_records, 0u);
+  EXPECT_EQ(AnswerUpgradeQueries(again.get()), expect);
+}
+
+TEST(DurabilityUpgradeTest, RecoversVersion1DataDirWithDictRebuildRecords) {
+  TempDir tmp;
+  const std::string dir = tmp.path + "/data";
+  std::filesystem::copy(std::string(BEAS_TEST_DATA_DIR) + "/v1_dict_rebuild",
+                        dir, std::filesystem::copy_options::recursive);
+  CheckUpgrade(dir, {
+                        {"(8, 'alpha')", "(6, 'charlie')", "(4, 'echo')",
+                         "(2, 'golf')", "(12, 'india')", "(10, 'yankee')"},
+                        {"(5, 'delta')", "(7, 'bravo')"},
+                        {"('alpha', 'yankee')"},
+                        {"('zulu')", "('lima')", "('kilo')"},
+                    });
+}
+
+// The same fixture without its live WAL epoch: recovery restores the
+// version 1 checkpoint alone and replays nothing, so the table is clean and
+// the scrub's memory pass compares the restored dictionary with the
+// checkpoint's — whose version 1 payload differs from the current layout
+// by its order trailer.
+TEST(DurabilityUpgradeTest, ScrubAcceptsRestoredVersion1Dictionary) {
+  TempDir tmp;
+  const std::string dir = tmp.path + "/data";
+  std::filesystem::copy(std::string(BEAS_TEST_DATA_DIR) + "/v1_dict_rebuild",
+                        dir, std::filesystem::copy_options::recursive);
+  for (const char* wal : {"meta.wal", "shard_0.wal", "shard_1.wal"}) {
+    ASSERT_TRUE(std::filesystem::remove(dir + "/wal/" + wal)) << wal;
+  }
+  CheckUpgrade(dir, {
+                        {"(8, 'alpha')", "(6, 'charlie')", "(4, 'echo')",
+                         "(2, 'golf')"},
+                        {"(3, 'foxtrot')", "(5, 'delta')", "(7, 'bravo')"},
+                        {"('alpha', 'golf')"},
+                        {},
+                    });
 }
 
 TEST(DurabilityCountersTest, InMemoryServiceIsNotDurable) {

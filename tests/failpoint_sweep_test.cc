@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "common/shard_config.h"
@@ -489,10 +490,11 @@ TEST(CheckpointFallbackTest, CorruptedNewestCheckpointFallsBackToPrevious) {
   EXPECT_EQ(reopened->durability_counters().recovery_replayed_records, 0u);
 }
 
-// A table meta segment whose dictionary flag contradicts its schema (0 on
-// a table with a STRING column) passes the CRC but is corruption: recovery
-// must reject that checkpoint in verification and fall back exactly as it
-// does for bit rot.
+// A version 1 table meta segment whose dictionary flag contradicts its
+// schema (0 on a table with a STRING column) passes the CRC but is
+// corruption: recovery must reject that checkpoint in verification and
+// fall back exactly as it does for bit rot. Current writers drop the flag,
+// so ck2's meta is rewritten in version 1 framing with the flag inserted.
 TEST(CheckpointFallbackTest, DictionaryFlagOffOnAStringTableFallsBack) {
   ShardOverrideGuard guard(1);
   const std::string data_dir = "/ckdictfs/data";
@@ -516,25 +518,28 @@ TEST(CheckpointFallbackTest, DictionaryFlagOffOnAStringTableFallsBack) {
         svc->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")}).ok());
     ASSERT_TRUE(svc->Checkpoint().ok());  // ck2 rotates ck1's WAL to prev/
   }
-  // Rewrite ck2's call meta with the dictionary flag cleared, under a
-  // valid frame and CRC.
+  // Rewrite ck2's call meta as version 1 with the dictionary flag cleared,
+  // under a valid frame and CRC.
   const std::string meta_path = data_dir + "/seg/ck2/t_call.meta.seg";
   std::string payload;
   {
     auto view = durability::OpenSegment(&env, meta_path,
                                         durability::SegmentKind::kTableMeta);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ASSERT_EQ(view->version, durability::kSegVersion);
     payload.assign(view->payload, view->payload_len);
   }
   ByteReader r(payload.data(), payload.size());
   ASSERT_TRUE(durability::ReadSchema(&r).ok());
-  const size_t flag_at = payload.size() - r.remaining();
-  ASSERT_EQ(payload[flag_at], 1);
-  payload[flag_at] = 0;
-  ASSERT_TRUE(durability::WriteSegmentFile(
-                  &env, meta_path, durability::SegmentKind::kTableMeta,
-                  payload, nullptr)
-                  .ok());
+  payload.insert(payload.size() - r.remaining(), 1, '\0');
+  ByteSink file;
+  file.PutU32(durability::kSegMagic);
+  file.PutU32(1);
+  file.PutU8(static_cast<uint8_t>(durability::SegmentKind::kTableMeta));
+  file.PutU32(Crc32c(payload.data(), payload.size()));
+  file.PutU64(payload.size());
+  file.PutRaw(payload.data(), payload.size());
+  ASSERT_TRUE(env.WriteFileAtomic(meta_path, file.str()).ok());
 
   std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
   ASSERT_TRUE(recovered->durable())

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -887,6 +888,53 @@ TEST_F(NetTest, DisconnectMidQueryCancelsAndReleasesAdmission) {
   QueryRequest request;
   request.sql = KeyQuery(3);
   EXPECT_TRUE(after.Query(request).ok());
+}
+
+/// The process's virtual memory size in kB (VmSize in /proc/self/status).
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(NetTest, ClosedConnectionsReleaseTheirReaderThreads) {
+  // Each connection gets a reader thread. A finished reader that is never
+  // joined keeps its stack mapped (8 MB of address space by default)
+  // until Stop(), so sequential short connections would grow the server
+  // without bound.
+  auto all_closed = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      if (service_->net_gauges()->connections_open.load() == 0) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return false;
+  };
+  // Warm-up settles one-time growth: eight readers at once make the
+  // allocator map the per-thread arenas (64 MB of address space each)
+  // that a few briefly overlapping readers below will reuse.
+  {
+    std::vector<Client> warm;
+    for (int i = 0; i < 8; ++i) {
+      warm.push_back(ConnectedClient());
+      ASSERT_TRUE(warm.back().Ping().ok());
+    }
+  }
+  ASSERT_TRUE(all_closed());
+  const size_t before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0u);
+  for (int i = 0; i < 200; ++i) {
+    Client client = ConnectedClient();
+    ASSERT_TRUE(client.Ping().ok()) << "connection " << i;
+    client.Close();
+  }
+  ASSERT_TRUE(all_closed());
+  const size_t after_kb = VmSizeKb();
+  EXPECT_LT(after_kb, before_kb + 64 * 1024)
+      << "VmSize grew from " << before_kb << " kB to " << after_kb
+      << " kB over 200 closed connections";
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@
 #include "common/shard_config.h"
 #include "common/task_pool.h"
 #include "discovery/profiler.h"
-#include "maintenance/maintenance.h"
 #include "service/beas_service.h"
 #include "support/reference_executor.h"
 #include "test_util.h"
@@ -647,9 +646,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardCountDifferential,
 // DISTINCT / ORDER BY / LIMIT straight over the fetch chain's TupleBatch)
 // is bit-identical to the scalar row-at-a-time tail — same rows in the
 // same output order — across int and string (dictionary-encoded)
-// databases, fetch budgets, BEAS_SHARDS ∈ {1, 3, 8}, pool on/off (the
-// chunk-parallel fold), and across an order-preserving dictionary rebuild
-// renumbering codes mid-sweep.
+// databases, fetch budgets, BEAS_SHARDS ∈ {1, 3, 8} and pool on/off (the
+// chunk-parallel fold).
 // ---------------------------------------------------------------------------
 
 /// Tail-shaped random queries: grouped aggregation, DISTINCT and plain
@@ -689,7 +687,7 @@ std::string BuildTailShapedQuery(Rng* rng, bool strings) {
 
 class ColumnarTailDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShardsAndRebuilds) {
+TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShards) {
   const size_t kShardCounts[] = {1, 3, 8};
   const uint64_t budgets[] = {0, 3, 17};
   bool strings = GetParam() % 2 == 1;
@@ -701,7 +699,6 @@ TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShardsAndRebuilds) {
     Rng rng(GetParam() * 74093 + 41);
     RandomDb env = strings ? BuildRandomStringDb(&rng) : BuildRandomDb(&rng);
     BoundedExecutor executor(env.catalog.get());
-    MaintenanceManager maintenance(env.db.get(), env.catalog.get());
 
     Rng qrng(GetParam() * 150151 + 9);
     for (int q = 0; q < 6; ++q) {
@@ -712,17 +709,6 @@ TEST_P(ColumnarTailDifferential, TailsAgreeBitForBitAcrossShardsAndRebuilds) {
       if (!coverage->covered) continue;
       auto bound = env.db->Bind(sql);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-
-      // Half-way through the sweep, renumber every dictionary into
-      // sorted order: answers must not move (the rebuild remaps rows,
-      // index keys and the codes ordering consumers now compare).
-      if (strings && q == 3) {
-        MaintenanceManager::DictRebuildPolicy force;
-        force.min_strings = 1;
-        force.min_out_of_order_fraction = 0.0;
-        auto rebuilt = maintenance.MaintainDictionaries(force);
-        ASSERT_TRUE(rebuilt.ok());
-      }
 
       for (uint64_t budget : budgets) {
         SCOPED_TRACE("budget=" + std::to_string(budget));

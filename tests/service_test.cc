@@ -379,9 +379,7 @@ class ServiceTest : public ::testing::Test {
   }
 
   QueryResponse MustExecute(const std::string& sql) {
-    auto resp = service_->Query({sql});
-    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-    return std::move(*resp);
+    return testing_util::ValueOrThrow(service_->Query({sql}), sql);
   }
 
   static std::vector<Row> Sorted(std::vector<Row> rows) {
@@ -1570,39 +1568,10 @@ TEST_F(ServiceTest, BeasStatsTableExposesServingHealth) {
   }
   EXPECT_EQ(value_of("dict_strings_total"), data_strings);
   EXPECT_GT(value_of("rows_live"), 0.0);
-  // Columnar-tail and dictionary-order gauges: the queries above ran
-  // bounded executions through the columnar tail, and no maintenance
-  // cycle has rebuilt a dictionary yet.
+  // Columnar-tail gauges: the queries above ran bounded executions
+  // through the columnar tail.
   EXPECT_GT(value_of("tail_batches_total"), 0.0);
   EXPECT_GE(value_of("tail_rows_grouped"), 0.0);
-  EXPECT_GE(value_of("dict_sorted_tables"), 0.0);
-  EXPECT_EQ(value_of("dict_rebuilds_total"), 0.0);
-
-  // A forced dictionary-maintenance pass sorts every dictionary; the
-  // order gauges must reflect it on the next refresh.
-  {
-    Database::StructuralScope lock(service_->db());
-    MaintenanceManager::DictRebuildPolicy force;
-    force.min_strings = 1;
-    force.min_out_of_order_fraction = 0.0;
-    auto rebuilt = service_->maintenance()->MaintainDictionaries(force);
-    ASSERT_TRUE(rebuilt.ok());
-  }
-  QueryResponse after =
-      MustExecute("SELECT metric, value FROM beas_stats ORDER BY metric");
-  auto after_value_of = [&](const std::string& metric) -> double {
-    for (const Row& row : after.result.rows) {
-      if (row[0].AsString() == metric) return row[1].AsDouble();
-    }
-    ADD_FAILURE() << "metric '" << metric << "' missing";
-    return -1;
-  };
-  // The pass rebuilt data tables only, so the gauge matches the
-  // maintenance counter.
-  EXPECT_EQ(after_value_of("dict_rebuilds_total"),
-            static_cast<double>(service_->maintenance()->dict_rebuilds()));
-  EXPECT_GE(after_value_of("dict_sorted_tables"),
-            after_value_of("dict_rebuilds_total"));
 
   // The snapshot is taken per query — a plan-cache hit (a new parameter
   // of the cached template, so no result-cache hit) now appears.
@@ -1633,10 +1602,9 @@ TEST(ServiceDurabilityStatsTest, DurabilityGaugesExposedThroughBeasStats) {
     return -1;
   };
   auto stats = [&](BeasService* svc) {
-    auto resp = svc->Query(
-        {"SELECT metric, value FROM beas_stats ORDER BY metric"});
-    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-    return std::move(*resp);
+    return testing_util::ValueOrThrow(
+        svc->Query({"SELECT metric, value FROM beas_stats ORDER BY metric"}),
+        "beas_stats");
   };
 
   // In-memory service: the gauges exist and read zero.

@@ -1,11 +1,13 @@
 // Unit tests for the per-table string dictionary: byte-exact interning
 // (embedded NULs, empty strings), code/hash round trips, the
 // dictionary-backed Value representation's equality/hash consistency
-// with the inline representation, and TableHeap's interning insert paths.
+// with the inline representation, TableHeap's interning insert paths, and
+// bounded string ordering over a dictionary interned out of byte order.
 
 #include <gtest/gtest.h>
 
 #include "asx/access_schema.h"
+#include "bounded/beas_session.h"
 #include "engine/database.h"
 #include "storage/string_dict.h"
 #include "storage/table_heap.h"
@@ -200,153 +202,68 @@ TEST(TableHeapDictTest, DeleteKeepsDictEntriesAndReinsertReusesCode) {
 }
 
 // ---------------------------------------------------------------------------
-// Order-preserving mode: sortedness tracking, the renumbering rebuild,
-// and the code-bound search the range kernels build on.
+// String ordering over first-appearance codes: every ordering consumer of
+// the bounded path compares bytes, so its answers equal the conventional
+// engine's whatever order the strings were interned in.
 // ---------------------------------------------------------------------------
 
-TEST(SortedDictTest, TracksSortednessIncrementally) {
-  StringDict dict;
-  EXPECT_TRUE(dict.is_sorted()) << "empty dictionary is trivially sorted";
-  dict.Intern("apple");
-  dict.Intern("banana");
-  dict.Intern("cherry");
-  EXPECT_TRUE(dict.is_sorted()) << "appends in byte order keep the flag";
-  EXPECT_EQ(dict.out_of_order_codes(), 0u);
-  dict.Intern("aardvark");
-  EXPECT_FALSE(dict.is_sorted());
-  EXPECT_EQ(dict.out_of_order_codes(), 1u);
-  dict.Intern("zebra");  // above the max: no additional debt
-  EXPECT_EQ(dict.out_of_order_codes(), 1u);
-  dict.Intern("mango");  // below the max: more debt
-  EXPECT_EQ(dict.out_of_order_codes(), 2u);
-}
-
-TEST(SortedDictTest, SortedRebuildRenumbersIntoByteOrder) {
-  StringDict dict;
-  std::vector<std::string> words = {"delta", "alpha", "echo", "",
-                                    std::string("a\0b", 3), "charlie"};
-  std::vector<uint32_t> old_codes;
-  for (const std::string& w : words) old_codes.push_back(dict.Intern(w));
-  ASSERT_FALSE(dict.is_sorted());
-
-  std::vector<uint32_t> old_to_new = dict.SortedRebuild();
-  ASSERT_EQ(old_to_new.size(), words.size());
-  EXPECT_TRUE(dict.is_sorted());
-  EXPECT_EQ(dict.out_of_order_codes(), 0u);
-  EXPECT_EQ(dict.rebuilds(), 1u);
-
-  // The permutation maps every old code to the same bytes.
-  for (size_t i = 0; i < words.size(); ++i) {
-    EXPECT_EQ(dict.str(old_to_new[old_codes[i]]), words[i]);
-  }
-  // Codes are now in byte order, and Find/hash still work per string.
-  for (uint32_t c = 0; c + 1 < dict.size(); ++c) {
-    EXPECT_LT(dict.str(c), dict.str(c + 1));
-  }
-  for (const std::string& w : words) {
-    int64_t code = dict.Find(w);
-    ASSERT_GE(code, 0);
-    EXPECT_EQ(dict.str(static_cast<uint32_t>(code)), w);
-    EXPECT_EQ(dict.hash(static_cast<uint32_t>(code)), HashString(w));
-  }
-  // A second rebuild is a no-op.
-  EXPECT_TRUE(dict.SortedRebuild().empty());
-  EXPECT_EQ(dict.rebuilds(), 1u);
-
-  // Sorted values compare by code — zero decodes.
-  Value a = Value::DictString(&dict, static_cast<uint32_t>(dict.Find("alpha")));
-  Value e = Value::DictString(&dict, static_cast<uint32_t>(dict.Find("echo")));
-  uint64_t decodes_before = tls_string_order_decodes;
-  EXPECT_LT(a.Compare(e), 0);
-  EXPECT_GT(e.Compare(a), 0);
-  EXPECT_EQ(tls_string_order_decodes, decodes_before);
-}
-
-TEST(SortedDictTest, LowerAndUpperBoundCodes) {
-  StringDict dict;
-  for (const char* w : {"b", "d", "f"}) dict.Intern(w);
-  ASSERT_TRUE(dict.is_sorted());
-  EXPECT_EQ(dict.LowerBoundCode("a"), 0u);
-  EXPECT_EQ(dict.LowerBoundCode("b"), 0u);
-  EXPECT_EQ(dict.LowerBoundCode("c"), 1u);
-  EXPECT_EQ(dict.LowerBoundCode("g"), 3u);
-  EXPECT_EQ(dict.UpperBoundCode("a"), 0u);
-  EXPECT_EQ(dict.UpperBoundCode("b"), 1u);
-  EXPECT_EQ(dict.UpperBoundCode("f"), 3u);
-  EXPECT_EQ(dict.UpperBoundCode("g"), 3u);
-}
-
-TEST(SortedDictTest, HeapRebuildRemapsStoredRows) {
-  TableHeap heap(Schema({{"k", TypeId::kString}, {"n", TypeId::kInt64}}));
-  ASSERT_TRUE(heap.Insert({S("zulu"), I(1)}).ok());
-  ASSERT_TRUE(heap.Insert({S("alpha"), I(2)}).ok());
-  ASSERT_TRUE(heap.Insert({S("mike"), I(3)}).ok());
-  ASSERT_FALSE(heap.dict()->is_sorted());
-
-  std::vector<uint32_t> old_to_new;
-  ASSERT_TRUE(heap.RebuildDictSorted(&old_to_new));
-  EXPECT_TRUE(heap.dict()->is_sorted());
-  // Rows decode to the same bytes through the new codes.
-  EXPECT_EQ(heap.At(0)[0].AsString(), "zulu");
-  EXPECT_EQ(heap.At(1)[0].AsString(), "alpha");
-  EXPECT_EQ(heap.At(2)[0].AsString(), "mike");
-  // And the stored codes now order like the bytes.
-  EXPECT_LT(heap.At(1)[0].dict_code(), heap.At(2)[0].dict_code());
-  EXPECT_LT(heap.At(2)[0].dict_code(), heap.At(0)[0].dict_code());
-  // Already sorted: no further rebuild.
-  EXPECT_FALSE(heap.RebuildDictSorted(&old_to_new));
-  TableHeap::DictGauges gauges = heap.SampleDictGauges();
-  EXPECT_TRUE(gauges.sorted);
-  EXPECT_EQ(gauges.rebuilds, 1u);
-}
-
-TEST(SortedDictTest, CatalogRebuildRemapsAcIndexes) {
+TEST(OutOfOrderDictTest, BoundedStringOrderingMatchesConventional) {
   Database db;
-  testing_util::MakeTable(
-      &db, "edges", Schema({{"src", TypeId::kString}, {"dst", TypeId::kString}}),
-      {{S("w"), S("x")}, {S("b"), S("y")}, {S("b"), S("x")}, {S("m"), S("z")}});
-  AsCatalog catalog(&db);
-  ASSERT_TRUE(catalog.Register({"edge_ac", "edges", {"src"}, {"dst"}, 4}).ok());
-  AcIndex* index = catalog.IndexFor("edge_ac");
-  ASSERT_NE(index, nullptr);
-
-  size_t invalidations = 0;
-  catalog.AddChangeListener([&](AsCatalog::ChangeKind kind, const std::string&,
-                                const std::string&) {
-    if (kind == AsCatalog::ChangeKind::kDictRebuilt) ++invalidations;
-  });
-
-  auto lookup_b = [&]() {
-    const TableHeap* heap = (*db.catalog()->GetTable("edges"))->heap();
-    int64_t code = heap->dict()->Find("b");
-    EXPECT_GE(code, 0);
-    return index->LookupWithCounts(
-        {Value::DictString(heap->dict(), static_cast<uint32_t>(code))});
-  };
-  AcIndex::BucketView before = lookup_b();
-  ASSERT_EQ(before.size(), 2u);
-  std::vector<std::string> before_y;
-  for (const Row& y : *before.rows) before_y.push_back(y[0].AsString());
-
-  auto rebuilt = catalog.RebuildTableDictSorted("edges");
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_TRUE(*rebuilt);
-  EXPECT_EQ(invalidations, 1u);
-
-  // Probes with fresh (post-rebuild) codes — and with inline strings —
-  // find the same bucket, whose Y-projections decode to the same bytes.
-  AcIndex::BucketView after = lookup_b();
-  ASSERT_EQ(after.size(), 2u);
-  for (size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ((*after.rows)[i][0].AsString(), before_y[i]);
-    EXPECT_EQ((*after.multiplicities)[i], (*before.multiplicities)[i]);
+  ASSERT_TRUE(db.CreateTable("w", Schema({{"k", TypeId::kInt64},
+                                          {"name", TypeId::kString},
+                                          {"tag", TypeId::kString}}))
+                  .ok());
+  // Names interned in descending byte order (code order is the reverse
+  // of byte order), plus an empty string and a NULL.
+  const char* names[] = {"zulu", "yankee", "mike", "lima", "kilo", "delta",
+                         "charlie", "bravo", "alpha", ""};
+  std::vector<Row> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back({I(1 + i % 2), S(names[i]), S(i % 3 == 0 ? "t" : "e")});
   }
-  AcIndex::BucketView inline_probe = index->LookupWithCounts({S("b")});
-  EXPECT_EQ(inline_probe.size(), 2u);
-  // Incremental maintenance keeps working on the renumbered index.
-  ASSERT_TRUE(db.Insert("edges", {S("b"), S("q")}).ok());
-  index->OnInsert((*db.catalog()->GetTable("edges"))->heap()->At(4));
-  EXPECT_EQ(lookup_b().size(), 3u);
+  rows.push_back({I(1), Value::Null(), S("t")});
+  ASSERT_TRUE(db.InsertBatch("w", std::move(rows)).ok());
+  const StringDict* dict = (*db.catalog()->GetTable("w"))->heap()->dict();
+  ASSERT_LT(dict->Find("zulu"), dict->Find("alpha"));
+  AsCatalog catalog(&db);
+  ASSERT_TRUE(catalog.Register({"wk", "w", {"k"}, {"name", "tag"}, 16}).ok());
+  BeasSession session(&db, &catalog);
+
+  const char* queries[] = {
+      "SELECT w.name FROM w WHERE w.k = 1 AND w.name < 'lima' "
+      "ORDER BY w.name",
+      "SELECT w.name FROM w WHERE w.k = 2 AND w.name <= 'lima' "
+      "ORDER BY w.name DESC",
+      "SELECT w.name FROM w WHERE w.k = 1 AND w.name > 'c' AND "
+      "w.name >= 'delta' ORDER BY w.name",
+      "SELECT w.name FROM w WHERE w.k IN (1, 2) AND "
+      "w.name BETWEEN 'bravo' AND 'mike' ORDER BY w.name",
+      "SELECT w.name, w.tag FROM w WHERE w.k IN (1, 2) "
+      "ORDER BY w.name DESC, w.tag LIMIT 4",
+      "SELECT w.name FROM w WHERE w.k IN (1, 2) AND w.name < w.tag "
+      "ORDER BY w.name",
+      "SELECT min(w.name) AS lo, max(w.name) AS hi FROM w "
+      "WHERE w.k IN (1, 2)",
+      "SELECT w.tag, min(w.name) AS lo, max(w.name) AS hi FROM w "
+      "WHERE w.k IN (1, 2) GROUP BY w.tag ORDER BY w.tag",
+  };
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    auto coverage = session.Check(sql);
+    ASSERT_TRUE(coverage.ok()) << coverage.status().ToString();
+    ASSERT_TRUE(coverage->covered) << coverage->reason;
+    auto conventional = db.Query(sql);
+    ASSERT_TRUE(conventional.ok()) << conventional.status().ToString();
+    ASSERT_FALSE(conventional->rows.empty());
+    auto bounded = session.ExecuteBounded(sql);
+    ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+    ASSERT_EQ(bounded->rows.size(), conventional->rows.size());
+    for (size_t r = 0; r < bounded->rows.size(); ++r) {
+      EXPECT_EQ(RowToString(bounded->rows[r]),
+                RowToString(conventional->rows[r]))
+          << "row " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #define BEAS_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,18 @@ class ShardOverrideGuard {
  private:
   size_t saved_;
 };
+
+/// Unwraps `result` for a test helper that must return a value, where a
+/// fatal ASSERT cannot be used. A failed Result throws; gtest reports the
+/// exception, `what` and the status included, as a failure of the running
+/// test and ends only that test.
+template <typename T>
+T ValueOrThrow(Result<T> result, const std::string& what) {
+  if (!result.ok()) {
+    throw std::runtime_error(what + ": " + result.status().ToString());
+  }
+  return std::move(*result);
+}
 
 /// Shorthand row builders.
 inline Value I(int64_t v) { return Value::Int64(v); }

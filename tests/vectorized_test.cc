@@ -292,7 +292,7 @@ TEST(ExprProgramTest, CrossDictColumnEqualityTranslatesCodesNotBytes) {
   // Post-join equality between string columns of two different
   // dictionaries: the fast path resolves each distinct left code against
   // the right dictionary once per batch, through the left dictionary's
-  // precomputed byte hash — zero byte hashing, zero ordering decodes.
+  // precomputed byte hash — zero byte hashing.
   ExprPtr a = Expression::Column(0, TypeId::kString, "a");
   ExprPtr b = Expression::Column(1, TypeId::kString, "b");
   std::vector<Row> rows = {
@@ -317,13 +317,11 @@ TEST(ExprProgramTest, CrossDictColumnEqualityTranslatesCodesNotBytes) {
 
     std::vector<char> keep(rows.size(), 1);
     uint64_t hashes_before = tls_hash_string_calls;
-    uint64_t decodes_before = tls_string_order_decodes;
     uint64_t translates_before = tls_cross_dict_translates;
     program->FilterBatch(batch.columns().data(), rows.size(), *literals,
                          &keep);
     EXPECT_EQ(tls_hash_string_calls, hashes_before)
         << "translation must reuse the left dictionary's stored hashes";
-    EXPECT_EQ(tls_string_order_decodes, decodes_before);
     // Three distinct non-NULL left codes reach translation: x, y,
     // left-only — once each, regardless of how many rows repeat them.
     EXPECT_EQ(tls_cross_dict_translates, translates_before + 3);
@@ -341,8 +339,8 @@ TEST(ExprProgramTest, CrossDictColumnEqualityTranslatesCodesNotBytes) {
 TEST(ExprProgramTest, SameDictColumnCompareUsesRawCodes) {
   ExprPtr a = Expression::Column(0, TypeId::kString, "a");
   ExprPtr b = Expression::Column(1, TypeId::kString, "b");
-  // Interned in ascending byte order, so the shared dictionary stays
-  // sorted and even ordering comparisons run on raw codes.
+  // One shared dictionary: equality compares raw codes, ordering compares
+  // bytes in the row loop; neither hashes nor translates.
   std::vector<Row> rows = {{S("aa"), S("aa")}, {S("aa"), S("bb")},
                            {S("bb"), S("aa")}, {S("cc"), S("cc")},
                            {N(), S("aa")},     {S("bb"), N()}};
@@ -358,17 +356,13 @@ TEST(ExprProgramTest, SameDictColumnCompareUsesRawCodes) {
     StringDict dict;
     EncodeColumn(&batch, 0, &dict);
     EncodeColumn(&batch, 1, &dict);
-    ASSERT_TRUE(dict.is_sorted());
 
     std::vector<char> keep(rows.size(), 1);
     uint64_t hashes_before = tls_hash_string_calls;
-    uint64_t decodes_before = tls_string_order_decodes;
     uint64_t translates_before = tls_cross_dict_translates;
     program->FilterBatch(batch.columns().data(), rows.size(), *literals,
                          &keep);
     EXPECT_EQ(tls_hash_string_calls, hashes_before);
-    EXPECT_EQ(tls_string_order_decodes, decodes_before)
-        << "sorted same-dict ordering must compare codes, not bytes";
     EXPECT_EQ(tls_cross_dict_translates, translates_before)
         << "same dictionary needs no translation";
 
@@ -394,8 +388,8 @@ TEST(ExprProgramTest, ColCmpColFallsBackOnMixedAndOrderedShapes) {
     auto literals = program->BindLiterals(*pred);
     ASSERT_TRUE(literals.ok());
     // One column encoded, one generic: the row-loop fallback must still
-    // match the tree evaluator. Intern out of byte order so the ordering
-    // comparisons cannot ride the sorted-code path either.
+    // match the tree evaluator. Interned out of byte order, so code order
+    // would give wrong ordering answers.
     TupleBatch batch =
         MakeBatch(rows, std::vector<uint64_t>(rows.size(), 1));
     StringDict dict;

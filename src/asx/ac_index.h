@@ -1,10 +1,11 @@
 #ifndef BEAS_ASX_AC_INDEX_H_
 #define BEAS_ASX_AC_INDEX_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "asx/access_constraint.h"
@@ -30,38 +31,72 @@ class TaskPool;
 /// Rows whose X-projection contains NULL are not indexed (SQL equality
 /// never matches NULL keys).
 ///
+/// ## Cell layout
+///
+/// Every stored value is one packed 8-byte cell, read by its column's
+/// declared type: an INT or DATE payload, the bits of a DOUBLE, or a code
+/// of the indexed heap's string dictionary (codes never change for the
+/// life of the heap). Each sub-index holds:
+///  * a key table — open addressing with linear probing over the 64-bit
+///    key hash (ValueVecHash of the X-values), one 8-byte slot per key:
+///    the hash's high 32 bits as a tag, and the key id;
+///  * the key arena — |X| cells per key id, plus the key's bucket run
+///    (offset, size, capacity) in the entry arena;
+///  * the entry arena — each bucket is a contiguous run of entries; an
+///    entry is |Y| cells followed by ⌈|Y|/64⌉ NULL-mask cells (bit j set
+///    means Y column j is NULL, and its payload cell is 0), with its
+///    32-bit multiplicity in a parallel array. A bucket that outgrows its run
+///    moves to the arena's end; the arena is compacted once abandoned runs
+///    outweigh live ones;
+///  * the maintenance map — one open-addressing table from (key id,
+///    Y-hash) to the entry's position inside its bucket, which is how
+///    OnInsert/OnDelete find a Y-value in O(1).
+/// Cell equality is Value equality: a DOUBLE cell matches -0.0 against
+/// 0.0, and a probe value of another numeric type matches only where
+/// Value::Equals and Value::Hash both agree (INT 7 finds DOUBLE 7.0, DOUBLE
+/// 7.5 finds nothing in an INT column).
+///
+/// ## Order
+///
+/// Bucket order is maintenance order: a new distinct Y-value is appended,
+/// and removing one moves the bucket's last entry into its place. Answers
+/// depend on this order, so it is the same at every shard count. Keys sit
+/// in the key arena in creation order, and an erased key's id is reused by
+/// the next new key. ForEachBucket walks the key arena in that order and
+/// Restore fills it in payload order, so a checkpoint restored and
+/// serialized again gives the same bytes.
+///
 /// ## Hash sharding
 ///
 /// The index is partitioned into the same number of shards as the heap it
 /// was built over: a key lives in sub-index `hash(key) % num_shards()`.
-/// Each bucket lives entirely in one sub-index, and per-key maintenance
-/// order equals the caller's write order, so bucket contents — and hence
-/// every fetched Y order downstream — are bit-identical across shard
-/// counts. `LookupBatch` with a TaskPool partitions a deduplicated probe
-/// set by sub-index and probes the shards in parallel, writing each
-/// result into its caller-assigned slot (results therefore come back in
-/// the caller's first-appearance key order, merge-free). Maintenance
-/// (OnInsert/OnDelete) takes a per-sub-index mutex so writers whose rows
-/// hash to different heap shards — serialized only per shard by Database
-/// — may maintain one index concurrently; lookups never lock (readers are
-/// excluded from all writers by the per-shard lock table).
+/// `LookupBatch` with a TaskPool partitions a probe set by sub-index and
+/// probes the shards in parallel, writing each result into its
+/// caller-assigned slot (results come back in the caller's key order,
+/// merge-free).
 ///
-/// ## Dictionary-encoded string keys
+/// ## Thread-safety
 ///
-/// Keys and buckets are projections of heap rows, and the heap interns
-/// every string at insert — so for a table with a dictionary, the stored
-/// X-keys are effectively *code vectors*: hashing a string component
-/// reads the dictionary's precomputed hash (zero byte hashing per probe)
-/// and equality against another value of the same dictionary is a uint32
-/// compare. Callers who probe with ad-hoc (inline) strings still get
-/// byte-correct answers — hashes agree across representations — but the
-/// bounded executor canonicalizes probe keys into this dictionary first
-/// (see dict()) to stay on the O(1) path. Codes are not order-preserving;
-/// this index is hash/equality only, so no ordering guarantee is needed
-/// here — range and ORDER BY consumers decode at the comparison
-/// (Value::Compare).
+/// Maintenance (OnInsert/OnDelete) takes a per-sub-index mutex, so writers
+/// whose rows hash to different heap shards — serialized only per shard by
+/// Database — may maintain one index concurrently. Lookups never lock:
+/// readers must be excluded from *all* writers (the per-shard lock table
+/// does this), because a write may grow or compact an arena and so move
+/// the cells a BucketView points at. A BucketView is valid until the next
+/// write to the index.
+///
+/// ## Strings
+///
+/// Rows handed to Build/OnInsert/OnDelete are rows of the indexed heap,
+/// whose strings the heap has interned. Probe keys may carry inline
+/// strings: LookupBatch resolves them through StringDict::FindWithHash
+/// (an absent string matches nothing), and dictionary-backed keys hash by
+/// the dictionary's precomputed hash — zero byte hashing per probe.
 class AcIndex {
  public:
+  /// One packed value (see "Cell layout").
+  using Cell = uint64_t;
+
   /// Builds the index over all live rows of `heap` (walked in global
   /// insertion order — shard-count invariant). The declared bound
   /// `constraint.limit_n` is NOT enforced here: the index always stores
@@ -70,25 +105,39 @@ class AcIndex {
   static Result<std::unique_ptr<AcIndex>> Build(AccessConstraint constraint,
                                                 const TableHeap& heap);
 
-  /// Returns the bucket for `key` (X-projection values, in x_attrs order),
-  /// or nullptr if no tuple has this X-value. The returned rows are the
-  /// distinct Y-projections, arity |Y|.
-  const std::vector<Row>* Lookup(const ValueVec& key) const;
-
-  /// \brief A bucket with per-Y multiplicities.
+  /// \brief A bucket: its distinct Y-values, with per-Y multiplicities.
   ///
-  /// `multiplicities[i]` is the number of base tuples projecting to
-  /// `rows[i]` — the bag weight of the partial tuple. BEAS fetches only
-  /// distinct partial tuples (paper feature 2, "reduced redundancy") yet
-  /// stays exact for SQL bag semantics (COUNT/SUM/AVG) by carrying these
-  /// weights through joins.
+  /// `multiplicity(i)` is the number of base tuples projecting to Y-value
+  /// i — the bag weight of the partial tuple. BEAS fetches only distinct
+  /// partial tuples (paper feature 2, "reduced redundancy") yet stays
+  /// exact for SQL bag semantics (COUNT/SUM/AVG) by carrying these weights
+  /// through joins. A default-constructed view is the empty bucket.
   struct BucketView {
-    const std::vector<Row>* rows = nullptr;
-    const std::vector<size_t>* multiplicities = nullptr;
-    size_t size() const { return rows == nullptr ? 0 : rows->size(); }
+    const Cell* cells = nullptr;      ///< size() entries, stride cells each
+    const uint32_t* mults = nullptr;  ///< parallel to the entries
+    const AcIndex* index = nullptr;
+    size_t count = 0;
+
+    size_t size() const { return count; }
+    uint64_t multiplicity(size_t i) const { return mults[i]; }
+    /// True when column j (in y_attrs order) of Y-value i is NULL.
+    bool IsNull(size_t i, size_t j) const {
+      const Cell* entry = cells + i * index->y_stride_;
+      return (entry[index->y_types_.size() + j / 64] >> (j % 64)) & 1;
+    }
+    /// The raw cell of column j of Y-value i (0 when NULL); a dictionary
+    /// code for a STRING column.
+    Cell cell(size_t i, size_t j) const {
+      return cells[i * index->y_stride_ + j];
+    }
+    /// Column j of Y-value i as a Value of the column's declared type.
+    Value Y(size_t i, size_t j) const;
+    /// Y-value i as a row, arity |Y|.
+    Row YRow(size_t i) const;
   };
 
-  /// Lookup returning Y-projections together with their multiplicities.
+  /// Single-key probe: the bucket for `key` (X-values in x_attrs order),
+  /// empty if no tuple has this X-value.
   BucketView LookupWithCounts(const ValueVec& key) const;
 
   /// \brief Batched probe: resolves `count` keys into `out[0..count)`.
@@ -117,8 +166,8 @@ class AcIndex {
   const AccessConstraint& constraint() const { return constraint_; }
 
   /// The indexed table's string dictionary (nullptr when the table has no
-  /// STRING columns or interning is off). Probe keys whose string
-  /// components are backed by this dictionary hash and compare in O(1).
+  /// STRING columns). Probe keys whose string components are backed by
+  /// this dictionary hash and compare in O(1).
   const StringDict* dict() const { return dict_; }
 
   /// Patches the declared bound (maintenance module's periodic adjustment;
@@ -140,25 +189,21 @@ class AcIndex {
   /// True if every bucket is within the declared bound N.
   bool Conforms() const { return MaxBucketSize() <= constraint_.limit_n; }
 
-  /// Rough memory footprint, for the discovery module's storage budget.
-  uint64_t ApproxBytes() const;
-
-  /// Extracts the X-projection of a full table row (the probe key).
-  ValueVec KeyOf(const Row& row) const;
-
-  /// Extracts the Y-projection of a full table row.
-  Row YProjectionOf(const Row& row) const;
+  /// Bytes held by the index: the sum of the capacities of every arena
+  /// and table. Kept as a running total by the writers, so reading it is
+  /// O(1).
+  uint64_t ApproxBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
 
   /// \name Durability surface (checkpoint export / recovery restore).
   /// @{
-  /// Visits every bucket: (key, distinct Y-projections, multiplicities).
-  /// Bucket-internal vectors are in maintenance order (the order answers
-  /// depend on); bucket visit order is hash-map order — irrelevant, since
-  /// buckets are only ever addressed by key. Caller holds the structural
-  /// lock exclusively.
+  /// Visits every bucket in key-arena order, sub-index by sub-index:
+  /// (key, its distinct Y-values in maintenance order). Caller holds the
+  /// structural lock exclusively.
   void ForEachBucket(
-      const std::function<void(const ValueVec& key, const std::vector<Row>& ys,
-                               const std::vector<size_t>& mults)>& fn) const;
+      const std::function<void(const ValueVec& key, const BucketView& ys)>&
+          fn) const;
 
   /// One checkpointed bucket, as parsed back from a segment.
   struct RestoredBucket {
@@ -167,55 +212,118 @@ class AcIndex {
     std::vector<size_t> mults;
   };
 
-  /// Rebuilds an index from checkpointed cells instead of a heap walk:
+  /// Rebuilds an index from checkpointed buckets instead of a heap walk:
   /// resolves columns and adopts `heap`'s dictionary like Build, then
-  /// installs each bucket verbatim (same Y order, same multiplicities —
-  /// the state incremental maintenance had reached at the checkpoint).
-  /// Keys and Y-values must already be canonicalized against `heap`'s
-  /// dictionary; sub-index routing is recomputed from the key hashes
-  /// (deterministic, representation-independent).
+  /// installs each bucket verbatim, in payload order (same Y order, same
+  /// multiplicities — the state incremental maintenance had reached at
+  /// the checkpoint). Strings may be inline; each must be in `heap`'s
+  /// dictionary. Sub-index routing is recomputed from the key hashes.
   static Result<std::unique_ptr<AcIndex>> Restore(
       AccessConstraint constraint, const TableHeap& heap,
       std::vector<RestoredBucket> buckets);
   /// @}
 
  private:
-  AcIndex(AccessConstraint constraint, std::vector<size_t> x_cols,
-          std::vector<size_t> y_cols, size_t num_shards);
-
-  struct Bucket {
-    /// Distinct Y-projections, stable order for determinism.
-    std::vector<Row> distinct_y;
-    /// Multiplicity of each distinct Y-value, parallel to distinct_y.
-    std::vector<size_t> mults;
-    /// Y-value -> position in distinct_y.
-    std::unordered_map<ValueVec, size_t, ValueVecHash, ValueVecEq> positions;
+  /// A bucket's run in the entry arena, in entries.
+  struct BucketRun {
+    uint32_t offset = 0;
+    uint32_t size = 0;  ///< 0 <=> the key id is free
+    uint32_t cap = 0;
   };
 
-  /// One hash partition of the key space.
+  /// One hash partition of the key space (see "Cell layout").
   struct SubIndex {
-    std::unordered_map<ValueVec, Bucket, ValueVecHash, ValueVecEq> buckets;
+    std::vector<uint64_t> key_slots;  ///< tag << 32 | key id; kEmptySlot
+    std::vector<Cell> key_cells;      ///< |X| cells per key id
+    std::vector<BucketRun> runs;      ///< per key id
+    std::vector<uint32_t> free_ids;   ///< erased key ids, reused LIFO
+    std::vector<Cell> entry_cells;    ///< y_stride_ cells per entry slot
+    std::vector<uint32_t> mults;      ///< per entry slot
+    std::vector<uint64_t> entry_slots;  ///< key id << 32 | position
+    size_t num_keys = 0;
     size_t num_entries = 0;
+    size_t dead_entries = 0;  ///< entry slots in abandoned runs
+    uint64_t bytes = 0;       ///< this sub-index's share of bytes_
     /// Writer-writer serialization only (see class comment).
     std::mutex write_mutex;
   };
 
-  /// The sub-index `key` routes to. The modulo distributes the same
-  /// 64-bit hash the sub-maps use, so routing is deterministic and free
-  /// of representational bias (dictionary-backed and inline strings hash
-  /// identically).
-  size_t ShardOfKey(const ValueVec& key) const {
-    if (shards_.size() == 1) return 0;
-    return static_cast<size_t>(ValueVecHash{}(key) % shards_.size());
-  }
+  AcIndex(AccessConstraint constraint, std::vector<size_t> x_cols,
+          std::vector<size_t> y_cols, const TableHeap& heap);
 
-  BucketView FindIn(const SubIndex& sub, const ValueVec& key) const;
+  /// Resolves columns against `heap` and creates the empty index.
+  static Result<std::unique_ptr<AcIndex>> Create(AccessConstraint constraint,
+                                                 const TableHeap& heap);
+
+  /// Compacts every sub-index and starts its byte count (end of a bulk
+  /// load).
+  void Finish();
+
+  /// Encodes `key` as probe cells into `cells` and sets `*hash` to its
+  /// ValueVecHash. False when no stored key can equal it (a NULL part, a
+  /// string absent from the dictionary, a non-integral DOUBLE against an
+  /// INT column, ...).
+  bool EncodeProbe(const ValueVec& key, Cell* cells, uint64_t* hash) const;
+  /// Stored-value encoding of column type `type`; false for a string
+  /// absent from the dictionary.
+  bool EncodeStored(TypeId type, const Value& v, Cell* cell) const;
+  /// Encodes the X-values `x(k)` as key cells; false when a part is NULL
+  /// (not indexed) or does not encode.
+  template <typename GetValue>
+  bool EncodeKey(GetValue x, Cell* cells) const;
+  /// Encodes the Y-values `y(j)` as one entry's cells, NULL mask included.
+  template <typename GetValue>
+  bool EncodeEntry(GetValue y, Cell* cells) const;
+  /// Encodes a heap row's key and entry; false when the row is not
+  /// indexed.
+  bool EncodeRow(const Row& row, Cell* key, Cell* entry) const;
+
+  uint64_t KeyHash(const Cell* cells) const;
+  uint64_t EntryHash(const Cell* cells) const;
+  bool KeyEquals(const Cell* a, const Cell* b) const;
+  bool EntryEquals(const Cell* a, const Cell* b) const;
+
+  BucketView Find(const SubIndex& sub, const Cell* key, uint64_t hash) const;
+  /// Key-slot index of `key`, or SIZE_MAX.
+  size_t FindKeySlot(const SubIndex& sub, const Cell* key,
+                     uint64_t hash) const;
+  uint32_t AddKey(SubIndex* sub, const Cell* key, uint64_t hash);
+  void EraseKey(SubIndex* sub, size_t slot);
+  /// Entry-slot index of Y-value `entry` in key `id`'s bucket, or
+  /// SIZE_MAX.
+  size_t FindEntrySlot(const SubIndex& sub, uint32_t id, const Cell* entry,
+                       uint64_t entry_hash) const;
+  void PlaceEntry(SubIndex* sub, uint64_t slot_value, uint64_t entry_hash);
+  void EraseEntrySlot(SubIndex* sub, size_t slot);
+  /// Appends an entry to key `id`'s bucket, moving its run if full.
+  void AppendEntry(SubIndex* sub, uint32_t id, const Cell* entry);
+  void GrowKeySlots(SubIndex* sub);
+  void GrowEntrySlots(SubIndex* sub);
+  /// Rewrites the entry arena with every run tight, in key-id order.
+  void CompactEntries(SubIndex* sub);
+  void RecountBytes(SubIndex* sub);
+
+  /// Insert/delete with the sub-index lock already held (or not needed).
+  /// InsertLocked returns the new entry's multiplicity, or nullptr when
+  /// the Y-value was already in the bucket and its count went up.
+  uint32_t* InsertLocked(SubIndex* sub, const Cell* key, uint64_t hash,
+                         const Cell* entry);
+  void DeleteLocked(SubIndex* sub, const Cell* key, uint64_t hash,
+                    const Cell* entry);
+
+  const Cell* EntryAt(const SubIndex& sub, size_t slot) const {
+    return sub.entry_cells.data() + slot * y_stride_;
+  }
 
   AccessConstraint constraint_;
   std::vector<size_t> x_cols_;
   std::vector<size_t> y_cols_;
+  std::vector<TypeId> x_types_;  ///< declared type per key column
+  std::vector<TypeId> y_types_;  ///< declared type per Y column
+  size_t y_stride_ = 0;          ///< cells per entry: |Y| + mask cells
   const StringDict* dict_ = nullptr;  ///< the indexed heap's dictionary
   std::vector<std::unique_ptr<SubIndex>> shards_;
+  std::atomic<uint64_t> bytes_{0};
 };
 
 }  // namespace beas

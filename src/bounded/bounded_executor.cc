@@ -486,7 +486,7 @@ Result<BoundedExecutor::BatchFragment> BoundedExecutor::ExecuteBatchFragment(
           src_row.push_back(static_cast<uint32_t>(r));
           src_kid.push_back(id);
           src_b.push_back(static_cast<uint32_t>(b));
-          new_weights.push_back(w * (*bucket.multiplicities)[b]);
+          new_weights.push_back(w * bucket.multiplicity(b));
         }
       }
     }
@@ -548,57 +548,64 @@ Result<BoundedExecutor::BatchFragment> BoundedExecutor::ExecuteBatchFragment(
         }
       }
     }
-    // Added columns. STRING columns of a dictionary-backed table land as
-    // code columns: Y-values already carry the table's codes, and probe
-    // keys were canonicalized in Phase A, so encoding is a field read.
+    // Added columns, gathered straight from the index cells. STRING
+    // columns of a dictionary-backed table land as code columns: a STRING
+    // cell already is a code of the table's dictionary, and probe keys
+    // were canonicalized in Phase A, so encoding is a field read. Any other
+    // cell becomes a Value of its column's type.
     for (size_t a = 0; a < step.added_columns.size(); ++a) {
       const StepProgram::OutSource& osrc = prog.out_sources[a];
       BatchColumn& dst = next.column(t.num_columns() + a);
-      // The gathered value for output row i.
-      auto value_at = [&](size_t i) -> const Value& {
-        return osrc.from_key
-                   ? canon_keys[src_kid[i]][osrc.pos]
-                   : (*buckets[src_kid[i]].rows)[src_b[i]][osrc.pos];
-      };
+      const size_t pos = osrc.pos;
       if (osrc.out_dict != nullptr) {
-        // Keys that found a bucket are canonical and Y-values are interned
-        // at insert, so every gathered non-NULL value is already a code of
-        // the target dictionary.
         const StringDict* out_dict = osrc.out_dict;
+        assert(osrc.from_key || out_dict == index->dict());
         dst.dict = out_dict;
         dst.codes.resize(out_count);
         ParallelChunks(gather_pool, out_count, kGatherChunk,
                        [&](size_t begin, size_t end) {
                          for (size_t i = begin; i < end; ++i) {
-                           const Value& v = value_at(i);
-                           assert(v.is_null() || v.dict() == out_dict);
-                           if (v.is_null()) {
-                             dst.codes[i] = TupleBatch::kNullCode;
-                             HashCombine(&next_hashes[i], kNullValueHash);
+                           uint32_t code = TupleBatch::kNullCode;
+                           if (osrc.from_key) {
+                             // Keys that found a bucket are canonical.
+                             const Value& v = canon_keys[src_kid[i]][pos];
+                             assert(v.is_null() || v.dict() == out_dict);
+                             if (!v.is_null()) code = v.dict_code();
                            } else {
-                             dst.codes[i] = v.dict_code();
-                             HashCombine(&next_hashes[i],
-                                         out_dict->hash(v.dict_code()));
+                             const AcIndex::BucketView& bucket =
+                                 buckets[src_kid[i]];
+                             if (!bucket.IsNull(src_b[i], pos)) {
+                               code = static_cast<uint32_t>(
+                                   bucket.cell(src_b[i], pos));
+                             }
                            }
+                           dst.codes[i] = code;
+                           HashCombine(&next_hashes[i],
+                                       code == TupleBatch::kNullCode
+                                           ? kNullValueHash
+                                           : out_dict->hash(code));
                          }
                        });
       } else {
+        auto value_at = [&](size_t i) -> Value {
+          return osrc.from_key ? canon_keys[src_kid[i]][pos]
+                               : buckets[src_kid[i]].Y(src_b[i], pos);
+        };
         if (gather_pool != nullptr) {
           dst.values.resize(out_count);
           ParallelChunks(gather_pool, out_count, kGatherChunk,
                          [&](size_t begin, size_t end) {
                            for (size_t i = begin; i < end; ++i) {
-                             const Value& v = value_at(i);
-                             HashCombine(&next_hashes[i], v.Hash());
-                             dst.values[i] = v;
+                             dst.values[i] = value_at(i);
+                             HashCombine(&next_hashes[i],
+                                         dst.values[i].Hash());
                            }
                          });
         } else {
           dst.values.reserve(out_count);
           for (size_t i = 0; i < out_count; ++i) {
-            const Value& v = value_at(i);
-            HashCombine(&next_hashes[i], v.Hash());
-            dst.values.push_back(v);
+            dst.values.push_back(value_at(i));
+            HashCombine(&next_hashes[i], dst.values.back().Hash());
           }
         }
       }

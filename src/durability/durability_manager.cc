@@ -942,21 +942,13 @@ Status DurabilityManager::RestoreIndex(const std::string& seg_dir,
   BEAS_ASSIGN_OR_RETURN(IndexRestore restore, ParseIndexPayload(view.reader()));
   BEAS_ASSIGN_OR_RETURN(TableInfo * info,
                         db_->catalog()->GetTable(restore.constraint.table));
-  const TableHeap& heap = *info->heap();
-  std::vector<AcIndex::RestoredBucket> buckets;
-  buckets.reserve(restore.buckets.size());
-  for (IndexBucketRestore& bucket : restore.buckets) {
-    CanonicalizeRow(&bucket.key, heap.dict());
-    for (Row& y : bucket.ys) CanonicalizeRow(&y, heap.dict());
-    buckets.push_back(AcIndex::RestoredBucket{std::move(bucket.key),
-                                              std::move(bucket.ys),
-                                              std::move(bucket.mults)});
-  }
   AccessConstraint constraint = restore.constraint;
+  // Restore encodes the segment's inline strings as codes of the restored
+  // heap's dictionary.
   BEAS_ASSIGN_OR_RETURN(
       std::unique_ptr<AcIndex> index,
-      AcIndex::Restore(std::move(restore.constraint), heap,
-                       std::move(buckets)));
+      AcIndex::Restore(std::move(restore.constraint), *info->heap(),
+                       std::move(restore.buckets)));
   // The heap predates this constraint's shard-key declaration or not — we
   // cannot tell from here, but it does not matter: RestoreContent already
   // reinstated the recorded shard_key_col, and placement is historical.

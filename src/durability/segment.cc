@@ -215,14 +215,13 @@ std::string BuildIndexPayload(const AcIndex& index) {
   WriteConstraint(&sink, index.constraint());
   ByteSink buckets;
   uint64_t num_buckets = 0;
-  index.ForEachBucket([&](const ValueVec& key, const std::vector<Row>& ys,
-                          const std::vector<size_t>& mults) {
+  index.ForEachBucket([&](const ValueVec& key, const AcIndex::BucketView& ys) {
     ++num_buckets;
     WriteRow(&buckets, key);
     buckets.PutU32(static_cast<uint32_t>(ys.size()));
     for (size_t i = 0; i < ys.size(); ++i) {
-      WriteRow(&buckets, ys[i]);
-      buckets.PutU64(mults[i]);
+      WriteRow(&buckets, ys.YRow(i));
+      buckets.PutU64(ys.multiplicity(i));
     }
   });
   sink.PutU64(num_buckets);
@@ -239,7 +238,7 @@ Result<IndexRestore> ParseIndexPayload(ByteReader r) {
   }
   out.buckets.reserve(num_buckets);
   for (uint64_t b = 0; b < num_buckets; ++b) {
-    IndexBucketRestore bucket;
+    AcIndex::RestoredBucket bucket;
     BEAS_ASSIGN_OR_RETURN(bucket.key, ReadRow(&r));
     uint32_t ny = r.GetU32();
     if (!r.ok() || ny > r.remaining()) {

@@ -678,9 +678,11 @@ std::vector<Row> BeasService::SampleStats() {
   size_t lock_shards = db_.num_shard_locks();
   std::vector<double> rows_per_shard(lock_shards, 0);
   std::vector<std::string> table_names;
+  double ac_index_bytes = 0;
   {
     Database::ShardReadScope scope(&db_, 0);
     table_names = db_.catalog()->TableNames();
+    ac_index_bytes = static_cast<double>(catalog_.TotalIndexBytes());
     num_tables = static_cast<double>(table_names.size());
     for (const std::string& name : table_names) {
       Result<TableInfo*> table = db_.catalog()->GetTable(name);
@@ -747,6 +749,7 @@ std::vector<Row> BeasService::SampleStats() {
   add("rows_live", num_rows);
   add("dict_strings_total", dict_strings);
   add("dict_bytes_total", dict_bytes);
+  add("ac_index_bytes", ac_index_bytes);
   // Process-wide counters (like tls_hash_string_calls): a process hosting
   // several BeasService instances reports their combined tail activity
   // under each service's beas_stats.

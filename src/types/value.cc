@@ -79,6 +79,19 @@ int Value::Compare(const Value& other) const {
   return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
 }
 
+uint64_t HashDoubleValue(double d) {
+  // Hash doubles that equal an integer identically to that integer so
+  // mixed INT/DOUBLE group keys behave (rare in practice).
+  double r = std::round(d);
+  if (r == d && std::abs(d) < 9.0e18) {
+    return HashInt64(static_cast<uint64_t>(static_cast<int64_t>(r)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return HashInt64(bits);
+}
+
 uint64_t Value::Hash() const {
   switch (type_) {
     case TypeId::kNull:
@@ -86,18 +99,8 @@ uint64_t Value::Hash() const {
     case TypeId::kInt64:
     case TypeId::kDate:
       return HashInt64(static_cast<uint64_t>(i_));
-    case TypeId::kDouble: {
-      // Hash doubles that equal an integer identically to that integer so
-      // mixed INT/DOUBLE group keys behave (rare in practice).
-      double r = std::round(d_);
-      if (r == d_ && std::abs(d_) < 9.0e18) {
-        return HashInt64(static_cast<uint64_t>(static_cast<int64_t>(r)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d_));
-      __builtin_memcpy(&bits, &d_, sizeof(bits));
-      return HashInt64(bits);
-    }
+    case TypeId::kDouble:
+      return HashDoubleValue(d_);
     case TypeId::kString:
       // Dictionary-backed: the byte hash computed once at intern time.
       if (dict_ != nullptr) return dict_->hash(static_cast<uint32_t>(i_));

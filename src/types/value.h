@@ -144,6 +144,10 @@ class Value {
   const StringDict* dict_ = nullptr;  ///< non-null <=> dictionary-backed
 };
 
+/// \brief Value::Hash of the DOUBLE `d`: a double equal to an integer
+/// hashes like that INT64, so INT 7 and DOUBLE 7.0 collide as they must.
+uint64_t HashDoubleValue(double d);
+
 /// \brief A key made of several values (e.g. the X-projection probed into an
 /// access-constraint index).
 using ValueVec = std::vector<Value>;

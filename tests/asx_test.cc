@@ -9,6 +9,8 @@
 #include "common/task_pool.h"
 #include "maintenance/maintenance.h"
 #include "test_util.h"
+#include "workload/tlc_access_schema.h"
+#include "workload/tlc_generator.h"
 
 namespace beas {
 namespace {
@@ -31,6 +33,21 @@ AccessConstraint Psi1() {
   return {"psi1", "call", {"pnum", "date"}, {"recnum", "region"}, 3};
 }
 
+/// The Y-values of `bucket`, in bucket order.
+std::vector<Row> YRows(const AcIndex::BucketView& bucket) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < bucket.size(); ++i) rows.push_back(bucket.YRow(i));
+  return rows;
+}
+
+/// Inserts `row` into `heap` and returns the stored copy: maintenance is
+/// handed heap rows, whose strings the heap has interned.
+Row Stored(TableHeap* heap, Row row) {
+  const Row* stored = nullptr;
+  heap->InsertUnchecked(std::move(row), &stored);
+  return *stored;
+}
+
 TEST(AccessConstraintTest, ToStringAndResolve) {
   AccessConstraint c = Psi1();
   EXPECT_EQ(c.ToString(),
@@ -50,12 +67,12 @@ TEST(AcIndexTest, BuildAndLookup) {
   heap.InsertUnchecked({I(8), Dt("2016-03-15"), I(200), S("R2")});
   auto index = AcIndex::Build(Psi1(), heap);
   ASSERT_TRUE(index.ok());
-  const auto* bucket = (*index)->Lookup({I(7), Dt("2016-03-15")});
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 2u);
+  auto bucket = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
+  EXPECT_EQ(YRows(bucket), (std::vector<Row>{{I(100), S("R1")},
+                                             {I(101), S("R1")}}));
   EXPECT_EQ((*index)->NumKeys(), 3u);
   EXPECT_EQ((*index)->NumEntries(), 4u);
-  EXPECT_EQ((*index)->Lookup({I(9), Dt("2016-03-15")}), nullptr);
+  EXPECT_EQ((*index)->LookupWithCounts({I(9), Dt("2016-03-15")}).size(), 0u);
 }
 
 TEST(AcIndexTest, DistinctYDeduplicated) {
@@ -64,12 +81,9 @@ TEST(AcIndexTest, DistinctYDeduplicated) {
   heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
   heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
   auto index = AcIndex::Build(Psi1(), heap);
-  const auto* bucket = (*index)->Lookup({I(7), Dt("2016-03-15")});
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 1u) << "partial tuples are distinct";
   auto view = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_EQ((*view.multiplicities)[0], 2u) << "bag weight preserved";
+  ASSERT_EQ(view.size(), 1u) << "partial tuples are distinct";
+  EXPECT_EQ(view.multiplicity(0), 2u) << "bag weight preserved";
 }
 
 TEST(AcIndexTest, NullKeysNotIndexed) {
@@ -82,19 +96,22 @@ TEST(AcIndexTest, NullKeysNotIndexed) {
 TEST(AcIndexTest, IncrementalInsertDelete) {
   TableHeap heap(CallSchema());
   auto index = AcIndex::Build(Psi1(), heap);
-  Row r1{I(7), Dt("2016-03-15"), I(100), S("R1")};
-  Row r2{I(7), Dt("2016-03-15"), I(100), S("R1")};  // duplicate projection
-  Row r3{I(7), Dt("2016-03-15"), I(101), S("R1")};
+  Row r1 = Stored(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
+  Row r2 = Stored(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
+  Row r3 = Stored(&heap, {I(7), Dt("2016-03-15"), I(101), S("R1")});
   (*index)->OnInsert(r1);
-  (*index)->OnInsert(r2);
+  (*index)->OnInsert(r2);  // duplicate projection
   (*index)->OnInsert(r3);
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 2u);
+  ValueVec key{I(7), Dt("2016-03-15")};
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 2u);
   (*index)->OnDelete(r1);  // multiplicity 2 -> 1, still present
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 2u);
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 2u);
   (*index)->OnDelete(r2);  // multiplicity 1 -> 0, removed
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 1u);
+  EXPECT_EQ(YRows((*index)->LookupWithCounts(key)),
+            (std::vector<Row>{{I(101), S("R1")}}));
   (*index)->OnDelete(r3);  // bucket empties and disappears
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")}), nullptr);
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 0u);
+  EXPECT_EQ((*index)->NumKeys(), 0u);
   EXPECT_EQ((*index)->NumEntries(), 0u);
 }
 
@@ -134,14 +151,9 @@ TEST(AcIndexTest, IncrementalEqualsRebuildProperty) {
   // Spot-check every key of the rebuilt index.
   for (int p = 1; p <= 5; ++p) {
     ValueVec key{I(p), Dt("2016-03-15")};
-    const auto* a = (*incremental)->Lookup(key);
-    const auto* b = (*rebuilt)->Lookup(key);
-    ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a != nullptr) {
-      std::vector<Row> av = *a;
-      std::vector<Row> bv = *b;
-      EXPECT_TRUE(RowMultisetsEqual(av, bv));
-    }
+    std::vector<Row> a = YRows((*incremental)->LookupWithCounts(key));
+    std::vector<Row> b = YRows((*rebuilt)->LookupWithCounts(key));
+    EXPECT_TRUE(RowMultisetsEqual(a, b));
   }
 }
 
@@ -200,23 +212,25 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
         for (size_t b = 0; b < expect.size(); ++b) {
           // Same distinct Y-projections, same first-appearance order,
           // same multiplicities.
-          EXPECT_EQ((*got->rows)[b], (*expect.rows)[b]);
-          EXPECT_EQ((*got->multiplicities)[b], (*expect.multiplicities)[b]);
+          EXPECT_EQ(got->YRow(b), expect.YRow(b));
+          EXPECT_EQ(got->multiplicity(b), expect.multiplicity(b));
         }
       }
     }
 
     // Incremental maintenance routes to the right sub-index.
-    Row extra{I(7), Dt("2016-03-15"), I(999), S("RX")};
+    Row extra = Stored(heap_s.get(), {I(7), Dt("2016-03-15"), I(999), S("RX")});
+    Row extra_ref = Stored(heap1.get(), extra);
     sharded->OnInsert(extra);
-    ref->OnInsert(extra);
+    ref->OnInsert(extra_ref);
     EXPECT_EQ(sharded->NumEntries(), ref->NumEntries());
     auto after = sharded->LookupWithCounts({I(7), Dt("2016-03-15")});
     auto after_ref = ref->LookupWithCounts({I(7), Dt("2016-03-15")});
     ASSERT_EQ(after.size(), after_ref.size());
-    EXPECT_EQ((*after.rows).back(), (*after_ref.rows).back());
+    EXPECT_EQ(after.YRow(after.size() - 1),
+              after_ref.YRow(after_ref.size() - 1));
     sharded->OnDelete(extra);
-    ref->OnDelete(extra);
+    ref->OnDelete(extra_ref);
     EXPECT_EQ(sharded->NumEntries(), ref->NumEntries());
   }
 }
@@ -231,6 +245,153 @@ TEST(AcIndexTest, ConformsAgainstDeclaredBound) {
   EXPECT_FALSE((*index)->Conforms());
   (*index)->set_limit(10);
   EXPECT_TRUE((*index)->Conforms());
+}
+
+// ---------------------------------------------------------------------------
+// Packed cells keep Value equality exactly: every probe spelling of a key
+// finds the bucket its canonical (stored) spelling finds, and nothing else.
+// ---------------------------------------------------------------------------
+
+TEST(AcIndexCellTest, ProbesMatchExactlyWhereValuesAreEqual) {
+  TableHeap heap(Schema({{"i", TypeId::kInt64},
+                         {"d", TypeId::kDate},
+                         {"x", TypeId::kDouble},
+                         {"s", TypeId::kString},
+                         {"y", TypeId::kInt64}}));
+  heap.InsertUnchecked(
+      {I(7), Dt("2016-03-15"), Value::Double(-0.0), S("in"), I(1)});
+  // -0.0 and 0.0 are one key value.
+  heap.InsertUnchecked(
+      {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), I(2)});
+  heap.InsertUnchecked(
+      {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), N()});
+  // A NULL X part: not indexed.
+  heap.InsertUnchecked({N(), Dt("2016-03-15"), Value::Double(1.0), S("in"),
+                        I(3)});
+  auto built =
+      AcIndex::Build({"psi", "t", {"i", "d", "x", "s"}, {"y"}, 8}, heap);
+  ASSERT_TRUE(built.ok());
+  const AcIndex& index = **built;
+  EXPECT_EQ(index.NumKeys(), 1u);
+  EXPECT_EQ(index.NumEntries(), 3u);
+
+  // The canonical key: the first stored row's X-projection.
+  const Row& first = heap.Begin().row();
+  ValueVec canonical(first.begin(), first.begin() + 4);
+  ASSERT_NE(canonical[3].dict(), nullptr);
+  AcIndex::BucketView bucket = index.LookupWithCounts(canonical);
+  ASSERT_EQ(bucket.size(), 3u);
+  EXPECT_EQ(YRows(bucket), (std::vector<Row>{{I(1)}, {I(2)}, {N()}}));
+  EXPECT_TRUE(bucket.IsNull(2, 0)) << "a NULL Y-value round-trips";
+  EXPECT_TRUE(bucket.Y(2, 0).is_null());
+
+  auto key = [](Value i, Value d, Value x, Value s) {
+    return ValueVec{std::move(i), std::move(d), std::move(x), std::move(s)};
+  };
+  const Value date = Dt("2016-03-15");
+  struct Case {
+    const char* what;
+    ValueVec key;
+    bool match;
+  };
+  std::vector<Case> cases = {
+      {"INT column probed with DOUBLE 7.0",
+       key(Value::Double(7.0), date, Value::Double(0.0), S("in")), true},
+      {"INT column probed with DOUBLE 7.5",
+       key(Value::Double(7.5), date, Value::Double(0.0), S("in")), false},
+      {"DATE column probed with its DATE",
+       key(I(7), Dt("2016-03-15"), Value::Double(0.0), S("in")), true},
+      {"DATE column probed with its INT encoding",
+       key(I(7), I(20160315), Value::Double(0.0), S("in")), true},
+      {"DATE column probed with another DATE",
+       key(I(7), Dt("2016-03-16"), Value::Double(0.0), S("in")), false},
+      {"DOUBLE column probed with -0.0",
+       key(I(7), date, Value::Double(-0.0), S("in")), true},
+      {"DOUBLE column probed with INT 0",
+       key(I(7), date, I(0), S("in")), true},
+      {"inline string in the dictionary",
+       key(I(7), date, Value::Double(0.0), S("in")), true},
+      {"inline string not in the dictionary",
+       key(I(7), date, Value::Double(0.0), S("out")), false},
+      {"NULL X part", key(N(), date, Value::Double(1.0), S("in")), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    AcIndex::BucketView got = index.LookupWithCounts(c.key);
+    if (c.match) {
+      EXPECT_EQ(got.size(), bucket.size());
+      EXPECT_EQ(got.cells, bucket.cells);
+      EXPECT_EQ(got.mults, bucket.mults);
+    } else {
+      EXPECT_EQ(got.size(), 0u);
+    }
+    AcIndex::BucketView batched;
+    index.LookupBatch(&c.key, 1, &batched);
+    EXPECT_EQ(batched.cells, got.cells);
+    EXPECT_EQ(batched.size(), got.size());
+  }
+}
+
+TEST(AcIndexCellTest, PooledAndSerialLookupBatchAgree) {
+  Rng rng(77);
+  std::vector<Row> rows;
+  for (int i = 0; i < 3000; ++i) {
+    rows.push_back({I(rng.Uniform(0, 1200)), Dt("2016-03-15"),
+                    I(rng.Uniform(100, 104)),
+                    rng.Chance(0.1) ? N() : S("R" + std::to_string(i % 7))});
+  }
+  // More keys than the sharded probe's serial cutoff, so the partitioned
+  // path runs; misses and NULL-bearing keys included.
+  std::vector<ValueVec> keys;
+  for (int k = 0; k < 1300; ++k) keys.push_back({I(k), Dt("2016-03-15")});
+  keys.push_back({N(), Dt("2016-03-15")});
+  keys.push_back({I(5), Dt("1999-01-01")});
+  TaskPool pool(3);
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardOverrideGuard guard(shards);
+    TableHeap heap(CallSchema());
+    for (const Row& row : rows) heap.InsertUnchecked(row);
+    auto index = AcIndex::Build(Psi1(), heap);
+    ASSERT_TRUE(index.ok());
+    ASSERT_EQ((*index)->num_shards(), shards);
+    std::vector<AcIndex::BucketView> pooled(keys.size());
+    std::vector<AcIndex::BucketView> serial(keys.size());
+    std::vector<AcIndex::BucketView> plain(keys.size());
+    (*index)->LookupBatch(keys.data(), keys.size(), pooled.data(), &pool);
+    (*index)->LookupBatch(keys.data(), keys.size(), serial.data(),
+                          static_cast<TaskPool*>(nullptr));
+    (*index)->LookupBatch(keys.data(), keys.size(), plain.data());
+    size_t hits = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      AcIndex::BucketView expect = (*index)->LookupWithCounts(keys[i]);
+      hits += expect.size() > 0 ? 1 : 0;
+      for (const AcIndex::BucketView* got : {&pooled[i], &serial[i], &plain[i]}) {
+        ASSERT_EQ(got->size(), expect.size()) << i;
+        EXPECT_EQ(got->cells, expect.cells) << i;
+      }
+    }
+    EXPECT_GT(hits, 900u);
+  }
+}
+
+// The packed layout's footprint, pinned: the TLC indexes at SF 1 take
+// about 66 bytes per distinct (X, Y) entry, keys and table slack included.
+TEST(AcIndexCellTest, TlcIndexBytesPerEntryStayUnderCeiling) {
+  Database db;
+  TlcOptions options;
+  options.scale_factor = 1.0;
+  ASSERT_TRUE(GenerateTlc(&db, options).ok());
+  AsCatalog catalog(&db);
+  ASSERT_TRUE(RegisterTlcAccessSchema(&catalog).ok());
+  size_t entries = 0;
+  for (const AccessConstraint& c : catalog.schema().constraints()) {
+    entries += catalog.IndexFor(c.name)->NumEntries();
+  }
+  ASSERT_GT(entries, 0u);
+  double per_entry = static_cast<double>(catalog.TotalIndexBytes()) /
+                     static_cast<double>(entries);
+  EXPECT_LT(per_entry, 96.0);
 }
 
 TEST(ConformanceTest, ReportsViolations) {
@@ -321,13 +482,13 @@ TEST_F(AsCatalogTest, MaintenanceHookKeepsIndexFresh) {
   ASSERT_TRUE(
       db_.Insert("call", {I(9), Dt("2016-03-16"), I(300), S("R3")}).ok());
   AcIndex* index = catalog.IndexFor("psi1");
-  ASSERT_NE(index->Lookup({I(9), Dt("2016-03-16")}), nullptr);
+  ASSERT_EQ(index->LookupWithCounts({I(9), Dt("2016-03-16")}).size(), 1u);
   EXPECT_EQ(maintenance.updates_applied(), 1u);
 
   ASSERT_TRUE(db_.DeleteWhereEquals(
                      "call", {I(9), Dt("2016-03-16"), I(300), S("R3")})
                   .ok());
-  EXPECT_EQ(index->Lookup({I(9), Dt("2016-03-16")}), nullptr);
+  EXPECT_EQ(index->LookupWithCounts({I(9), Dt("2016-03-16")}).size(), 0u);
   EXPECT_EQ(maintenance.updates_applied(), 2u);
 }
 

@@ -115,12 +115,11 @@ std::string StateFingerprint(BeasService* svc) {
     if (index == nullptr) continue;
     std::vector<std::string> buckets;
     index->ForEachBucket([&buckets](const ValueVec& key,
-                                    const std::vector<Row>& ys,
-                                    const std::vector<size_t>& mults) {
+                                    const AcIndex::BucketView& ys) {
       std::ostringstream b;
       b << "  " << RowToString(key) << " :";
       for (size_t i = 0; i < ys.size(); ++i) {
-        b << " " << RowToString(ys[i]) << "x" << mults[i];
+        b << " " << RowToString(ys.YRow(i)) << "x" << ys.multiplicity(i);
       }
       buckets.push_back(b.str());
     });

@@ -791,6 +791,15 @@ TEST_F(ServiceTest, ResultCacheGaugesExposedThroughBeasStats) {
   EXPECT_EQ(value_of("net_result_cache_hits_total"), 0.0);
 }
 
+TEST_F(ServiceTest, IndexBytesGaugeExposedThroughBeasStats) {
+  QueryResponse resp = MustExecute(
+      "SELECT value FROM beas_stats WHERE metric = 'ac_index_bytes'");
+  ASSERT_EQ(resp.result.rows.size(), 1u);
+  double gauge = resp.result.rows[0][0].AsDouble();
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_EQ(gauge, static_cast<double>(service_->catalog()->TotalIndexBytes()));
+}
+
 // ---------------------------------------------------------------------------
 // Canonical-form memo.
 // ---------------------------------------------------------------------------

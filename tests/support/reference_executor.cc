@@ -296,11 +296,11 @@ Result<BoundedExecutor::Fragment> ReferenceFragment(
             if (xp != x_pos.end()) {
               out.push_back(key[xp->second]);
             } else {
-              out.push_back((*bucket.rows)[b][y_pos.at(attr.col)]);
+              out.push_back(bucket.Y(b, y_pos.at(attr.col)));
             }
           }
           new_rows.push_back(std::move(out));
-          new_weights.push_back(t_weights[r] * (*bucket.multiplicities)[b]);
+          new_weights.push_back(t_weights[r] * bucket.multiplicity(b));
         }
       }
     }

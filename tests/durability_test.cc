@@ -164,6 +164,39 @@ TEST(DurabilitySerdeTest, IndexSegmentBytesArePinned) {
   EXPECT_EQ(ToHex(durability::BuildIndexPayload(**index)), kIndexHex);
 }
 
+// The shard-rows segment payload: the shard's slot count, then per slot
+// its live flag and its row. One shard (every row shares the shard key)
+// holding a tombstoned slot, a NULL, INT, DOUBLE (-0.0 keeps its sign
+// bit), DATE and dictionary-STRING values.
+TEST(DurabilitySerdeTest, ShardRowsSegmentBytesArePinned) {
+  TableHeap heap(Schema({{"k", TypeId::kInt64},
+                         {"d", TypeId::kDate},
+                         {"s", TypeId::kString},
+                         {"y", TypeId::kDouble}}));
+  heap.DeclareShardKey(0);
+  heap.InsertUnchecked({I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5)});
+  SlotId dead =
+      heap.InsertUnchecked({I(7), Dt("2016-03-16"), S("cd"), N()});
+  heap.InsertUnchecked({I(7), N(), S("ab"), Value::Double(-0.0)});
+  ASSERT_TRUE(heap.Delete(dead).ok());
+  size_t shard = heap.DirectorySlot(0).first;
+  for (SlotId slot = 1; slot < heap.NumSlots(); ++slot) {
+    ASSERT_EQ(heap.DirectorySlot(slot).first, shard);
+  }
+  const char* kShardHex =
+      "0300000000000000"                              // slots
+      "01" "04000000"                                 // live, arity
+      "01" "0700000000000000" "04" "3b9f330100000000"
+      "03" "02000000" "6162" "02" "0000000000000440"  // 'ab', 2.5
+      "00" "04000000"                                 // dead, arity
+      "01" "0700000000000000" "04" "3c9f330100000000"
+      "03" "02000000" "6364" "00"                     // 'cd', NULL
+      "01" "04000000"                                 // live, arity
+      "01" "0700000000000000" "00"                    // NULL date
+      "03" "02000000" "6162" "02" "0000000000000080"; // 'ab', -0.0
+  EXPECT_EQ(ToHex(durability::BuildShardRowsPayload(heap, shard)), kShardHex);
+}
+
 TEST(DurabilitySerdeTest, RowSchemaConstraintRoundTrip) {
   Row row = {I(7), S("x"), N(), Value::Double(2.25)};
   Schema schema({{"pnum", TypeId::kInt64},

@@ -229,6 +229,36 @@ TEST_F(EngineTest, InsertAndDeleteAffectQueries) {
             StatusCode::kNotFound);
 }
 
+// Deletion is by full-row identity under Value equality: NULL matches
+// NULL, an INT probe matches the equal DOUBLE, and a probe that no stored
+// row can equal (a string the table never held, the wrong arity) deletes
+// nothing.
+TEST_F(EngineTest, DeleteWhereEqualsMatchesByValueEquality) {
+  MakeTable(&db_, "mixed",
+            Schema({{"k", TypeId::kInt64},
+                    {"price", TypeId::kDouble},
+                    {"tag", TypeId::kString}}),
+            {{I(1), D(7), S("a")}, {I(2), D(2.5), N()}, {N(), D(3), S("b")}});
+  auto count = [&] {
+    return MustQuery("SELECT mixed.k FROM mixed").rows.size();
+  };
+  EXPECT_EQ(db_.DeleteWhereEquals("mixed", {I(1), D(7), S("zz")}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.DeleteWhereEquals("mixed", {I(1), D(7)}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.DeleteWhereEquals("mixed", {I(1), D(7), S("a"), N()}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.DeleteWhereEquals("mixed", {I(2), D(2.5), S("a")}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(count(), 3u);
+  ASSERT_TRUE(db_.DeleteWhereEquals("mixed", {I(2), D(2.5), N()}).ok());
+  ASSERT_TRUE(db_.DeleteWhereEquals("mixed", {N(), I(3), S("b")}).ok());
+  ASSERT_TRUE(db_.DeleteWhereEquals("mixed", {I(1), I(7), S("a")}).ok());
+  EXPECT_EQ(count(), 0u);
+  EXPECT_EQ(db_.DeleteWhereEquals("mixed", {I(1), D(7), S("a")}).code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(EngineTest, WriteHooksFire) {
   int inserts = 0;
   int deletes = 0;

@@ -2,6 +2,9 @@
 
 #include "asx/conformance.h"
 #include "bounded/beas_session.h"
+#include "common/crc32.h"
+#include "storage/string_dict.h"
+#include "types/value_codec.h"
 #include "workload/tlc_access_schema.h"
 #include "workload/tlc_generator.h"
 #include "workload/tlc_queries.h"
@@ -24,6 +27,44 @@ TEST(TlcSchemaTest, CreateTablesIdempotentFailure) {
   Database db;
   ASSERT_TRUE(CreateTlcTables(&db).ok());
   EXPECT_FALSE(CreateTlcTables(&db).ok()) << "duplicate creation rejected";
+}
+
+// Pins the generated dataset independently of the shard count: every
+// table's rows in directory order, dictionary-backed strings as their
+// codes, then every dictionary's strings in code order. A change to the
+// generator's draw order, to insertion order or to first-appearance code
+// assignment changes the digest.
+TEST(TlcGeneratorTest, DatasetDigestIsPinned) {
+  Database db;
+  TlcOptions options;
+  options.scale_factor = 0.1;
+  ASSERT_TRUE(GenerateTlc(&db, options).ok());
+  ByteSink sink;
+  for (const std::string& name : TlcTableNames()) {
+    auto info = db.catalog()->GetTable(name);
+    ASSERT_TRUE(info.ok()) << name;
+    const TableHeap& heap = *(*info)->heap();
+    sink.PutString(name);
+    sink.PutU64(heap.NumRows());
+    for (const Row& row : heap.Snapshot()) {
+      for (const Value& v : row) {
+        if (v.type() == TypeId::kString) {
+          ASSERT_EQ(v.dict(), heap.dict()) << name;
+          sink.PutU8(0xC0);
+          sink.PutU32(v.dict_code());
+        } else {
+          WriteValue(&sink, v);
+        }
+      }
+    }
+    const StringDict* dict = heap.dict();
+    sink.PutU64(dict == nullptr ? 0 : dict->size());
+    for (uint32_t code = 0; dict != nullptr && code < dict->size(); ++code) {
+      sink.PutString(dict->str(code));
+    }
+  }
+  EXPECT_EQ(sink.size(), 616915u);
+  EXPECT_EQ(Crc32c(sink.str().data(), sink.size()), 2797977020u);
 }
 
 class TlcFixture : public ::testing::Test {

@@ -1,8 +1,8 @@
 #include "asx/ac_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "common/task_pool.h"
 
@@ -37,31 +37,6 @@ bool InCyclicRange(size_t home, size_t i, size_t j) {
   return i <= j ? (home > i && home <= j) : (home > i || home <= j);
 }
 
-double CellDouble(Cell c) {
-  double d;
-  std::memcpy(&d, &c, sizeof(d));
-  return d;
-}
-
-Cell DoubleCell(double d) {
-  Cell c;
-  std::memcpy(&c, &d, sizeof(c));
-  return c;
-}
-
-/// Grows `v` to `n` elements with half-size headroom, so appends stay
-/// amortized O(1) without doubling an arena's footprint.
-template <typename T>
-void GrowTo(std::vector<T>* v, size_t n) {
-  if (n > v->capacity()) v->reserve(std::max(n, v->capacity() * 3 / 2 + 16));
-  v->resize(n);
-}
-
-template <typename T>
-uint64_t CapacityBytes(const std::vector<T>& v) {
-  return static_cast<uint64_t>(v.capacity()) * sizeof(T);
-}
-
 /// Linear-probing insert of `value`, starting at slot `home`.
 void PlaceSlot(std::vector<uint64_t>* slots, uint64_t value, size_t home) {
   size_t mask = slots->size() - 1;
@@ -84,21 +59,6 @@ void EraseSlot(std::vector<uint64_t>* slots, size_t slot, HomeOf home_of) {
     }
   }
   (*slots)[hole] = kEmptySlot;
-}
-
-Value DecodeCell(TypeId type, Cell c, const StringDict* dict) {
-  switch (type) {
-    case TypeId::kInt64:
-      return Value::Int64(static_cast<int64_t>(c));
-    case TypeId::kDate:
-      return Value::Date(static_cast<int64_t>(c));
-    case TypeId::kDouble:
-      return Value::Double(CellDouble(c));
-    case TypeId::kString:
-      return Value::DictString(dict, static_cast<uint32_t>(c));
-    default:
-      return Value::Null();
-  }
 }
 
 /// Scratch cells for one key or entry: on the stack for usual arities.
@@ -129,7 +89,7 @@ AcIndex::AcIndex(AccessConstraint constraint, std::vector<size_t> x_cols,
       dict_(heap.dict()) {
   for (size_t c : x_cols_) x_types_.push_back(heap.schema().ColumnAt(c).type);
   for (size_t c : y_cols_) y_types_.push_back(heap.schema().ColumnAt(c).type);
-  y_stride_ = y_types_.size() + (y_types_.size() + 63) / 64;
+  y_stride_ = CellStride(y_types_.size());
   shards_.reserve(heap.num_shards());
   for (size_t s = 0; s < heap.num_shards(); ++s) {
     shards_.push_back(std::make_unique<SubIndex>());
@@ -150,13 +110,32 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Build(AccessConstraint constraint,
                                                 const TableHeap& heap) {
   BEAS_ASSIGN_OR_RETURN(std::unique_ptr<AcIndex> index,
                         Create(std::move(constraint), heap));
-  CellBuf key(index->x_types_.size());
+  // Heap slots and index entries share the cell codec: copy the X and Y
+  // cells straight from the heap arena.
+  const std::vector<size_t>& x_cols = index->x_cols_;
+  const std::vector<size_t>& y_cols = index->y_cols_;
+  size_t ncols = heap.schema().NumColumns();
+  size_t arity = y_cols.size();
+  CellBuf key(x_cols.size());
   CellBuf entry(index->y_stride_);
+  Cell* k = key.data();
+  Cell* e = entry.data();
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    if (!index->EncodeRow(it.row(), key.data(), entry.data())) continue;
-    uint64_t hash = index->KeyHash(key.data());
-    index->InsertLocked(index->shards_[hash % index->shards_.size()].get(),
-                        key.data(), hash, entry.data());
+    const Cell* row = it.cells();
+    bool indexed = true;
+    for (size_t i = 0; i < x_cols.size() && indexed; ++i) {
+      indexed = !CellIsNull(row, ncols, x_cols[i]);
+      k[i] = row[x_cols[i]];
+    }
+    if (!indexed) continue;  // SQL equality never matches a NULL key
+    std::fill(e + arity, e + index->y_stride_, Cell{0});
+    for (size_t j = 0; j < arity; ++j) {
+      e[j] = row[y_cols[j]];  // 0 when NULL, as the mask requires
+      if (CellIsNull(row, ncols, y_cols[j])) SetCellNull(e, arity, j);
+    }
+    uint64_t hash = index->KeyHash(k);
+    index->InsertLocked(index->shards_[hash % index->shards_.size()].get(), k,
+                        hash, e);
   }
   index->Finish();
   return index;
@@ -175,37 +154,13 @@ void AcIndex::Finish() {
 // Cells.
 // ---------------------------------------------------------------------------
 
-bool AcIndex::EncodeStored(TypeId type, const Value& v, Cell* cell) const {
-  switch (type) {
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      assert(v.type() != TypeId::kDouble && v.type() != TypeId::kString);
-      *cell = static_cast<Cell>(v.AsInt64());
-      return true;
-    case TypeId::kDouble:
-      *cell = DoubleCell(v.AsDouble());
-      return true;
-    case TypeId::kString: {
-      if (dict_ == nullptr || v.type() != TypeId::kString) return false;
-      if (v.dict() == dict_) {
-        *cell = v.dict_code();
-        return true;
-      }
-      int64_t code = dict_->FindWithHash(v.AsString(), v.Hash());
-      if (code < 0) return false;
-      *cell = static_cast<Cell>(code);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 template <typename GetValue>
 bool AcIndex::EncodeKey(GetValue x, Cell* cells) const {
   for (size_t k = 0; k < x_types_.size(); ++k) {
     const Value& v = x(k);
-    if (v.is_null() || !EncodeStored(x_types_[k], v, &cells[k])) return false;
+    if (v.is_null() || !EncodeStoredCell(x_types_[k], v, dict_, &cells[k])) {
+      return false;
+    }
   }
   return true;
 }
@@ -217,9 +172,8 @@ bool AcIndex::EncodeEntry(GetValue y, Cell* cells) const {
   for (size_t j = 0; j < arity; ++j) {
     const Value& v = y(j);
     if (v.is_null()) {
-      cells[j] = 0;
-      cells[arity + j / 64] |= Cell{1} << (j % 64);
-    } else if (!EncodeStored(y_types_[j], v, &cells[j])) {
+      SetCellNull(cells, arity, j);
+    } else if (!EncodeStoredCell(y_types_[j], v, dict_, &cells[j])) {
       return false;
     }
   }
@@ -323,8 +277,7 @@ uint64_t AcIndex::EntryHash(const Cell* cells) const {
   size_t arity = y_types_.size();
   uint64_t h = kValueVecHashSeed;
   for (size_t j = 0; j < arity; ++j) {
-    bool is_null = (cells[arity + j / 64] >> (j % 64)) & 1;
-    HashCombine(&h, is_null ? kNullValueHash
+    HashCombine(&h, CellIsNull(cells, arity, j) ? kNullValueHash
                             : CellHash(y_types_[j], cells[j], dict_));
   }
   return h;

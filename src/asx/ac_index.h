@@ -33,10 +33,12 @@ class TaskPool;
 ///
 /// ## Cell layout
 ///
-/// Every stored value is one packed 8-byte cell, read by its column's
-/// declared type: an INT or DATE payload, the bits of a DOUBLE, or a code
-/// of the indexed heap's string dictionary (codes never change for the
-/// life of the heap). Each sub-index holds:
+/// Every stored value is one packed 8-byte cell of the shared cell codec
+/// (storage/cell_codec.h), read by its column's declared type: an INT or
+/// DATE payload, the bits of a DOUBLE, or a code of the indexed heap's
+/// string dictionary (codes never change for the life of the heap). The
+/// heap stores its rows in the same codec, so Build copies X and Y cells
+/// straight from the heap arena. Each sub-index holds:
 ///  * a key table — open addressing with linear probing over the 64-bit
 ///    key hash (ValueVecHash of the X-values), one 8-byte slot per key:
 ///    the hash's high 32 bits as a tag, and the key id;
@@ -94,8 +96,8 @@ class TaskPool;
 /// the dictionary's precomputed hash — zero byte hashing per probe.
 class AcIndex {
  public:
-  /// One packed value (see "Cell layout").
-  using Cell = uint64_t;
+  /// One packed value (see "Cell layout" and storage/cell_codec.h).
+  using Cell = ::beas::Cell;
 
   /// Builds the index over all live rows of `heap` (walked in global
   /// insertion order — shard-count invariant). The declared bound
@@ -122,8 +124,8 @@ class AcIndex {
     uint64_t multiplicity(size_t i) const { return mults[i]; }
     /// True when column j (in y_attrs order) of Y-value i is NULL.
     bool IsNull(size_t i, size_t j) const {
-      const Cell* entry = cells + i * index->y_stride_;
-      return (entry[index->y_types_.size() + j / 64] >> (j % 64)) & 1;
+      return CellIsNull(cells + i * index->y_stride_, index->y_types_.size(),
+                        j);
     }
     /// The raw cell of column j of Y-value i (0 when NULL); a dictionary
     /// code for a STRING column.
@@ -264,9 +266,6 @@ class AcIndex {
   /// string absent from the dictionary, a non-integral DOUBLE against an
   /// INT column, ...).
   bool EncodeProbe(const ValueVec& key, Cell* cells, uint64_t* hash) const;
-  /// Stored-value encoding of column type `type`; false for a string
-  /// absent from the dictionary.
-  bool EncodeStored(TypeId type, const Value& v, Cell* cell) const;
   /// Encodes the X-values `x(k)` as key cells; false when a part is NULL
   /// (not indexed) or does not encode.
   template <typename GetValue>

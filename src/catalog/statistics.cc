@@ -30,7 +30,7 @@ TableStats ComputeTableStats(const TableHeap& heap) {
     std::unordered_set<Value, ValueHashFn, ValueEqFn> distinct;
     bool first = true;
     for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-      const Value& v = it.row()[c];
+      Value v = it.value(c);
       if (v.is_null()) {
         ++cs.null_count;
         continue;

@@ -35,18 +35,17 @@ Result<CandidateProfile> ProfileCandidate(const TableHeap& heap,
                      ValueVecHash, ValueVecEq>
       groups;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    const Row& row = it.row();
     ValueVec key;
     key.reserve(x_cols.size());
     bool null_key = false;
     for (size_t c : x_cols) {
-      if (row[c].is_null()) null_key = true;
-      key.push_back(row[c]);
+      key.push_back(it.value(c));
+      null_key |= key.back().is_null();
     }
     if (null_key) continue;
     ValueVec y;
     y.reserve(y_cols.size());
-    for (size_t c : y_cols) y.push_back(row[c]);
+    for (size_t c : y_cols) y.push_back(it.value(c));
     groups[std::move(key)].insert(std::move(y));
   }
 

@@ -914,22 +914,19 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
         ParseDictPayload(dict_view.reader(), dict_view.version));
     BEAS_RETURN_NOT_OK(heap->RestoreDict(std::move(strings)));
   }
-  std::vector<std::vector<Row>> rows(meta.num_shards);
-  std::vector<std::vector<uint8_t>> live(meta.num_shards);
+  // The segments store string bytes; each row is packed as it is parsed,
+  // its strings resolved to codes of the dictionary restored above (which
+  // holds every string these rows ever interned).
+  std::vector<TableHeap::ShardContent> shards(meta.num_shards);
   for (uint32_t s = 0; s < meta.num_shards; ++s) {
     BEAS_ASSIGN_OR_RETURN(
         SegmentView view,
         OpenSegment(env_, base + ".s" + std::to_string(s) + ".seg",
                     SegmentKind::kShardRows));
-    BEAS_ASSIGN_OR_RETURN(ShardRowsRestore restore,
-                          ParseShardRowsPayload(view.reader()));
-    // The segment stores string bytes; swap back to dictionary codes now
-    // that the dictionary holds every string these rows ever interned.
-    for (Row& row : restore.rows) CanonicalizeRow(&row, heap->dict());
-    rows[s] = std::move(restore.rows);
-    live[s] = std::move(restore.live);
+    BEAS_ASSIGN_OR_RETURN(shards[s],
+                          ParseShardRowsPayload(view.reader(), *heap));
   }
-  return heap->RestoreContent(std::move(rows), std::move(live), meta.directory,
+  return heap->RestoreContent(std::move(shards), meta.directory,
                               meta.shard_key_col);
 }
 

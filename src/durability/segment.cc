@@ -186,26 +186,32 @@ Result<std::vector<std::string>> ParseDictPayload(ByteReader r,
 std::string BuildShardRowsPayload(const TableHeap& heap, size_t shard) {
   ByteSink sink;
   size_t count = heap.ShardRowCount(shard);
+  size_t ncols = heap.schema().NumColumns();
   sink.PutU64(count);
   for (size_t i = 0; i < count; ++i) {
     sink.PutU8(heap.ShardRowLive(shard, i) ? 1 : 0);
-    WriteRow(&sink, heap.ShardRowAt(shard, i));
+    // The bytes of WriteRow over the decoded row, one value at a time.
+    const Cell* cells = heap.ShardCellsAt(shard, i);
+    sink.PutU32(static_cast<uint32_t>(ncols));
+    for (size_t c = 0; c < ncols; ++c) WriteValue(&sink, heap.Decode(cells, c));
   }
   return sink.Take();
 }
 
-Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r) {
-  ShardRowsRestore out;
+Result<TableHeap::ShardContent> ParseShardRowsPayload(ByteReader r,
+                                                      const TableHeap& heap) {
+  TableHeap::ShardContent out;
   uint64_t count = r.GetU64();
   if (!r.ok() || count > r.remaining()) {
     return Status::IoError("truncated shard rows segment");
   }
-  out.rows.reserve(count);
+  out.cells.resize(count * heap.stride());
   out.live.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     out.live.push_back(r.GetU8());
     BEAS_ASSIGN_OR_RETURN(Row row, ReadRow(&r));
-    out.rows.push_back(std::move(row));
+    BEAS_RETURN_NOT_OK(
+        heap.PackRestored(row, out.cells.data() + i * heap.stride()));
   }
   return out;
 }

@@ -115,11 +115,11 @@ Result<TableMetaRestore> ParseTableMetaPayload(ByteReader r,
 Result<std::vector<std::string>> ParseDictPayload(ByteReader r,
                                                   uint32_t version);
 
-struct ShardRowsRestore {
-  std::vector<Row> rows;          ///< strings inline; canonicalize after
-  std::vector<uint8_t> live;      ///< parallel to rows
-};
-Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r);
+/// One shard's slots, each packed as it is parsed (TableHeap::PackRestored)
+/// against `heap`, whose dictionary must already be restored: no shard is
+/// ever held as rows.
+Result<TableHeap::ShardContent> ParseShardRowsPayload(ByteReader r,
+                                                      const TableHeap& heap);
 
 struct IndexRestore {
   AccessConstraint constraint;

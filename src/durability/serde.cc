@@ -1,7 +1,5 @@
 #include "durability/serde.h"
 
-#include "common/hash.h"
-
 namespace beas {
 namespace durability {
 
@@ -59,17 +57,6 @@ Result<AccessConstraint> ReadConstraint(ByteReader* r) {
   c.limit_n = r->GetU64();
   if (!r->ok()) return Status::IoError("truncated constraint");
   return c;
-}
-
-void CanonicalizeRow(Row* row, const StringDict* dict) {
-  if (dict == nullptr) return;
-  for (Value& v : *row) {
-    if (v.type() != TypeId::kString || v.dict() == dict) continue;
-    int64_t code = dict->Find(v.AsString());
-    if (code >= 0) {
-      v = Value::DictString(dict, static_cast<uint32_t>(code));
-    }
-  }
 }
 
 }  // namespace durability

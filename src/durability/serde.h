@@ -3,7 +3,6 @@
 
 #include "asx/access_constraint.h"
 #include "common/result.h"
-#include "storage/string_dict.h"
 #include "types/schema.h"
 #include "types/tuple.h"
 #include "types/value_codec.h"
@@ -24,13 +23,6 @@ Result<Schema> ReadSchema(ByteReader* r);
 void WriteConstraint(ByteSink* sink, const AccessConstraint& c);
 Result<AccessConstraint> ReadConstraint(ByteReader* r);
 /// @}
-
-/// Replaces inline string values of `row` with dictionary-backed ones
-/// when their bytes are already interned in `dict` (no mutation of the
-/// dictionary — restore paths use this after the dictionary itself has
-/// been restored, so every stored string must resolve). Leaves strings
-/// alone when `dict` is null or the bytes are absent.
-void CanonicalizeRow(Row* row, const StringDict* dict);
 
 }  // namespace durability
 }  // namespace beas

@@ -61,10 +61,9 @@ Status Database::Insert(const std::string& table, Row row) {
   BEAS_RETURN_NOT_OK(heap->ValidateAndCoerce(&row));
   size_t shard = heap->ShardOf(row);
   std::unique_lock<std::shared_mutex> lock(ShardMutex(shard));
-  const Row* stored = nullptr;
-  heap->InsertUnchecked(std::move(row), &stored, shard);
+  heap->InsertUnchecked(&row, shard);
   info->InvalidateStats();
-  for (const WriteHook& hook : hooks_) hook(info->name(), *stored, true);
+  for (const WriteHook& hook : hooks_) hook(info->name(), row, true);
   return Status::OK();
 }
 
@@ -117,9 +116,8 @@ Status Database::InsertBatch(const std::string& table, std::vector<Row> rows) {
   // Commit in batch order — bucket order (and thus answers) must match a
   // row-at-a-time history regardless of how rows spread across shards.
   for (size_t r = 0; r < commit_count; ++r) {
-    const Row* stored = nullptr;
-    heap->InsertUnchecked(std::move(rows[r]), &stored, shards[r]);
-    for (const WriteHook& hook : hooks_) hook(info->name(), *stored, true);
+    heap->InsertUnchecked(&rows[r], shards[r]);
+    for (const WriteHook& hook : hooks_) hook(info->name(), rows[r], true);
   }
   info->InvalidateStats();
   return bad;
@@ -137,22 +135,14 @@ Status Database::DeleteWhereEquals(const std::string& table, const Row& row) {
   for (size_t s = 0; s < num_shard_locks_; ++s) {
     locks.emplace_back(shard_mutexes_[s]);
   }
-  for (auto it = heap->Begin(); it.Valid(); it.Next()) {
-    const Row& candidate = it.row();
-    if (candidate.size() != row.size()) continue;
-    bool equal = true;
-    for (size_t i = 0; i < row.size() && equal; ++i) {
-      // NULL matches NULL here: deletion is by full-row identity.
-      if (candidate[i].is_null() != row[i].is_null()) equal = false;
-      if (!candidate[i].is_null() && candidate[i] != row[i]) equal = false;
-    }
-    if (equal) {
-      Row copy = candidate;
-      BEAS_RETURN_NOT_OK(heap->Delete(it.slot()));
-      info->InvalidateStats();
-      for (const WriteHook& hook : hooks_) hook(info->name(), copy, false);
-      return Status::OK();
-    }
+  // Deletion is by full-row identity, NULL matching NULL.
+  SlotId slot = heap->FindEqual(row);
+  if (slot != TableHeap::kNoSlot) {
+    Row deleted = heap->RowAt(slot);
+    BEAS_RETURN_NOT_OK(heap->Delete(slot));
+    info->InvalidateStats();
+    for (const WriteHook& hook : hooks_) hook(info->name(), deleted, false);
+    return Status::OK();
   }
   return Status::NotFound("no matching row in '" + table + "'");
 }

@@ -154,9 +154,11 @@ class Database {
   /// reports the failing row index.
   Status InsertBatch(const std::string& table, std::vector<Row> rows);
 
-  /// Deletes one live row equal to `row` (all columns), running hooks.
-  /// Returns NotFound if no such row exists. Scans the whole table, so it
-  /// locks every shard.
+  /// Deletes the first live row (in insertion order) equal to `row`,
+  /// column by column under Value equality with NULL matching NULL,
+  /// running hooks. Returns NotFound if no such row exists (a string the
+  /// table never held or the wrong arity included). Scans the whole
+  /// table, so it locks every shard.
   Status DeleteWhereEquals(const std::string& table, const Row& row);
 
   /// The validation/routing half of Insert without the insert: coerces
@@ -169,7 +171,11 @@ class Database {
                            size_t* shard_out) const;
 
   /// Registers a hook invoked after every Insert/Delete on `table`
-  /// (used by the AS Catalog maintenance module). See the thread-safety
+  /// (used by the AS Catalog maintenance module). `row` equals the row as
+  /// stored: on insert it is the caller's row, whose strings the heap
+  /// interned in place; on delete, the deleted row read back from the
+  /// heap. Either way its strings are backed by the table's dictionary.
+  /// See the thread-safety
   /// contract above: registration must precede concurrent use, and hooks
   /// must not re-enter the write path.
   using WriteHook = std::function<void(const std::string& table,

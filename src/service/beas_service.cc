@@ -679,6 +679,7 @@ std::vector<Row> BeasService::SampleStats() {
   std::vector<double> rows_per_shard(lock_shards, 0);
   std::vector<std::string> table_names;
   double ac_index_bytes = 0;
+  double heap_bytes = 0;
   {
     Database::ShardReadScope scope(&db_, 0);
     table_names = db_.catalog()->TableNames();
@@ -690,6 +691,7 @@ std::vector<Row> BeasService::SampleStats() {
       TableHeap::DictGauges gauges = (*table)->heap()->SampleDictGauges();
       dict_strings += static_cast<double>(gauges.strings);
       dict_bytes += static_cast<double>(gauges.bytes);
+      heap_bytes += static_cast<double>((*table)->heap()->ApproxBytes());
     }
   }
   for (size_t s = 0; s < lock_shards; ++s) {
@@ -750,6 +752,7 @@ std::vector<Row> BeasService::SampleStats() {
   add("dict_strings_total", dict_strings);
   add("dict_bytes_total", dict_bytes);
   add("ac_index_bytes", ac_index_bytes);
+  add("heap_bytes", heap_bytes);
   // Process-wide counters (like tls_hash_string_calls): a process hosting
   // several BeasService instances reports their combined tail activity
   // under each service's beas_stats.

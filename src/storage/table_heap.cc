@@ -1,8 +1,19 @@
 #include "storage/table_heap.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace beas {
+
+TableHeap::TableHeap(Schema schema)
+    : schema_(std::move(schema)), shards_(ConfiguredShardCount()) {
+  ncols_ = schema_.NumColumns();
+  stride_ = CellStride(ncols_);
+  for (const Column& c : schema_.columns()) {
+    types_.push_back(c.type);
+    has_string_cols_ |= c.type == TypeId::kString;
+  }
+}
 
 Status TableHeap::ValidateAndCoerce(Row* row) const {
   if (row->size() != schema_.NumColumns()) {
@@ -21,7 +32,7 @@ Status TableHeap::ValidateAndCoerce(Row* row) const {
 
 Result<SlotId> TableHeap::Insert(Row row) {
   BEAS_RETURN_NOT_OK(ValidateAndCoerce(&row));
-  return InsertUnchecked(std::move(row));
+  return InsertUnchecked(&row);
 }
 
 void TableHeap::InternStringsLocked(Row* row) {
@@ -37,7 +48,34 @@ void TableHeap::InternStrings(Row* row) {
   InternStringsLocked(row);
 }
 
-SlotId TableHeap::Place(Row row, const Row** stored, size_t shard) {
+bool TableHeap::Pack(const Row& row, Cell* out) const {
+  assert(row.size() == ncols_);
+  std::fill(out + ncols_, out + stride_, Cell{0});
+  for (size_t c = 0; c < ncols_; ++c) {
+    if (row[c].is_null()) {
+      SetCellNull(out, ncols_, c);
+    } else if (!EncodeStoredCell(types_[c], row[c], &dict_, &out[c])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void TableHeap::RecountShardBytes(Shard* sh) {
+  uint64_t bytes = CapacityBytes(sh->cells) + CapacityBytes(sh->live);
+  if (bytes == sh->bytes) return;
+  bytes_.fetch_add(bytes - sh->bytes, std::memory_order_relaxed);
+  sh->bytes = bytes;
+}
+
+void TableHeap::RecountDirectoryBytes() {
+  uint64_t bytes = CapacityBytes(directory_);
+  if (bytes == directory_bytes_) return;
+  bytes_.fetch_add(bytes - directory_bytes_, std::memory_order_relaxed);
+  directory_bytes_ = bytes;
+}
+
+SlotId TableHeap::Place(const Row& row, size_t shard) {
   if (shard == kShardAuto) {
     shard = ShardOf(row);
   } else {
@@ -47,40 +85,90 @@ SlotId TableHeap::Place(Row row, const Row** stored, size_t shard) {
     assert(shard == ShardOf(row));
   }
   Shard& sh = shards_[shard];
+  size_t local = sh.live.size();
   SlotId slot;
   {
     // Concurrent writers to *different* shards append here; their own
     // shard stores are protected by Database's per-shard locks.
     std::lock_guard<std::mutex> lock(directory_mutex_);
     slot = directory_.size();
-    directory_.push_back({static_cast<uint32_t>(shard),
-                          static_cast<uint32_t>(sh.rows.size())});
+    GrowTo(&directory_, slot + 1);
+    directory_[slot] = {static_cast<uint32_t>(shard),
+                        static_cast<uint32_t>(local)};
+    RecountDirectoryBytes();
   }
-  sh.rows.push_back(std::move(row));
-  sh.live.push_back(1);
+  GrowTo(&sh.cells, (local + 1) * stride_);
+  bool packed = Pack(row, sh.cells.data() + local * stride_);
+  assert(packed && "InsertUnchecked row does not fit its columns' types");
+  (void)packed;
+  GrowTo(&sh.live, local + 1);
+  sh.live[local] = 1;
+  RecountShardBytes(&sh);
   ++sh.num_live;
   num_live_.fetch_add(1, std::memory_order_relaxed);
   BumpVersionEpoch();
-  if (stored != nullptr) *stored = &sh.rows.back();
   return slot;
 }
 
-SlotId TableHeap::InsertUnchecked(Row row, const Row** stored, size_t shard) {
-  if (has_string_cols_) InternStrings(&row);
-  return Place(std::move(row), stored, shard);
+SlotId TableHeap::InsertUnchecked(Row* row, size_t shard) {
+  if (has_string_cols_) InternStrings(row);
+  return Place(*row, shard);
 }
 
 void TableHeap::InsertBatchUnchecked(std::vector<Row> rows) {
+  if (rows.empty()) return;
   if (has_string_cols_) {
     // One interning pass under one lock acquisition for the whole batch.
     std::lock_guard<std::mutex> lock(dict_mutex_);
     for (Row& row : rows) InternStringsLocked(&row);
   }
+  // Route every row, append the batch to the directory under one lock
+  // acquisition, then grow each shard once and pack its rows in batch
+  // order — the slots and placement of one Place per row.
+  std::vector<size_t> end(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) end[s] = shards_[s].live.size();
+  std::vector<SlotRef> refs(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    size_t s = ShardOf(rows[r]);
+    refs[r] = {static_cast<uint32_t>(s), static_cast<uint32_t>(end[s]++)};
+  }
   {
     std::lock_guard<std::mutex> lock(directory_mutex_);
-    directory_.reserve(directory_.size() + rows.size());
+    size_t base = directory_.size();
+    GrowTo(&directory_, base + refs.size());
+    std::copy(refs.begin(), refs.end(), directory_.begin() + base);
+    RecountDirectoryBytes();
   }
-  for (Row& row : rows) Place(std::move(row));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = shards_[s];
+    size_t added = end[s] - sh.live.size();
+    if (added == 0) continue;
+    GrowTo(&sh.cells, end[s] * stride_);
+    GrowTo(&sh.live, end[s]);
+    std::fill(sh.live.end() - static_cast<ptrdiff_t>(added), sh.live.end(),
+              uint8_t{1});
+    sh.num_live += added;
+    RecountShardBytes(&sh);
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    bool packed = Pack(rows[r], shards_[refs[r].shard].cells.data() +
+                                    size_t{refs[r].local} * stride_);
+    assert(packed && "InsertBatchUnchecked row does not fit its columns");
+    (void)packed;
+  }
+  num_live_.fetch_add(rows.size(), std::memory_order_relaxed);
+  BumpVersionEpoch();
+}
+
+void TableHeap::ShrinkToFit() {
+  for (Shard& sh : shards_) {
+    sh.cells.shrink_to_fit();
+    sh.live.shrink_to_fit();
+    RecountShardBytes(&sh);
+  }
+  std::lock_guard<std::mutex> lock(directory_mutex_);
+  directory_.shrink_to_fit();
+  RecountDirectoryBytes();
 }
 
 Status TableHeap::Delete(SlotId slot) {
@@ -100,30 +188,88 @@ Status TableHeap::Delete(SlotId slot) {
   return Status::OK();
 }
 
+SlotId TableHeap::FindEqual(const Row& probe) const {
+  if (probe.size() != ncols_) return kNoSlot;
+  // Encode the probe once. A column compares its cell exactly, except
+  // where Value equality is numeric across types: a DOUBLE column or a
+  // DOUBLE probe value compare as doubles, as Value::Compare does.
+  std::vector<Cell> want(stride_, 0);
+  std::vector<uint8_t> numeric(ncols_, 0);
+  for (size_t c = 0; c < ncols_; ++c) {
+    const Value& v = probe[c];
+    bool strings = v.type() == TypeId::kString || types_[c] == TypeId::kString;
+    if (v.is_null()) {
+      SetCellNull(want.data(), ncols_, c);
+    } else if (!strings && (types_[c] == TypeId::kDouble ||
+                            v.type() == TypeId::kDouble)) {
+      numeric[c] = 1;
+      want[c] = DoubleCell(v.AsDouble());
+    } else if (!EncodeStoredCell(types_[c], v, &dict_, &want[c])) {
+      return kNoSlot;  // no stored value of this column can equal it
+    }
+  }
+  for (SlotId slot = 0; slot < directory_.size(); ++slot) {
+    if (!IsLive(slot)) continue;
+    const Cell* cells = CellsAt(slot);
+    bool equal = std::equal(cells + ncols_, cells + stride_,
+                            want.begin() + ncols_);
+    for (size_t c = 0; c < ncols_ && equal; ++c) {
+      if (CellIsNull(cells, ncols_, c)) continue;
+      if (!numeric[c]) {
+        equal = cells[c] == want[c];
+        continue;
+      }
+      double a = types_[c] == TypeId::kDouble
+                     ? CellDouble(cells[c])
+                     : static_cast<double>(static_cast<int64_t>(cells[c]));
+      double b = CellDouble(want[c]);
+      equal = !(a < b) && !(a > b);
+    }
+    if (equal) return slot;
+  }
+  return kNoSlot;
+}
+
+Row TableHeap::DecodeRow(const Cell* cells) const {
+  Row row;
+  row.reserve(ncols_);
+  for (size_t c = 0; c < ncols_; ++c) row.push_back(Decode(cells, c));
+  return row;
+}
+
+Status TableHeap::PackRestored(const Row& row, Cell* out) const {
+  if (row.size() != ncols_ || !Pack(row, out)) {
+    return Status::Corruption("restored row " + RowToString(row) +
+                              " does not fit the schema " +
+                              schema_.ToString());
+  }
+  return Status::OK();
+}
+
 Status TableHeap::RestoreContent(
-    std::vector<std::vector<Row>> shard_rows,
-    std::vector<std::vector<uint8_t>> shard_live,
+    std::vector<ShardContent> shards,
     const std::vector<std::pair<uint32_t, uint32_t>>& directory,
     int64_t shard_key_col) {
   if (!directory_.empty() || num_live_.load() != 0) {
     return Status::Internal("TableHeap::RestoreContent on non-empty heap");
   }
-  if (shard_rows.size() != shard_live.size() || shard_rows.empty() ||
-      shard_rows.size() > kMaxStorageShards) {
+  if (shards.empty() || shards.size() > kMaxStorageShards) {
     return Status::Internal("TableHeap::RestoreContent bad shard count");
   }
   shards_.clear();
-  shards_.resize(shard_rows.size());
+  shards_.resize(shards.size());
+  bytes_.store(0, std::memory_order_relaxed);
   size_t total_slots = 0;
-  for (size_t s = 0; s < shard_rows.size(); ++s) {
-    if (shard_rows[s].size() != shard_live[s].size()) {
+  for (size_t s = 0; s < shards.size(); ++s) {
+    if (shards[s].cells.size() != shards[s].live.size() * stride_) {
       return Status::Internal("TableHeap::RestoreContent shard size mismatch");
     }
     Shard& sh = shards_[s];
-    sh.rows = std::move(shard_rows[s]);
-    sh.live = std::move(shard_live[s]);
+    sh.cells = std::move(shards[s].cells);
+    sh.live = std::move(shards[s].live);
     for (uint8_t flag : sh.live) sh.num_live += flag != 0;
-    total_slots += sh.rows.size();
+    total_slots += sh.live.size();
+    RecountShardBytes(&sh);
   }
   if (directory.size() != total_slots) {
     return Status::Internal("TableHeap::RestoreContent directory size " +
@@ -134,13 +280,15 @@ Status TableHeap::RestoreContent(
   size_t num_live = 0;
   for (const auto& ref : directory) {
     if (ref.first >= shards_.size() ||
-        ref.second >= shards_[ref.first].rows.size()) {
+        ref.second >= shards_[ref.first].live.size()) {
       return Status::Internal("TableHeap::RestoreContent directory ref "
                               "out of range");
     }
     directory_.push_back({ref.first, ref.second});
     num_live += shards_[ref.first].live[ref.second] != 0;
   }
+  directory_bytes_ = 0;
+  RecountDirectoryBytes();
   num_live_.store(num_live, std::memory_order_relaxed);
   BumpVersionEpoch();
   if (shard_key_col >= 0 &&

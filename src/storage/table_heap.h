@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "common/shard_config.h"
+#include "storage/cell_codec.h"
 #include "storage/string_dict.h"
 #include "types/schema.h"
 #include "types/tuple.h"
@@ -22,9 +23,21 @@ using SlotId = size_t;
 /// hash-partitioned into N shards.
 ///
 /// This is the storage substrate underneath both the conventional engine
-/// (sequential scans) and the access-constraint indices (which reference
-/// rows by slot). Slots are never reused, so a SlotId handed out by
-/// Insert remains valid (live or dead) for the heap's lifetime.
+/// (sequential scans) and the access-constraint indices (built from it and
+/// maintained alongside it). Slots are never reused, so a SlotId handed
+/// out by Insert remains valid (live or dead) for the heap's lifetime.
+///
+/// ## Layout
+///
+/// Each shard stores its rows as one packed cell arena (see
+/// storage/cell_codec.h): slot i of a shard is the `stride()` cells at
+/// `i * stride()` — one 8-byte cell per column, then ⌈ncols/64⌉ NULL-mask
+/// cells, the same layout as an AC-index entry. A cell is read by its
+/// column's declared type: an INT or DATE payload, the raw bits of a
+/// DOUBLE, or a code of the table's dictionary. No Value is stored:
+/// `CellsAt` hands out the cells, and `ValueAt` / `RowAt` build Values at
+/// the boundary that needs them. Beside the arena each shard keeps one
+/// live flag per slot.
 ///
 /// ## Sharding
 ///
@@ -49,30 +62,28 @@ using SlotId = size_t;
 /// everything else a writer touches is per-shard), while a reader must be
 /// excluded from every shard it reads — Database's per-shard lock table
 /// enforces exactly that (readers share-lock all shards, a writer
-/// exclusively locks the shards its rows hash to).
+/// exclusively locks the shards its rows hash to). A write may grow an
+/// arena and so move its cells: a `CellsAt` pointer is valid until the
+/// next insert into that shard.
 ///
 /// ## String dictionary
 ///
 /// A table with STRING columns owns a StringDict; every string value is
-/// interned on insert, so stored rows hold dictionary-backed Values
-/// (pointer + uint32 code) instead of inline bytes. Everything downstream
+/// interned on insert, and its cell holds the code. Everything downstream
 /// of storage — AC index keys and buckets, batch gathers, probe-key
 /// hashing — inherits O(1) string hashing/equality from that single
 /// encode. The dictionary is table-level (shared by all shards, so code
 /// equality keeps working across shards) and append-only; `dict()`
-/// exposes it to the index and executor layers.
+/// exposes it to the index and executor layers. InsertUnchecked interns
+/// the caller's row in place, so write hooks receive that row with its
+/// strings dictionary-backed: equal, value for value, to what `RowAt`
+/// reads back.
 class TableHeap {
  public:
-  explicit TableHeap(Schema schema)
-      : schema_(std::move(schema)),
-        shards_(ConfiguredShardCount()) {
-    for (const Column& c : schema_.columns()) {
-      has_string_cols_ |= c.type == TypeId::kString;
-    }
-  }
+  explicit TableHeap(Schema schema);
 
-  /// Rows hold pointers into dict_; copying a heap would silently retarget
-  /// nothing and dangle everything.
+  /// Cells hold codes of dict_; copying a heap would silently retarget
+  /// nothing and dangle every decoded string.
   TableHeap(const TableHeap&) = delete;
   TableHeap& operator=(const TableHeap&) = delete;
 
@@ -81,6 +92,9 @@ class TableHeap {
   /// The table's string dictionary, or nullptr when the table has no
   /// STRING columns.
   const StringDict* dict() const { return has_string_cols_ ? &dict_ : nullptr; }
+
+  /// Cells per slot: one per column, then the NULL-mask cells.
+  size_t stride() const { return stride_; }
 
   /// \name Shard surface.
   /// @{
@@ -157,6 +171,14 @@ class TableHeap {
     return g;
   }
 
+  /// Bytes held by the row store: the capacities of every shard's cell
+  /// arena and live flags, plus the slot directory (the dictionary has
+  /// its own gauge). Kept as a running total by the writers, so reading
+  /// it is O(1) and needs no lock.
+  uint64_t ApproxBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
+
   /// @}
 
   /// Validates arity and coerces column types of `row` in place (the
@@ -168,25 +190,37 @@ class TableHeap {
   /// coercion). Returns the new slot.
   Result<SlotId> Insert(Row row);
 
-  /// Appends without validation; for bulk loads from trusted generators.
-  /// Interns string values like Insert does. `stored` (optional) receives
-  /// a pointer to the row as stored, readable by the inserting writer
-  /// without touching the cross-shard slot directory (which another
-  /// shard's writer may be appending to) — valid only until the next
-  /// insert lands in the same shard (the shard's row vector may then
-  /// reallocate), so consume it before releasing the shard lock.
-  /// `shard` (optional) is the row's precomputed ShardOf — callers that
-  /// route locking by it pass it down so lock and placement agree by
-  /// construction rather than by re-derivation.
-  SlotId InsertUnchecked(Row row, const Row** stored = nullptr,
-                         size_t shard = kShardAuto);
+  /// Appends without validation, for trusted rows whose values already
+  /// have their columns' types (or are NULL). Interns `*row`'s strings in
+  /// place — afterwards it equals, value for value, the row as stored —
+  /// and packs it into its shard. `shard` (optional) is the row's
+  /// precomputed ShardOf — callers that route locking by it pass it down
+  /// so lock and placement agree by construction rather than by
+  /// re-derivation.
+  SlotId InsertUnchecked(Row* row, size_t shard = kShardAuto);
+  SlotId InsertUnchecked(Row row) { return InsertUnchecked(&row); }
 
-  /// Bulk append without validation: one reserve + one interning pass for
-  /// the whole batch (the natural grain for dictionary encoding).
+  /// Bulk append without validation: one interning pass under one lock
+  /// acquisition for the whole batch (the natural grain for dictionary
+  /// encoding).
   void InsertBatchUnchecked(std::vector<Row> rows);
+
+  /// Drops the growth headroom of every arena (the end of a bulk load),
+  /// so ApproxBytes equals the bytes the rows occupy.
+  void ShrinkToFit();
 
   /// Tombstones a slot. Errors if out of range or already dead.
   Status Delete(SlotId slot);
+
+  /// Sentinel for FindEqual: no live row matches.
+  static constexpr SlotId kNoSlot = static_cast<SlotId>(-1);
+
+  /// The first live slot, in directory order, whose row equals `probe`
+  /// column by column under Value equality, NULL matching NULL (an INT
+  /// probe value matches the equal DOUBLE); kNoSlot when there is none.
+  /// The probe is encoded into cells once, then compared with each row's
+  /// cells and NULL masks. Caller excludes every writer.
+  SlotId FindEqual(const Row& probe) const;
 
   /// True if `slot` holds a live row.
   bool IsLive(SlotId slot) const {
@@ -195,11 +229,27 @@ class TableHeap {
     return shards_[ref.shard].live[ref.local] != 0;
   }
 
-  /// The row at `slot`; caller must ensure IsLive(slot).
-  const Row& At(SlotId slot) const {
+  /// \name Row access. Caller ensures `slot < NumSlots()`.
+  /// @{
+  /// The slot's `stride()` cells (see "Layout").
+  const Cell* CellsAt(SlotId slot) const {
     const SlotRef& ref = directory_[slot];
-    return shards_[ref.shard].rows[ref.local];
+    return shards_[ref.shard].cells.data() + size_t{ref.local} * stride_;
   }
+  /// Column `col` of the slot as a Value of the column's type (or NULL).
+  Value ValueAt(SlotId slot, size_t col) const {
+    return Decode(CellsAt(slot), col);
+  }
+  /// The slot's row, materialized.
+  Row RowAt(SlotId slot) const { return DecodeRow(CellsAt(slot)); }
+  /// Column `col` of the packed row `cells` as a Value.
+  Value Decode(const Cell* cells, size_t col) const {
+    if (CellIsNull(cells, ncols_, col)) return Value::Null();
+    return DecodeCell(types_[col], cells[col], &dict_);
+  }
+  /// The packed row `cells` as a row of Values.
+  Row DecodeRow(const Cell* cells) const;
+  /// @}
 
   /// Number of live rows.
   size_t NumRows() const { return num_live_.load(std::memory_order_relaxed); }
@@ -216,7 +266,9 @@ class TableHeap {
     }
     bool Valid() const { return pos_ < heap_->directory_.size(); }
     SlotId slot() const { return pos_; }
-    const Row& row() const { return heap_->At(pos_); }
+    const Cell* cells() const { return heap_->CellsAt(pos_); }
+    Value value(size_t col) const { return heap_->ValueAt(pos_, col); }
+    Row row() const { return heap_->RowAt(pos_); }
     void Next() {
       ++pos_;
       SkipDead();
@@ -239,17 +291,20 @@ class TableHeap {
   ///
   /// The export accessors walk raw per-shard storage — including
   /// tombstoned slots, which a checkpoint must persist verbatim so
-  /// restored SlotIds keep their meaning for AC-index positions and the
-  /// directory. Caller holds the structural lock exclusively (export) or
-  /// owns the heap outright (restore runs before the database is shared).
+  /// restored SlotIds keep their meaning for the directory. Caller holds
+  /// the structural lock exclusively (export) or owns the heap outright
+  /// (restore runs before the database is shared).
   /// @{
-  size_t ShardRowCount(size_t s) const { return shards_[s].rows.size(); }
-  const Row& ShardRowAt(size_t s, size_t i) const { return shards_[s].rows[i]; }
-  /// Test-only mutable access to a stored row: scrub tests flip a value
-  /// in place to simulate in-memory rot without going through any write
-  /// path (which would mark the table dirty and mask the corruption).
-  Row* MutableShardRowForTesting(size_t s, size_t i) {
-    return &shards_[s].rows[i];
+  size_t ShardRowCount(size_t s) const { return shards_[s].live.size(); }
+  const Cell* ShardCellsAt(size_t s, size_t i) const {
+    return shards_[s].cells.data() + i * stride_;
+  }
+  /// Test-only mutable access to a stored slot's cells: scrub tests flip a
+  /// cell in place to simulate in-memory rot without going through any
+  /// write path (which would mark the table dirty and mask the
+  /// corruption).
+  Cell* MutableShardCellsForTesting(size_t s, size_t i) {
+    return shards_[s].cells.data() + i * stride_;
   }
   bool ShardRowLive(size_t s, size_t i) const {
     return shards_[s].live[i] != 0;
@@ -260,25 +315,33 @@ class TableHeap {
   }
 
   /// Restores a checkpointed dictionary into this (empty) heap; see
-  /// StringDict::RestoreFrom. Must run before RestoreContent so restored
-  /// rows can be canonicalized against the final dictionary.
+  /// StringDict::RestoreFrom. Must run before any row is packed for
+  /// RestoreContent, because packing encodes strings as its codes.
   Status RestoreDict(std::vector<std::string> strings) {
     return dict_.RestoreFrom(std::move(strings));
   }
 
-  /// Restores checkpointed storage into this (empty) heap: per-shard rows
-  /// and live flags, the global slot directory, and the shard key. Rows
-  /// must already hold their final representation (dictionary-backed
-  /// strings canonicalized against the restored dictionary) — restore
-  /// does NOT re-route or re-intern, because placement is historical: a
-  /// row inserted before the shard key was declared lives where the
-  /// row-hash fallback put it, and re-deriving placement would tear the
-  /// directory's invariants. The shard count is taken from `shard_rows`
-  /// (the checkpoint records it; it may differ from the configured
-  /// count).
+  /// Packs one checkpointed row into `out` (`stride()` cells) against the
+  /// restored dictionary, for RestoreContent. Inline strings resolve to
+  /// their codes. Corruption when the arity is wrong, a value's type does
+  /// not fit its column, or a string is absent from the dictionary.
+  Status PackRestored(const Row& row, Cell* out) const;
+
+  /// One checkpointed shard: its packed slots and their live flags.
+  struct ShardContent {
+    std::vector<Cell> cells;    ///< stride() cells per slot (PackRestored)
+    std::vector<uint8_t> live;  ///< one flag per slot
+  };
+
+  /// Restores checkpointed storage into this (empty) heap: per-shard
+  /// cells and live flags, the global slot directory, and the shard key.
+  /// Restore does NOT re-route, because placement is historical: a row
+  /// inserted before the shard key was declared lives where the row-hash
+  /// fallback put it, and re-deriving placement would tear the
+  /// directory's invariants. The shard count is taken from `shards` (the
+  /// checkpoint records it; it may differ from the configured count).
   Status RestoreContent(
-      std::vector<std::vector<Row>> shard_rows,
-      std::vector<std::vector<uint8_t>> shard_live,
+      std::vector<ShardContent> shards,
       const std::vector<std::pair<uint32_t, uint32_t>>& directory,
       int64_t shard_key_col);
   /// @}
@@ -292,9 +355,10 @@ class TableHeap {
 
   /// One hash partition of the row store.
   struct Shard {
-    std::vector<Row> rows;
-    std::vector<uint8_t> live;
+    std::vector<Cell> cells;    ///< stride_ cells per slot
+    std::vector<uint8_t> live;  ///< one flag per slot
     size_t num_live = 0;
+    uint64_t bytes = 0;  ///< this shard's share of bytes_
   };
 
   /// Replaces inline string values of `row` with dictionary-backed ones.
@@ -304,18 +368,32 @@ class TableHeap {
   void InternStrings(Row* row);
   void InternStringsLocked(Row* row);
 
-  /// Appends an already-interned row to its shard and records it in the
+  /// Packs an already-interned row into its shard and records it in the
   /// directory; returns the new global slot. `shard` is the caller's
   /// precomputed ShardOf (kShardAuto derives it here); interning must not
   /// change it — dict-backed and inline strings hash identically.
-  SlotId Place(Row row, const Row** stored = nullptr,
-               size_t shard = kShardAuto);
+  SlotId Place(const Row& row, size_t shard = kShardAuto);
+
+  /// Writes `row` (arity ncols_, strings of dict_ or held by it) into
+  /// `out`; false when a value does not fit its column's type.
+  bool Pack(const Row& row, Cell* out) const;
+
+  /// Re-derives shard `sh`'s byte share after its arenas changed.
+  void RecountShardBytes(Shard* sh);
+  /// Same for the directory; caller holds directory_mutex_ (or owns the
+  /// heap).
+  void RecountDirectoryBytes();
 
   Schema schema_;
+  size_t ncols_ = 0;
+  size_t stride_ = 0;
+  std::vector<TypeId> types_;  ///< declared type per column
   std::vector<Shard> shards_;
   std::vector<SlotRef> directory_;  ///< global slot -> location, insert order
   std::atomic<size_t> num_live_{0};
   std::atomic<uint64_t> version_epoch_{0};
+  std::atomic<uint64_t> bytes_{0};
+  uint64_t directory_bytes_ = 0;  ///< the directory's share of bytes_
   int64_t shard_key_col_ = -1;
 
   /// Serializes directory appends among concurrent per-shard writers

@@ -77,15 +77,25 @@ Result<TlcStats> GenerateTlc(Database* db, const TlcOptions& options) {
     kCall = 0, kPackage, kBusiness, kCustomer, kMessage, kDataUsage,
     kTower, kHandoff, kComplaint, kPayment, kRoaming, kPromotion,
   };
-  // Rows are buffered per table and appended through the batch path at the
-  // end: one reserve and one dictionary-encoding pass per table instead of
-  // a per-row insert (the same write-batching grain BeasService::InsertBatch
-  // gives concurrent loaders).
+  // Rows are buffered per table and appended through the batch path every
+  // kFlushRows rows: one dictionary-encoding pass per chunk instead of a
+  // per-row insert (the same write-batching grain BeasService::InsertBatch
+  // gives concurrent loaders), while no more than a chunk per table is
+  // ever held as Values beside the packed heap. Each table still receives
+  // its rows in generation order, so slots, first-appearance dictionary
+  // codes and shard placement are those of one batch at the end.
+  constexpr size_t kFlushRows = 4096;
   std::vector<std::vector<Row>> pending(heaps.size());
+  auto flush = [&](size_t t) {
+    heaps[t]->InsertBatchUnchecked(std::move(pending[t]));
+    pending[t].clear();
+    pending[t].reserve(kFlushRows);
+  };
   auto insert = [&](TableIdx t, Row row) {
     pending[t].push_back(std::move(row));
     ++stats.rows_per_table[t];
     ++stats.total_rows;
+    if (pending[t].size() == kFlushRows) flush(t);
   };
 
   // --- business: each subscriber is a business with probability 0.3; the
@@ -289,7 +299,8 @@ Result<TlcStats> GenerateTlc(Database* db, const TlcOptions& options) {
   }
 
   for (size_t t = 0; t < heaps.size(); ++t) {
-    heaps[t]->InsertBatchUnchecked(std::move(pending[t]));
+    flush(t);
+    heaps[t]->ShrinkToFit();  // the load is complete: drop arena headroom
   }
   return stats;
 }

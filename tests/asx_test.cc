@@ -40,12 +40,12 @@ std::vector<Row> YRows(const AcIndex::BucketView& bucket) {
   return rows;
 }
 
-/// Inserts `row` into `heap` and returns the stored copy: maintenance is
-/// handed heap rows, whose strings the heap has interned.
+/// Inserts `row` into `heap` and returns it as the heap interned it in
+/// place: maintenance is handed heap rows, whose strings are codes of the
+/// heap's dictionary.
 Row Stored(TableHeap* heap, Row row) {
-  const Row* stored = nullptr;
-  heap->InsertUnchecked(std::move(row), &stored);
-  return *stored;
+  heap->InsertUnchecked(&row);
+  return row;
 }
 
 TEST(AccessConstraintTest, ToStringAndResolve) {
@@ -276,7 +276,7 @@ TEST(AcIndexCellTest, ProbesMatchExactlyWhereValuesAreEqual) {
   EXPECT_EQ(index.NumEntries(), 3u);
 
   // The canonical key: the first stored row's X-projection.
-  const Row& first = heap.Begin().row();
+  Row first = heap.Begin().row();
   ValueVec canonical(first.begin(), first.begin() + 4);
   ASSERT_NE(canonical[3].dict(), nullptr);
   AcIndex::BucketView bucket = index.LookupWithCounts(canonical);

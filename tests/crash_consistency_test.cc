@@ -74,7 +74,7 @@ std::string StateFingerprint(BeasService* svc) {
       auto [shard, local] = heap.DirectorySlot(slot);
       out << "  slot " << slot << " -> (" << shard << "," << local << ") "
           << (heap.ShardRowLive(shard, local) ? "live " : "dead ")
-          << RowToString(heap.ShardRowAt(shard, local)) << "\n";
+          << RowToString(heap.DecodeRow(heap.ShardCellsAt(shard, local))) << "\n";
     }
     const StringDict* dict = heap.dict();
     if (dict != nullptr) {

@@ -553,7 +553,7 @@ std::string StateFingerprint(BeasService* svc) {
       auto [shard, local] = heap.DirectorySlot(slot);
       out << "  slot " << slot << " -> (" << shard << "," << local << ") "
           << (heap.ShardRowLive(shard, local) ? "live " : "dead ")
-          << RowToString(heap.ShardRowAt(shard, local)) << "\n";
+          << RowToString(heap.DecodeRow(heap.ShardCellsAt(shard, local))) << "\n";
     }
     const StringDict* dict = heap.dict();
     if (dict != nullptr) {
@@ -868,7 +868,7 @@ std::vector<int64_t> LivePnums(BeasService* svc) {
   for (size_t slot = 0; slot < heap.NumSlots(); ++slot) {
     auto [shard, local] = heap.DirectorySlot(slot);
     if (!heap.ShardRowLive(shard, local)) continue;
-    pnums.push_back(heap.ShardRowAt(shard, local)[0].AsInt64());
+    pnums.push_back(heap.Decode(heap.ShardCellsAt(shard, local), 0).AsInt64());
   }
   std::sort(pnums.begin(), pnums.end());
   return pnums;

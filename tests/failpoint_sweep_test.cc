@@ -98,7 +98,7 @@ std::string StateFingerprint(BeasService* svc) {
       auto [shard, local] = heap.DirectorySlot(slot);
       out << "  slot " << slot << " -> (" << shard << "," << local << ") "
           << (heap.ShardRowLive(shard, local) ? "live " : "dead ")
-          << RowToString(heap.ShardRowAt(shard, local)) << "\n";
+          << RowToString(heap.DecodeRow(heap.ShardCellsAt(shard, local))) << "\n";
     }
     const StringDict* dict = heap.dict();
     if (dict != nullptr) {
@@ -581,7 +581,7 @@ struct ScrubFixture {
            "/t_call.s0.seg";
   }
 
-  /// Flips one stored value in place — in-memory rot that no write path
+  /// Flips one stored cell in place — in-memory rot that no write path
   /// produced, so the table stays "clean since checkpoint" and the scrub
   /// memory pass is responsible for catching it.
   void RotMemoryRow() {
@@ -589,7 +589,7 @@ struct ScrubFixture {
     ASSERT_TRUE(info.ok());
     TableHeap* heap = info.ValueOrDie()->heap();
     ASSERT_TRUE(heap->ShardRowLive(0, 0));
-    (*heap->MutableShardRowForTesting(0, 0))[1] = I(424242);
+    heap->MutableShardCellsForTesting(0, 0)[1] = 424242;  // recnum
   }
 };
 

@@ -800,6 +800,19 @@ TEST_F(ServiceTest, IndexBytesGaugeExposedThroughBeasStats) {
   EXPECT_EQ(gauge, static_cast<double>(service_->catalog()->TotalIndexBytes()));
 }
 
+TEST_F(ServiceTest, HeapBytesGaugeExposedThroughBeasStats) {
+  QueryResponse resp = MustExecute(
+      "SELECT value FROM beas_stats WHERE metric = 'heap_bytes'");
+  ASSERT_EQ(resp.result.rows.size(), 1u);
+  double gauge = resp.result.rows[0][0].AsDouble();
+  uint64_t total = 0;
+  for (const std::string& name : service_->db()->catalog()->TableNames()) {
+    total += (*service_->db()->catalog()->GetTable(name))->heap()->ApproxBytes();
+  }
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_EQ(gauge, static_cast<double>(total));
+}
+
 // ---------------------------------------------------------------------------
 // Canonical-form memo.
 // ---------------------------------------------------------------------------

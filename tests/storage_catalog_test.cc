@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "catalog/catalog.h"
 #include "catalog/statistics.h"
 #include "storage/table_heap.h"
 #include "test_util.h"
 #include "types/schema.h"
+#include "workload/tlc_generator.h"
+#include "workload/tlc_schema.h"
 
 namespace beas {
 namespace {
 
+using testing_util::D;
+using testing_util::Dt;
 using testing_util::I;
 using testing_util::N;
 using testing_util::S;
@@ -70,14 +79,14 @@ TEST(TableHeapTest, InsertValidatesArity) {
 TEST(TableHeapTest, InsertCoercesTypes) {
   TableHeap heap(Schema({{"d", TypeId::kDate}}));
   ASSERT_TRUE(heap.Insert({S("2016-03-15")}).ok());
-  EXPECT_EQ(heap.At(0)[0].type(), TypeId::kDate);
+  EXPECT_EQ(heap.ValueAt(0, 0).type(), TypeId::kDate);
   EXPECT_FALSE(heap.Insert({S("garbage")}).ok());
 }
 
 TEST(TableHeapTest, InsertAllowsNulls) {
   TableHeap heap(TwoColSchema());
   ASSERT_TRUE(heap.Insert({N(), N()}).ok());
-  EXPECT_TRUE(heap.At(0)[0].is_null());
+  EXPECT_TRUE(heap.ValueAt(0, 0).is_null());
 }
 
 TEST(TableHeapTest, DeleteTombstones) {
@@ -117,6 +126,120 @@ TEST(TableHeapTest, SnapshotCopiesLiveRows) {
 }
 
 // ---------------------------------------------------------------------------
+// Packed cells: every column type round-trips through its 8-byte cell, and
+// the heap's byte gauge stays near the packed footprint.
+// ---------------------------------------------------------------------------
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(TableHeapCellTest, EveryTypeRoundTripsThroughItsCell) {
+  TableHeap heap(Schema({{"i", TypeId::kInt64},
+                         {"d", TypeId::kDate},
+                         {"x", TypeId::kDouble},
+                         {"s", TypeId::kString}}));
+  ASSERT_EQ(heap.stride(), 5u) << "four payload cells and one mask cell";
+  double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t nan_bits = DoubleBits(nan) | 0x5;  // a NaN with a payload
+  double odd_nan;
+  std::memcpy(&odd_nan, &nan_bits, sizeof(odd_nan));
+  heap.InsertUnchecked({I(INT64_MIN), Dt("2016-03-15"), D(-0.0), S("a")});
+  heap.InsertUnchecked({N(), N(), D(odd_nan), N()});
+  heap.InsertUnchecked({I(-1), Dt("1999-12-31"), N(), S("")});
+
+  Row r0 = heap.RowAt(0);
+  EXPECT_EQ(r0[0].type(), TypeId::kInt64);
+  EXPECT_EQ(r0[0].AsInt64(), INT64_MIN);
+  EXPECT_EQ(r0[1].type(), TypeId::kDate);
+  EXPECT_EQ(r0[1], Dt("2016-03-15"));
+  EXPECT_EQ(DoubleBits(r0[2].AsDouble()), DoubleBits(-0.0));
+  EXPECT_EQ(r0[3].dict(), heap.dict());
+  EXPECT_EQ(r0[3].AsString(), "a");
+  EXPECT_EQ(heap.CellsAt(0)[3], r0[3].dict_code()) << "a STRING cell is its code";
+  EXPECT_EQ(heap.CellsAt(0)[4], 0u) << "no NULLs, empty mask";
+
+  EXPECT_TRUE(heap.ValueAt(1, 0).is_null());
+  EXPECT_TRUE(heap.ValueAt(1, 1).is_null());
+  EXPECT_EQ(DoubleBits(heap.ValueAt(1, 2).AsDouble()), nan_bits);
+  EXPECT_TRUE(heap.ValueAt(1, 3).is_null());
+  EXPECT_EQ(heap.CellsAt(1)[4], 0b1011u);
+  EXPECT_EQ(heap.CellsAt(1)[0], 0u) << "a NULL's payload cell is 0";
+
+  EXPECT_EQ(heap.ValueAt(2, 3).AsString(), "");
+  EXPECT_TRUE(heap.ValueAt(2, 2).is_null());
+
+  // FindEqual compares under Value equality: -0.0 equals 0.0, an INT
+  // probe equals the DOUBLE, NULL matches only NULL.
+  EXPECT_EQ(heap.FindEqual({I(INT64_MIN), Dt("2016-03-15"), D(0.0), S("a")}),
+            0u);
+  EXPECT_EQ(heap.FindEqual({I(-1), Dt("1999-12-31"), N(), S("")}), 2u);
+  EXPECT_EQ(heap.FindEqual({I(-1), Dt("1999-12-31"), D(0), S("")}),
+            TableHeap::kNoSlot);
+  EXPECT_EQ(heap.FindEqual({I(-1), Dt("1999-12-31"), N(), S("b")}),
+            TableHeap::kNoSlot);
+}
+
+TEST(TableHeapCellTest, WideRowsSpillTheNullMaskIntoASecondCell) {
+  std::vector<Column> cols;
+  for (int c = 0; c < 70; ++c) {
+    cols.emplace_back("c" + std::to_string(c), TypeId::kInt64);
+  }
+  TableHeap heap{Schema(cols)};
+  ASSERT_EQ(heap.stride(), 72u);
+  Row row;
+  for (int c = 0; c < 70; ++c) row.push_back(c == 66 ? N() : I(c * 3));
+  heap.InsertUnchecked(row);
+  EXPECT_EQ(heap.CellsAt(0)[70], 0u);
+  EXPECT_EQ(heap.CellsAt(0)[71], uint64_t{1} << 2);
+  EXPECT_TRUE(heap.ValueAt(0, 66).is_null());
+  EXPECT_EQ(heap.ValueAt(0, 69), I(207));
+  EXPECT_EQ(heap.RowAt(0), row);
+}
+
+// Recovery packs checkpointed rows against the restored dictionary; a row
+// that cannot be stored as cells is corruption, not a row kept aside.
+TEST(TableHeapCellTest, PackRestoredRejectsRowsThatDoNotFit) {
+  TableHeap heap(TwoColSchema());
+  ASSERT_TRUE(heap.RestoreDict({"a", "b"}).ok());
+  std::vector<Cell> cells(heap.stride());
+  ASSERT_TRUE(heap.PackRestored({I(4), S("b")}, cells.data()).ok());
+  EXPECT_EQ(cells, (std::vector<Cell>{4, 1, 0}));
+  ASSERT_TRUE(heap.PackRestored({N(), S("a")}, cells.data()).ok());
+  EXPECT_EQ(cells, (std::vector<Cell>{0, 0, 1}));
+  EXPECT_EQ(heap.PackRestored({I(4), S("zz")}, cells.data()).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(heap.PackRestored({S("a"), S("a")}, cells.data()).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(heap.PackRestored({I(4)}, cells.data()).code(),
+            StatusCode::kCorruption);
+}
+
+// The packed layout at TLC SF 1: 8 bytes per payload cell plus, per slot,
+// the mask cell, the directory entry and the live flag. The row-of-Values
+// layout it replaced measured about 73 bytes per cell.
+TEST(TableHeapCellTest, TlcHeapBytesPerCellStayUnderCeiling) {
+  Database db;
+  TlcOptions options;
+  options.scale_factor = 1.0;
+  ASSERT_TRUE(GenerateTlc(&db, options).ok());
+  uint64_t bytes = 0;
+  uint64_t cells = 0;
+  for (const std::string& name : TlcTableNames()) {
+    const TableHeap& heap = *(*db.catalog()->GetTable(name))->heap();
+    bytes += heap.ApproxBytes();
+    cells += heap.NumSlots() * heap.schema().NumColumns();
+  }
+  ASSERT_GT(cells, 0u);
+  double per_cell = static_cast<double>(bytes) / static_cast<double>(cells);
+  RecordProperty("bytes_per_cell", std::to_string(per_cell));
+  EXPECT_LE(per_cell, 16.0) << bytes << " bytes for " << cells << " cells";
+  EXPECT_GE(per_cell, 8.0) << "every cell is counted";
+}
+
+// ---------------------------------------------------------------------------
 // Sharded TableHeap: hash partitioning must be invisible through the
 // public surface — slots, iteration order, deletes, snapshots are all
 // identical at every shard count.
@@ -136,7 +259,7 @@ TEST(ShardedHeapTest, PublicSurfaceInvariantAcrossShardCounts) {
     // Slots are dense and in insertion order, whatever the partitioning.
     for (int i = 0; i < 50; ++i) {
       EXPECT_EQ(slots[i], static_cast<SlotId>(i));
-      EXPECT_EQ(heap.At(slots[i])[0], I(i));
+      EXPECT_EQ(heap.ValueAt(slots[i], 0), I(i));
     }
     ASSERT_TRUE(heap.Delete(slots[10]).ok());
     ASSERT_TRUE(heap.Delete(slots[11]).ok());

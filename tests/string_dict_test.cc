@@ -159,14 +159,14 @@ TEST(TableHeapDictTest, InsertInternsStringsAndSharesCodes) {
   ASSERT_TRUE(heap.Insert({S("dup"), I(2)}).ok());
   ASSERT_TRUE(heap.Insert({S("other"), I(3)}).ok());
   EXPECT_EQ(heap.dict()->size(), 2u) << "duplicate strings intern once";
-  const Value& v0 = heap.At(0)[0];
-  const Value& v1 = heap.At(1)[0];
+  Value v0 = heap.ValueAt(0, 0);
+  Value v1 = heap.ValueAt(1, 0);
   EXPECT_EQ(v0.dict(), heap.dict());
   EXPECT_EQ(v0.dict_code(), v1.dict_code());
   EXPECT_EQ(v0.AsString(), "dup");
   // NULLs and non-strings pass through untouched.
   ASSERT_TRUE(heap.Insert({Value::Null(), I(4)}).ok());
-  EXPECT_TRUE(heap.At(3)[0].is_null());
+  EXPECT_TRUE(heap.ValueAt(3, 0).is_null());
 }
 
 TEST(TableHeapDictTest, BatchInsertInternsAndCountsLikeRowInserts) {
@@ -186,7 +186,7 @@ TEST(TableHeapDictTest, DictExactlyWhenTheSchemaHasAStringColumn) {
   TableHeap mixed(Schema({{"a", TypeId::kInt64}, {"k", TypeId::kString}}));
   ASSERT_NE(mixed.dict(), nullptr);
   ASSERT_TRUE(mixed.Insert({I(1), S("interned")}).ok());
-  EXPECT_EQ(mixed.At(0)[1].dict(), mixed.dict())
+  EXPECT_EQ(mixed.ValueAt(0, 1).dict(), mixed.dict())
       << "every STRING column is dictionary-coded";
 }
 

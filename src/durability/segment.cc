@@ -186,14 +186,10 @@ Result<std::vector<std::string>> ParseDictPayload(ByteReader r,
 std::string BuildShardRowsPayload(const TableHeap& heap, size_t shard) {
   ByteSink sink;
   size_t count = heap.ShardRowCount(shard);
-  size_t ncols = heap.schema().NumColumns();
   sink.PutU64(count);
   for (size_t i = 0; i < count; ++i) {
     sink.PutU8(heap.ShardRowLive(shard, i) ? 1 : 0);
-    // The bytes of WriteRow over the decoded row, one value at a time.
-    const Cell* cells = heap.ShardCellsAt(shard, i);
-    sink.PutU32(static_cast<uint32_t>(ncols));
-    for (size_t c = 0; c < ncols; ++c) WriteValue(&sink, heap.Decode(cells, c));
+    WriteRow(&sink, heap.DecodeRow(heap.ShardCellsAt(shard, i)));
   }
   return sink.Take();
 }

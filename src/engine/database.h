@@ -175,9 +175,8 @@ class Database {
   /// stored: on insert it is the caller's row, whose strings the heap
   /// interned in place; on delete, the deleted row read back from the
   /// heap. Either way its strings are backed by the table's dictionary.
-  /// See the thread-safety
-  /// contract above: registration must precede concurrent use, and hooks
-  /// must not re-enter the write path.
+  /// See the thread-safety contract above: registration must precede
+  /// concurrent use, and hooks must not re-enter the write path.
   using WriteHook = std::function<void(const std::string& table,
                                        const Row& row, bool is_insert)>;
   void RegisterWriteHook(WriteHook hook) { hooks_.push_back(std::move(hook)); }

@@ -116,48 +116,12 @@ SlotId TableHeap::InsertUnchecked(Row* row, size_t shard) {
 }
 
 void TableHeap::InsertBatchUnchecked(std::vector<Row> rows) {
-  if (rows.empty()) return;
   if (has_string_cols_) {
     // One interning pass under one lock acquisition for the whole batch.
     std::lock_guard<std::mutex> lock(dict_mutex_);
     for (Row& row : rows) InternStringsLocked(&row);
   }
-  // Route every row, append the batch to the directory under one lock
-  // acquisition, then grow each shard once and pack its rows in batch
-  // order — the slots and placement of one Place per row.
-  std::vector<size_t> end(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) end[s] = shards_[s].live.size();
-  std::vector<SlotRef> refs(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    size_t s = ShardOf(rows[r]);
-    refs[r] = {static_cast<uint32_t>(s), static_cast<uint32_t>(end[s]++)};
-  }
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    size_t base = directory_.size();
-    GrowTo(&directory_, base + refs.size());
-    std::copy(refs.begin(), refs.end(), directory_.begin() + base);
-    RecountDirectoryBytes();
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = shards_[s];
-    size_t added = end[s] - sh.live.size();
-    if (added == 0) continue;
-    GrowTo(&sh.cells, end[s] * stride_);
-    GrowTo(&sh.live, end[s]);
-    std::fill(sh.live.end() - static_cast<ptrdiff_t>(added), sh.live.end(),
-              uint8_t{1});
-    sh.num_live += added;
-    RecountShardBytes(&sh);
-  }
-  for (size_t r = 0; r < rows.size(); ++r) {
-    bool packed = Pack(rows[r], shards_[refs[r].shard].cells.data() +
-                                    size_t{refs[r].local} * stride_);
-    assert(packed && "InsertBatchUnchecked row does not fit its columns");
-    (void)packed;
-  }
-  num_live_.fetch_add(rows.size(), std::memory_order_relaxed);
-  BumpVersionEpoch();
+  for (const Row& row : rows) Place(row);
 }
 
 void TableHeap::ShrinkToFit() {

@@ -198,7 +198,6 @@ class TableHeap {
   /// so lock and placement agree by construction rather than by
   /// re-derivation.
   SlotId InsertUnchecked(Row* row, size_t shard = kShardAuto);
-  SlotId InsertUnchecked(Row row) { return InsertUnchecked(&row); }
 
   /// Bulk append without validation: one interning pass under one lock
   /// acquisition for the whole batch (the natural grain for dictionary

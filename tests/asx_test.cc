@@ -17,6 +17,7 @@ namespace {
 
 using testing_util::Dt;
 using testing_util::I;
+using testing_util::InsertRow;
 using testing_util::MakeTable;
 using testing_util::N;
 using testing_util::S;
@@ -61,10 +62,10 @@ TEST(AccessConstraintTest, ToStringAndResolve) {
 
 TEST(AcIndexTest, BuildAndLookup) {
   TableHeap heap(CallSchema());
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(101), S("R1")});
-  heap.InsertUnchecked({I(7), Dt("2016-03-16"), I(100), S("R1")});
-  heap.InsertUnchecked({I(8), Dt("2016-03-15"), I(200), S("R2")});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), I(101), S("R1")});
+  InsertRow(&heap, {I(7), Dt("2016-03-16"), I(100), S("R1")});
+  InsertRow(&heap, {I(8), Dt("2016-03-15"), I(200), S("R2")});
   auto index = AcIndex::Build(Psi1(), heap);
   ASSERT_TRUE(index.ok());
   auto bucket = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
@@ -78,8 +79,8 @@ TEST(AcIndexTest, BuildAndLookup) {
 TEST(AcIndexTest, DistinctYDeduplicated) {
   TableHeap heap(CallSchema());
   // Two identical (recnum, region) projections for the same key.
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
   auto index = AcIndex::Build(Psi1(), heap);
   auto view = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
   ASSERT_EQ(view.size(), 1u) << "partial tuples are distinct";
@@ -88,7 +89,7 @@ TEST(AcIndexTest, DistinctYDeduplicated) {
 
 TEST(AcIndexTest, NullKeysNotIndexed) {
   TableHeap heap(CallSchema());
-  heap.InsertUnchecked({N(), Dt("2016-03-15"), I(100), S("R1")});
+  InsertRow(&heap, {N(), Dt("2016-03-15"), I(100), S("R1")});
   auto index = AcIndex::Build(Psi1(), heap);
   EXPECT_EQ((*index)->NumKeys(), 0u);
 }
@@ -128,7 +129,7 @@ TEST(AcIndexTest, IncrementalEqualsRebuildProperty) {
       Row row{I(rng.Uniform(1, 5)), Dt("2016-03-15"), I(rng.Uniform(100, 104)),
               S(rng.Chance(0.5) ? "R1" : "R2")};
       live.push_back(row);
-      heap.InsertUnchecked(row);
+      InsertRow(&heap, row);
       (*incremental)->OnInsert(row);
     } else {
       size_t pick = static_cast<size_t>(
@@ -175,7 +176,7 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
   auto build = [&](size_t shards) {
     ShardOverrideGuard guard(shards);
     auto heap = std::make_unique<TableHeap>(CallSchema());
-    for (const Row& row : rows) heap->InsertUnchecked(row);
+    for (const Row& row : rows) InsertRow(heap.get(), row);
     auto index = AcIndex::Build(Psi1(), *heap);
     EXPECT_TRUE(index.ok());
     return std::make_pair(std::move(heap), std::move(*index));
@@ -238,7 +239,7 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
 TEST(AcIndexTest, ConformsAgainstDeclaredBound) {
   TableHeap heap(CallSchema());
   for (int i = 0; i < 5; ++i) {
-    heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100 + i), S("R1")});
+    InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100 + i), S("R1")});
   }
   auto index = AcIndex::Build(Psi1(), heap);  // N=3 but 5 distinct
   EXPECT_EQ((*index)->MaxBucketSize(), 5u);
@@ -258,16 +259,15 @@ TEST(AcIndexCellTest, ProbesMatchExactlyWhereValuesAreEqual) {
                          {"x", TypeId::kDouble},
                          {"s", TypeId::kString},
                          {"y", TypeId::kInt64}}));
-  heap.InsertUnchecked(
-      {I(7), Dt("2016-03-15"), Value::Double(-0.0), S("in"), I(1)});
+  InsertRow(&heap,
+            {I(7), Dt("2016-03-15"), Value::Double(-0.0), S("in"), I(1)});
   // -0.0 and 0.0 are one key value.
-  heap.InsertUnchecked(
-      {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), I(2)});
-  heap.InsertUnchecked(
-      {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), N()});
+  InsertRow(&heap,
+            {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), I(2)});
+  InsertRow(&heap,
+            {I(7), Dt("2016-03-15"), Value::Double(0.0), S("in"), N()});
   // A NULL X part: not indexed.
-  heap.InsertUnchecked({N(), Dt("2016-03-15"), Value::Double(1.0), S("in"),
-                        I(3)});
+  InsertRow(&heap, {N(), Dt("2016-03-15"), Value::Double(1.0), S("in"), I(3)});
   auto built =
       AcIndex::Build({"psi", "t", {"i", "d", "x", "s"}, {"y"}, 8}, heap);
   ASSERT_TRUE(built.ok());
@@ -351,7 +351,7 @@ TEST(AcIndexCellTest, PooledAndSerialLookupBatchAgree) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardOverrideGuard guard(shards);
     TableHeap heap(CallSchema());
-    for (const Row& row : rows) heap.InsertUnchecked(row);
+    for (const Row& row : rows) InsertRow(&heap, row);
     auto index = AcIndex::Build(Psi1(), heap);
     ASSERT_TRUE(index.ok());
     ASSERT_EQ((*index)->num_shards(), shards);
@@ -397,9 +397,9 @@ TEST(AcIndexCellTest, TlcIndexBytesPerEntryStayUnderCeiling) {
 TEST(ConformanceTest, ReportsViolations) {
   TableHeap heap(CallSchema());
   for (int i = 0; i < 5; ++i) {
-    heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100 + i), S("R1")});
+    InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100 + i), S("R1")});
   }
-  heap.InsertUnchecked({I(8), Dt("2016-03-15"), I(1), S("R1")});
+  InsertRow(&heap, {I(8), Dt("2016-03-15"), I(1), S("R1")});
   auto report = VerifyConformance(heap, Psi1());
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->conforms);
@@ -411,7 +411,7 @@ TEST(ConformanceTest, ReportsViolations) {
 
 TEST(ConformanceTest, PassesWhenWithinBound) {
   TableHeap heap(CallSchema());
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), I(100), S("R1")});
   auto report = VerifyConformance(heap, Psi1());
   EXPECT_TRUE(report->conforms);
 }

@@ -39,6 +39,7 @@ namespace {
 
 using testing_util::Dt;
 using testing_util::I;
+using testing_util::InsertRow;
 using testing_util::N;
 using testing_util::S;
 using testing_util::ShardOverrideGuard;
@@ -135,11 +136,11 @@ TEST(DurabilitySerdeTest, IndexSegmentBytesArePinned) {
                          {"s", TypeId::kString},
                          {"y", TypeId::kDouble},
                          {"n", TypeId::kInt64}}));
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5),
-                        N()});
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5),
-                        N()});
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), S("ab"), N(), I(3)});
+  InsertRow(&heap,
+            {I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5), N()});
+  InsertRow(&heap,
+            {I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5), N()});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), S("ab"), N(), I(3)});
   auto index = AcIndex::Build({"psi", "t", {"k", "d", "s"}, {"y", "n"}, 4},
                               heap);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
@@ -174,10 +175,9 @@ TEST(DurabilitySerdeTest, ShardRowsSegmentBytesArePinned) {
                          {"s", TypeId::kString},
                          {"y", TypeId::kDouble}}));
   heap.DeclareShardKey(0);
-  heap.InsertUnchecked({I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5)});
-  SlotId dead =
-      heap.InsertUnchecked({I(7), Dt("2016-03-16"), S("cd"), N()});
-  heap.InsertUnchecked({I(7), N(), S("ab"), Value::Double(-0.0)});
+  InsertRow(&heap, {I(7), Dt("2016-03-15"), S("ab"), Value::Double(2.5)});
+  SlotId dead = InsertRow(&heap, {I(7), Dt("2016-03-16"), S("cd"), N()});
+  InsertRow(&heap, {I(7), N(), S("ab"), Value::Double(-0.0)});
   ASSERT_TRUE(heap.Delete(dead).ok());
   size_t shard = heap.DirectorySlot(0).first;
   for (SlotId slot = 1; slot < heap.NumSlots(); ++slot) {

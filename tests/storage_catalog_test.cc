@@ -19,6 +19,7 @@ namespace {
 using testing_util::D;
 using testing_util::Dt;
 using testing_util::I;
+using testing_util::InsertRow;
 using testing_util::N;
 using testing_util::S;
 using testing_util::ShardOverrideGuard;
@@ -104,9 +105,9 @@ TEST(TableHeapTest, DeleteTombstones) {
 
 TEST(TableHeapTest, IteratorSkipsDead) {
   TableHeap heap(TwoColSchema());
-  heap.InsertUnchecked({I(1), S("a")});
-  SlotId s1 = heap.InsertUnchecked({I(2), S("b")});
-  heap.InsertUnchecked({I(3), S("c")});
+  InsertRow(&heap, {I(1), S("a")});
+  SlotId s1 = InsertRow(&heap, {I(2), S("b")});
+  InsertRow(&heap, {I(3), S("c")});
   ASSERT_TRUE(heap.Delete(s1).ok());
   std::vector<int64_t> seen;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
@@ -117,8 +118,8 @@ TEST(TableHeapTest, IteratorSkipsDead) {
 
 TEST(TableHeapTest, SnapshotCopiesLiveRows) {
   TableHeap heap(TwoColSchema());
-  heap.InsertUnchecked({I(1), S("a")});
-  SlotId s1 = heap.InsertUnchecked({I(2), S("b")});
+  InsertRow(&heap, {I(1), S("a")});
+  SlotId s1 = InsertRow(&heap, {I(2), S("b")});
   ASSERT_TRUE(heap.Delete(s1).ok());
   auto rows = heap.Snapshot();
   ASSERT_EQ(rows.size(), 1u);
@@ -146,9 +147,9 @@ TEST(TableHeapCellTest, EveryTypeRoundTripsThroughItsCell) {
   uint64_t nan_bits = DoubleBits(nan) | 0x5;  // a NaN with a payload
   double odd_nan;
   std::memcpy(&odd_nan, &nan_bits, sizeof(odd_nan));
-  heap.InsertUnchecked({I(INT64_MIN), Dt("2016-03-15"), D(-0.0), S("a")});
-  heap.InsertUnchecked({N(), N(), D(odd_nan), N()});
-  heap.InsertUnchecked({I(-1), Dt("1999-12-31"), N(), S("")});
+  InsertRow(&heap, {I(INT64_MIN), Dt("2016-03-15"), D(-0.0), S("a")});
+  InsertRow(&heap, {N(), N(), D(odd_nan), N()});
+  InsertRow(&heap, {I(-1), Dt("1999-12-31"), N(), S("")});
 
   Row r0 = heap.RowAt(0);
   EXPECT_EQ(r0[0].type(), TypeId::kInt64);
@@ -191,7 +192,7 @@ TEST(TableHeapCellTest, WideRowsSpillTheNullMaskIntoASecondCell) {
   ASSERT_EQ(heap.stride(), 72u);
   Row row;
   for (int c = 0; c < 70; ++c) row.push_back(c == 66 ? N() : I(c * 3));
-  heap.InsertUnchecked(row);
+  InsertRow(&heap, row);
   EXPECT_EQ(heap.CellsAt(0)[70], 0u);
   EXPECT_EQ(heap.CellsAt(0)[71], uint64_t{1} << 2);
   EXPECT_TRUE(heap.ValueAt(0, 66).is_null());
@@ -254,7 +255,7 @@ TEST(ShardedHeapTest, PublicSurfaceInvariantAcrossShardCounts) {
 
     std::vector<SlotId> slots;
     for (int i = 0; i < 50; ++i) {
-      slots.push_back(heap.InsertUnchecked({I(i), S("v" + std::to_string(i))}));
+      slots.push_back(InsertRow(&heap, {I(i), S("v" + std::to_string(i))}));
     }
     // Slots are dense and in insertion order, whatever the partitioning.
     for (int i = 0; i < 50; ++i) {
@@ -322,9 +323,9 @@ TEST(CatalogTest, TableNamesSorted) {
 
 TEST(StatisticsTest, ComputesCountsAndMinMax) {
   TableHeap heap(TwoColSchema());
-  heap.InsertUnchecked({I(5), S("b")});
-  heap.InsertUnchecked({I(3), S("a")});
-  heap.InsertUnchecked({I(5), N()});
+  InsertRow(&heap, {I(5), S("b")});
+  InsertRow(&heap, {I(3), S("a")});
+  InsertRow(&heap, {I(5), N()});
   TableStats stats = ComputeTableStats(heap);
   EXPECT_EQ(stats.row_count, 3u);
   EXPECT_EQ(stats.columns[0].distinct_count, 2u);
@@ -339,9 +340,9 @@ TEST(StatisticsTest, ComputesCountsAndMinMax) {
 TEST(StatisticsTest, CachedAndInvalidated) {
   Catalog catalog;
   TableInfo* info = *catalog.CreateTable("t", TwoColSchema());
-  info->heap()->InsertUnchecked({I(1), S("a")});
+  InsertRow(info->heap(), {I(1), S("a")});
   EXPECT_EQ(info->stats().row_count, 1u);
-  info->heap()->InsertUnchecked({I(2), S("b")});
+  InsertRow(info->heap(), {I(2), S("b")});
   // Slot count changed, stats recompute automatically.
   EXPECT_EQ(info->stats().row_count, 2u);
 }

@@ -50,6 +50,13 @@ inline Value Dt(const std::string& v) {
 }
 inline Value N() { return Value::Null(); }
 
+/// Appends `row` to `heap` unvalidated (TableHeap::InsertUnchecked takes
+/// the row by pointer and interns it in place; tests mostly insert
+/// temporaries).
+inline SlotId InsertRow(TableHeap* heap, Row row) {
+  return heap->InsertUnchecked(&row);
+}
+
 /// Lowercase hex of `bytes`, for pinning encoded formats byte for byte.
 inline std::string ToHex(const std::string& bytes) {
   static const char kDigits[] = "0123456789abcdef";

@@ -13,6 +13,10 @@ namespace {
 
 constexpr uint64_t kBoundCap = 1ull << 60;  // saturation for bound arithmetic
 
+/// Search nodes the branch-and-bound explores before it settles for the
+/// best plan found so far.
+constexpr uint64_t kMaxSearchNodes = 200000;
+
 uint64_t SatMul(uint64_t a, uint64_t b) {
   if (a == 0 || b == 0) return 0;
   if (a > kBoundCap / b) return kBoundCap;
@@ -187,7 +191,7 @@ Result<GenerationResult> BoundedPlanGenerator::Generate(
   std::vector<StepChoice> current;
   auto dfs = [&](auto&& self, std::vector<uint64_t>& masks, uint64_t bound,
                  uint64_t cost) -> void {
-    if (nodes++ > options_.max_nodes) return;
+    if (nodes++ > kMaxSearchNodes) return;
     if (cost >= best.cost) return;
     auto [it, inserted] = visited.try_emplace(masks, cost);
     if (!inserted) {

@@ -53,18 +53,13 @@ struct GenerationResult {
 /// (2,000 + 2,000·12 + 2,000·12·500).
 ///
 /// The search is exhaustive with branch-and-bound pruning and memoization,
-/// minimizing the total access bound; `options.max_nodes` caps the
-/// exploration (beyond it, the best plan found so far is returned).
+/// minimizing the total access bound; a cap of 200,000 search nodes
+/// bounds the exploration (beyond it, the best plan found so far is
+/// returned).
 class BoundedPlanGenerator {
  public:
-  struct Options {
-    uint64_t max_nodes = 200000;
-  };
-
   explicit BoundedPlanGenerator(const AccessSchema* schema)
       : schema_(schema) {}
-  BoundedPlanGenerator(const AccessSchema* schema, Options options)
-      : schema_(schema), options_(options) {}
 
   /// Searches for the minimum-bound bounded plan for the request.
   Result<GenerationResult> Generate(const CoverageRequest& request) const;
@@ -74,7 +69,6 @@ class BoundedPlanGenerator {
 
  private:
   const AccessSchema* schema_;
-  Options options_{};
 };
 
 }  // namespace beas

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "durability/segment.h"
 
@@ -40,19 +39,10 @@ Status WalLatchedError() {
 }
 
 /// Disk-full detection by message shape: the posix Env renders every IO
-/// error through std::strerror, so ENOSPC always carries this text (and
-/// the fail-point `error(enospc)` action injects the same shape).
+/// error through std::strerror, so ENOSPC always carries this text.
 bool IsNoSpaceError(const Status& st) {
   return st.code() == StatusCode::kIoError &&
          st.message().find("No space left on device") != std::string::npos;
-}
-
-/// Merges an injected fail-point status into a protocol status: crash
-/// actions never return, sleep/off return OK, error actions surface as
-/// the fault `st` would have been.
-Status MergePoint(Status st, const char* site) {
-  Status injected = fail::Point(site);
-  return st.ok() ? injected : st;
 }
 
 /// Parses "ck<digits>" into the checkpoint id; 0 when malformed.
@@ -370,14 +360,10 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
       for (;;) {
         Status commit =
             wal.file->Append(group.str().data(), group.size());
-        commit = MergePoint(std::move(commit), "wal_append");
-        if (commit.ok()) commit = fail::Point("wal_group_io");
-        if (commit.ok()) commit = fail::Point("wal_pre_fsync");
         if (commit.ok()) {
           commit = wal.file->Sync();
           wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
         }
-        if (commit.ok()) commit = fail::Point("wal_post_fsync");
         if (commit.ok()) {
           wal_bytes_total_.fetch_add(group.size(), std::memory_order_relaxed);
           wal_records_total_.fetch_add(count, std::memory_order_relaxed);
@@ -395,7 +381,6 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         // groups at recovery nor be replayed themselves.
         Status repair = wal.file->Truncate(good_offset);
         if (repair.ok()) repair = wal.file->Sync();
-        repair = MergePoint(std::move(repair), "wal_repair_fail");
         if (!repair.ok()) {
           wal.io_failed.store(true, std::memory_order_release);
           io = WalLatchedError();
@@ -617,12 +602,8 @@ Status DurabilityManager::WriteCheckpointSegments(
     std::vector<SegmentRecord>* segments,
     std::map<std::string, TableBaseline>* tables_out,
     std::map<std::string, uint32_t>* indexes_out) {
-  // Every segment write shares the ckpt_write fail-point site so the
-  // error sweep (including the error(enospc) disk-full simulation) can
-  // fault any file of the set.
   auto write_segment = [&](SegmentRecord rec, std::string payload,
                            uint32_t* crc_out) -> Status {
-    BEAS_RETURN_NOT_OK(fail::Point("ckpt_write"));
     uint32_t crc = 0;
     BEAS_RETURN_NOT_OK(
         WriteSegmentFile(env_, rec.path, rec.kind, payload, &crc));
@@ -702,8 +683,7 @@ Status DurabilityManager::WriteCheckpointSegments(
   // ck<N>'s own entry in seg/ must be durable before the manifest can
   // point at it, or a crash leaves a manifest referencing a directory
   // that no longer exists.
-  BEAS_RETURN_NOT_OK(env_->SyncDir(options_.dir + "/seg"));
-  return fail::Point("ckpt_mid");
+  return env_->SyncDir(options_.dir + "/seg");
 }
 
 Status DurabilityManager::RotateWals() {
@@ -823,7 +803,7 @@ Status DurabilityManager::CheckpointLocked() {
         break;
       }
     }
-    wrote = MergePoint(std::move(verified), "ckpt_verify");
+    wrote = std::move(verified);
   }
 
   if (!wrote.ok()) {
@@ -865,10 +845,8 @@ Status DurabilityManager::CheckpointLocked() {
   Status rotated = RotateWals();
 
   // The manifest is committed: bookkeeping must move to the new id even
-  // when rotation or the post-truncate fail point injects an error, or
-  // the next checkpoint would RemoveAll() the directory the manifest
-  // points at.
-  Status injected = fail::Point("ckpt_post_truncate");
+  // when rotation fails, or the next checkpoint would RemoveAll() the
+  // directory the manifest points at.
   last_checkpoint_id_ = id;
   wal_bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   checkpoints_total_.fetch_add(1, std::memory_order_relaxed);
@@ -881,8 +859,7 @@ Status DurabilityManager::CheckpointLocked() {
     dirty_tables_.clear();
     structural_dirty_ = false;
   }
-  BEAS_RETURN_NOT_OK(rotated);
-  BEAS_RETURN_NOT_OK(injected);  // old dirs GC'd by the next ckpt/recovery
+  BEAS_RETURN_NOT_OK(rotated);  // old dirs GC'd by the next ckpt/recovery
   GcCheckpointDirs(id);
   return Status::OK();
 }

@@ -35,8 +35,10 @@ struct DurabilityOptions {
   uint64_t checkpoint_min_wal_bytes = 1ull << 22;
 
   /// The I/O environment all durability reads and writes go through.
-  /// nullptr selects Env::Default() (the posix filesystem); tests inject
-  /// a fault-injecting Env to model power cuts and bit rot.
+  /// nullptr selects Env::Default() (the posix filesystem). Tests inject
+  /// a fault-injecting Env, the only fault seam of this layer: it fails
+  /// or cuts chosen I/O calls, tears unsynced bytes at power cuts and
+  /// rots stored bits.
   Env* env = nullptr;
 };
 
@@ -147,21 +149,6 @@ struct ScrubReport {
 /// checkpoint through the normal restore path; corrupt segments with
 /// clean memory rewrites a fresh verified checkpoint. Corrupt on both
 /// sides stays quarantined and surfaces kCorruption.
-///
-/// ## Fail points (fault-injection testing)
-///
-/// Every protocol boundary of interest is a fail::Point site (see
-/// common/failpoint.h for the BEAS_FAIL_POINTS syntax): wal_append
-/// (group written, not fsynced), wal_group_io (the failed-fsync shape),
-/// wal_pre_fsync, wal_post_fsync (durable, not applied), wal_repair_fail (truncate-repair of a failed group),
-/// ckpt_write (each segment file write — the ENOSPC simulation site),
-/// ckpt_mid (segments written, manifest not committed), ckpt_verify (the
-/// read-back verification pass) and ckpt_post_truncate (WALs rotated,
-/// old segments not yet GC'd). Crash actions _exit(42); error actions
-/// are handled exactly like the real fault: group-commit errors retry
-/// with backoff then latch, checkpoint errors drop the partial segment
-/// directory (pressure relief) and surface kResourceExhausted when the
-/// fault is disk-full-shaped.
 class DurabilityManager {
  public:
   /// The manager logs through `db`/`catalog` and replays into them; both

@@ -315,11 +315,7 @@ void Server::WriteToConnection(const std::shared_ptr<Connection>& conn,
   // Test hook: `net_write_response=sleep(MS)@*` turns this server into a
   // slow writer, forcing the per-connection inflight cap to exercise the
   // reader's backpressure path deterministically.
-  Status injected = fail::Point("net_write_response");
-  if (!injected.ok()) {
-    conn->cancelled.store(true, std::memory_order_relaxed);
-    return;
-  }
+  fail::Point("net_write_response");
   size_t sent = 0;
   while (sent < bytes.size()) {
     ssize_t r = ::send(conn->fd, bytes.data() + sent, bytes.size() - sent,

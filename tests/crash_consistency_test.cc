@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "service/beas_service.h"
 #include "support/test_env.h"
@@ -276,6 +277,188 @@ TEST(CrashConsistencyTest, FreshSeedSweepRecoversAnAckedPrefix) {
   std::cout << "[crash-consistency] fresh seed = " << seed
             << " (replay with BEAS_CRASH_SEED=" << seed << ")" << std::endl;
   RunCrashSweep(seed, /*trials_per_config=*/25);
+}
+
+// ---------------------------------------------------------------------------
+// FaultInjectingEnv call faults: the primitive the fault and kill-point
+// suites are built on.
+// ---------------------------------------------------------------------------
+
+using FaultOp = FaultInjectingEnv::FaultOp;
+using Fault = FaultInjectingEnv::Fault;
+using TearPolicy = FaultInjectingEnv::TearPolicy;
+
+/// Whole contents of `path`, or "<absent>".
+std::string ReadAll(FaultInjectingEnv* env, const std::string& path) {
+  if (!env->FileExists(path)) return "<absent>";
+  auto view = env->NewRandomAccessFile(path);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return "<unreadable>";
+  return std::string((*view)->data(), (*view)->size());
+}
+
+/// Calls `op` once on the file /dir/f (or the directory /dir), keeping
+/// the file in place across calls. Returns the call's status.
+Status CallOnce(FaultInjectingEnv* env, FaultOp op) {
+  auto open = env->NewWritableFile("/dir/f");
+  if (op == FaultOp::kNewWritableFile || !open.ok()) return open.status();
+  WritableFile& file = **open;
+  switch (op) {
+    case FaultOp::kAppend:
+      return file.Append("x", 1);
+    case FaultOp::kSync:
+      return file.Sync();
+    case FaultOp::kTruncate:
+      return file.Truncate(0);
+    case FaultOp::kRenameFile: {
+      Status st = env->RenameFile("/dir/f", "/dir/g");
+      if (!st.ok()) return st;
+      return env->RenameFile("/dir/g", "/dir/f");  // the second call
+    }
+    case FaultOp::kSyncDir:
+      return env->SyncDir("/dir");
+    case FaultOp::kNewWritableFile:
+      break;
+  }
+  return Status::OK();
+}
+
+TEST(FaultInjectingEnvTest, EachOpFailsOnExactlyItsNthCallOrOnEveryCall) {
+  const FaultOp kOps[] = {FaultOp::kAppend,          FaultOp::kSync,
+                          FaultOp::kTruncate,        FaultOp::kNewWritableFile,
+                          FaultOp::kRenameFile,      FaultOp::kSyncDir};
+  for (FaultOp op : kOps) {
+    SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)));
+    FaultInjectingEnv env(3);
+    ASSERT_TRUE(env.CreateDir("/dir").ok());
+    // A rename is two matching calls per CallOnce (there and back), so
+    // the 5th matching call is the first half of the 3rd CallOnce.
+    const uint64_t nth = op == FaultOp::kRenameFile ? 5 : 3;
+    env.ArmFault(op, "/dir", Fault::kFail, nth);
+    for (int call = 1; call <= 5; ++call) {
+      Status st = CallOnce(&env, op);
+      if (call == 3) {
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code(), StatusCode::kIoError);
+        EXPECT_NE(st.message().find("injected"), std::string::npos);
+      } else {
+        EXPECT_TRUE(st.ok()) << "call " << call << ": " << st.ToString();
+      }
+    }
+    EXPECT_EQ(env.injected_faults(), 1u);
+
+    env.ClearFaults();
+    env.ArmFault(op, "/dir", Fault::kFail, FaultInjectingEnv::kEveryCall);
+    for (int call = 1; call <= 4; ++call) {
+      EXPECT_FALSE(CallOnce(&env, op).ok()) << "call " << call;
+    }
+    EXPECT_EQ(env.injected_faults(), 5u);
+    env.ClearFaults();
+    EXPECT_TRUE(CallOnce(&env, op).ok());
+  }
+}
+
+TEST(FaultInjectingEnvTest, PathFilterHolds) {
+  FaultInjectingEnv env(4);
+  ASSERT_TRUE(env.CreateDir("/d").ok());
+  env.ArmFault(FaultOp::kAppend, "/d/wal", Fault::kFail,
+               FaultInjectingEnv::kEveryCall);
+  auto wal = env.NewWritableFile("/d/wal_0");
+  auto seg = env.NewWritableFile("/d/seg_0");
+  ASSERT_TRUE(wal.ok() && seg.ok());
+  EXPECT_FALSE((*wal)->Append("a", 1).ok());
+  EXPECT_TRUE((*seg)->Append("a", 1).ok());
+  EXPECT_EQ(ReadAll(&env, "/d/wal_0"), "");
+  EXPECT_EQ(ReadAll(&env, "/d/seg_0"), "a");
+  // Only the armed op is faulted on a matching path.
+  EXPECT_TRUE((*wal)->Sync().ok());
+
+  // A rename matches on its source or its target.
+  env.ArmFault(FaultOp::kRenameFile, "prev", Fault::kFail,
+               FaultInjectingEnv::kEveryCall);
+  EXPECT_FALSE(env.RenameFile("/d/seg_0", "/d/prev_0").ok());
+  EXPECT_TRUE(env.RenameFile("/d/seg_0", "/d/seg_1").ok());
+  EXPECT_EQ(env.injected_faults(), 2u);
+}
+
+TEST(FaultInjectingEnvTest, NoSpaceFaultIsDiskFullShapedAndTypedByCheckpoint) {
+  FaultInjectingEnv env(5);
+  ASSERT_TRUE(env.CreateDir("/d").ok());
+  env.ArmFault(FaultOp::kAppend, "/d/f", Fault::kFailNoSpace);
+  auto file = env.NewWritableFile("/d/f");
+  ASSERT_TRUE(file.ok());
+  Status st = (*file)->Append("a", 1);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("No space left on device"), std::string::npos)
+      << st.ToString();
+
+  // The durability layer recognises the shape: a checkpoint whose segment
+  // write hits it aborts with the typed capacity verdict.
+  ShardOverrideGuard guard(1);
+  std::unique_ptr<BeasService> svc = MakeService(kDataDir, &env);
+  ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
+  ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
+  ASSERT_TRUE(
+      svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r1")}).ok());
+  env.ArmFault(FaultOp::kAppend, "/seg/ck", Fault::kFailNoSpace);
+  Status checkpoint = svc->Checkpoint();
+  EXPECT_EQ(checkpoint.code(), StatusCode::kResourceExhausted)
+      << checkpoint.ToString();
+}
+
+TEST(FaultInjectingEnvTest, PersistThenFailSyncLeavesItsBytesInACrashImage) {
+  for (Fault fault : {Fault::kFailAfterEffect, Fault::kFail}) {
+    const bool persisted = fault == Fault::kFailAfterEffect;
+    SCOPED_TRACE(persisted ? "persist, then fail" : "fail");
+    FaultInjectingEnv env(6);
+    ASSERT_TRUE(env.CreateDir("/d").ok());
+    auto file = env.NewWritableFile("/d/f");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(env.SyncDir("/d").ok());
+    ASSERT_TRUE(env.SyncDir("/").ok());
+    ASSERT_TRUE((*file)->Append("abc", 3).ok());
+    env.ArmFault(FaultOp::kSync, "/d/f", fault);
+    EXPECT_FALSE((*file)->Sync().ok());
+    EXPECT_EQ(env.injected_faults(), 1u);
+    env.CutNow(TearPolicy::kDropAll);
+    env.InstallCrashImage();
+    EXPECT_EQ(ReadAll(&env, "/d/f"), persisted ? "abc" : "");
+  }
+}
+
+TEST(FaultInjectingEnvTest, KeepAllCutKeepsUnsyncedCreatesAndRenames) {
+  for (Fault cut : {Fault::kCutBefore, Fault::kCutAfter}) {
+    const bool after = cut == Fault::kCutAfter;
+    SCOPED_TRACE(after ? "cut after" : "cut before");
+    FaultInjectingEnv env(7);
+    // Nothing below is ever synced: not the directory, not a file, not
+    // a directory entry.
+    ASSERT_TRUE(env.CreateDir("/d").ok());
+    auto a = env.NewWritableFile("/d/a");
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE((*a)->Append("x", 1).ok());
+    auto b = env.NewWritableFile("/d/b");
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE((*b)->Append("y", 1).ok());
+    ASSERT_TRUE(env.RenameFile("/d/b", "/d/c").ok());
+    auto trigger = env.NewWritableFile("/d/trigger");
+    ASSERT_TRUE(trigger.ok());
+
+    env.ArmFault(FaultOp::kAppend, "/d/trigger", cut);
+    ASSERT_TRUE((*trigger)->Append("t", 1).ok());
+    EXPECT_TRUE(env.CutTriggered());
+    EXPECT_EQ(env.injected_faults(), 1u);
+    // Changes after the cut are not in the image.
+    ASSERT_TRUE(env.RemoveFile("/d/a").ok());
+
+    env.InstallCrashImage();
+    EXPECT_TRUE(env.IsDirectory("/d"));
+    EXPECT_EQ(ReadAll(&env, "/d/a"), "x");
+    EXPECT_EQ(ReadAll(&env, "/d/b"), "<absent>");
+    EXPECT_EQ(ReadAll(&env, "/d/c"), "y");
+    EXPECT_EQ(ReadAll(&env, "/d/trigger"), after ? "t" : "");
+  }
 }
 
 }  // namespace

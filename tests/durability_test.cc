@@ -1,23 +1,27 @@
 // Durability subsystem tests: serde and WAL/segment framing round-trips,
-// torn-tail repair, clean restart recovery, and the fork-based kill-point
-// fault-injection sweep (crash at every protocol boundary, at 1/3/8
-// storage shards, asserting the recovered state is bit-identical to the
-// acked-committed prefix).
+// torn-tail repair, clean restart recovery, the kill-point sweep (a
+// process kill at each I/O call of interest in the protocol, cut through
+// FaultInjectingEnv at 1/3/8 storage shards, asserting the recovered
+// state is bit-identical to the acked-committed prefix), and one
+// real-process SIGKILL smoke on the posix filesystem.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,13 +29,13 @@
 #include <vector>
 
 #include "common/env.h"
-#include "common/failpoint.h"
 #include "common/shard_config.h"
 #include "durability/durability_manager.h"
 #include "durability/segment.h"
 #include "durability/serde.h"
 #include "durability/wal.h"
 #include "service/beas_service.h"
+#include "support/test_env.h"
 #include "test_util.h"
 
 namespace beas {
@@ -44,6 +48,8 @@ using testing_util::N;
 using testing_util::S;
 using testing_util::ShardOverrideGuard;
 using testing_util::ToHex;
+using FaultOp = FaultInjectingEnv::FaultOp;
+using Fault = FaultInjectingEnv::Fault;
 
 /// RAII scratch directory under TMPDIR (CI points this at a tmpfs).
 struct TempDir {
@@ -604,11 +610,13 @@ std::string StateFingerprint(BeasService* svc) {
   return out.str();
 }
 
-std::unique_ptr<BeasService> MakeService(const std::string& data_dir) {
+std::unique_ptr<BeasService> MakeService(const std::string& data_dir,
+                                         Env* env = nullptr) {
   ServiceOptions options;
   options.num_workers = 1;
   if (!data_dir.empty()) {
     options.durability.dir = data_dir;
+    options.durability.env = env;
     // Tiny threshold: the maintenance cycle's checkpoint hook fires too,
     // covering the MaybeCheckpoint path.
     options.durability.checkpoint_min_wal_bytes = 1;
@@ -732,30 +740,103 @@ TEST(DurabilityRecoveryTest, RecoveryAcrossShardCountChange) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-point fault injection.
+// Kill points: a process kill at one I/O call of the durable protocol.
 // ---------------------------------------------------------------------------
 
-/// Child body: arm the crash point, run the script against a durable
-/// service, appending each op's index to `ack_path` after it acks.
-/// Returns the exit code (the injected crash _exit(42)s from within).
-int RunChild(const std::string& data_dir, const std::string& ack_path,
-             const char* crash_spec) {
-  fail::ArmForTesting(crash_spec);
-  int ack_fd = ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (ack_fd < 0) return 3;
+/// True when the recovered fingerprint `got` is the state after the
+/// acked prefix ops[0..acked) — or after one op more, since an op may
+/// reach the disk without its ack (a kill between fsync and ack).
+::testing::AssertionResult RecoveredAckedPrefix(
+    const std::vector<ScriptOp>& ops, size_t acked, const std::string& got) {
+  if (ReferenceFingerprint(ops, acked) == got) {
+    return ::testing::AssertionSuccess();
+  }
+  if (acked < ops.size() && ReferenceFingerprint(ops, acked + 1) == got) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "recovered state matches no committed prefix (acked = " << acked
+         << " of " << ops.size() << ")\n"
+         << got;
+}
+
+/// A kill at the `nth` call (counted from after Open) of `op` on a path
+/// containing `path_part`, just before or just after the call.
+struct KillPoint {
+  const char* where;
+  FaultOp op;
+  const char* path_part;
+  Fault cut;
+  uint64_t nth;
+};
+
+/// Runs the script over a FaultInjectingEnv with `kill` armed (none for
+/// the control), lets it finish on the live env, then reboots from the
+/// image the kill latched and checks the acked-prefix invariant.
+void RunKillPointCase(const KillPoint* kill, size_t shards) {
+  SCOPED_TRACE(std::string("kill at ") +
+               (kill == nullptr ? "<none>" : kill->where) +
+               " shards=" + std::to_string(shards));
+  ShardOverrideGuard guard(shards);
+  FaultInjectingEnv env(shards);
+  const std::string data_dir = "/killfs/data";
+  const std::vector<ScriptOp> ops = BuildOpScript();
+  size_t acked = ops.size();  // ops acked before the kill
   {
-    std::unique_ptr<BeasService> svc = MakeService(data_dir);
-    if (!svc->durable()) return 4;
-    std::vector<ScriptOp> ops = BuildOpScript();
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
+    ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
+    if (kill != nullptr) {
+      env.ArmFault(kill->op, kill->path_part, kill->cut, kill->nth);
+    }
     for (size_t i = 0; i < ops.size(); ++i) {
-      if (!ops[i].run(svc.get()).ok()) return 5;
-      char line[32];
-      int len = std::snprintf(line, sizeof(line), "%zu\n", i);
-      if (::write(ack_fd, line, len) != len) return 6;
+      Status st = ops[i].run(svc.get());
+      ASSERT_TRUE(st.ok()) << "op " << i << ": " << st.ToString();
+      if (acked == ops.size() && env.CutTriggered()) acked = i;
     }
   }
-  ::close(ack_fd);
-  return 0;
+  if (kill == nullptr) {
+    ASSERT_FALSE(env.CutTriggered());
+    env.CutNow(FaultInjectingEnv::TearPolicy::kKeepAll);
+  } else {
+    ASSERT_TRUE(env.CutTriggered()) << "the kill point never fired";
+    ASSERT_LT(acked, ops.size());
+  }
+  env.InstallCrashImage();
+
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
+  ASSERT_TRUE(recovered->durable())
+      << recovered->durability_status().ToString();
+  EXPECT_TRUE(RecoveredAckedPrefix(ops, acked, StateFingerprint(recovered.get())));
+}
+
+TEST(DurabilityKillPointTest, RecoversCommittedPrefixAtEveryCrashSite) {
+  const KillPoint kKills[] = {
+      // The first group is written, not fsynced.
+      {"first WAL append", FaultOp::kAppend, "/wal/shard_", Fault::kCutAfter,
+       1},
+      // About to fsync the first group.
+      {"first WAL fsync", FaultOp::kSync, "/wal/shard_", Fault::kCutBefore, 1},
+      // The first group is durable but neither applied nor acked.
+      {"after first WAL fsync", FaultOp::kSync, "/wal/shard_",
+       Fault::kCutAfter, 1},
+      // A later group: post-DDL, mid-stream.
+      {"fourth WAL append", FaultOp::kAppend, "/wal/shard_", Fault::kCutAfter,
+       4},
+      // Segments written and seg/ synced (the 1st matching SyncDir is
+      // ck<N>/ itself), manifest not committed.
+      {"seg/ fsync", FaultOp::kSyncDir, "/seg", Fault::kCutAfter, 2},
+      // Manifest committed, WAL rotation under way.
+      {"first WAL rotation rename", FaultOp::kRenameFile, "/wal/",
+       Fault::kCutAfter, 1},
+  };
+  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    RunKillPointCase(nullptr, shards);  // control: full recovery
+    if (testing::Test::HasFatalFailure()) return;
+    for (const KillPoint& kill : kKills) {
+      RunKillPointCase(&kill, shards);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 /// Number of acked ops in `ack_path`, validating the contiguous-prefix
@@ -772,78 +853,77 @@ size_t CountAckedPrefix(const std::string& ack_path) {
   return expect;
 }
 
-void RunKillPointCase(const char* crash_spec, size_t shards) {
-  SCOPED_TRACE(std::string("crash_spec=") +
-               (crash_spec == nullptr ? "<none>" : crash_spec) +
-               " shards=" + std::to_string(shards));
-  ShardOverrideGuard guard(shards);
-  TempDir tmp;
-  std::string data_dir = tmp.path + "/data";
-  std::string ack_path = tmp.path + "/acks";
-
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    _exit(RunChild(data_dir, ack_path, crash_spec));
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status)) << "child did not exit normally";
-  int code = WEXITSTATUS(status);
-  if (crash_spec == nullptr) {
-    ASSERT_EQ(code, 0);
-  } else {
-    ASSERT_EQ(code, fail::kCrashExitCode)
-        << "armed crash point never fired (or the child failed: exit "
-        << code << ")";
-  }
-
+/// Forked child: runs the script against a durable service on the posix
+/// Env, appending each op's index to `ack_path` after it acks, then waits
+/// to be killed. Returns (as exit code) only on a failure, or when no
+/// kill comes (so an orphan cannot linger).
+int RunKilledChild(const std::string& data_dir, const std::string& ack_path) {
+  int ack_fd = ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (ack_fd < 0) return 3;
+  std::unique_ptr<BeasService> svc = MakeService(data_dir);
+  if (!svc->durable()) return 4;
   std::vector<ScriptOp> ops = BuildOpScript();
-  size_t acked = CountAckedPrefix(ack_path);
-  ASSERT_LE(acked, ops.size());
-  if (crash_spec == nullptr) {
-    ASSERT_EQ(acked, ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].run(svc.get()).ok()) return 5;
+    char line[32];
+    int len = std::snprintf(line, sizeof(line), "%zu\n", i);
+    if (::write(ack_fd, line, len) != len) return 6;
   }
-
-  std::unique_ptr<BeasService> recovered = MakeService(data_dir);
-  ASSERT_TRUE(recovered->durable())
-      << recovered->durability_status().ToString();
-  std::string got = StateFingerprint(recovered.get());
-
-  // An acked op is durable — but one more may have reached the disk
-  // without acking (the crash window between fsync and ack), so the
-  // recovered state is the acked prefix or that prefix plus the op that
-  // was in flight.
-  std::vector<size_t> candidates = {acked};
-  if (acked < ops.size()) candidates.push_back(acked + 1);
-  bool matched = false;
-  for (size_t k : candidates) {
-    if (ReferenceFingerprint(ops, k) == got) {
-      matched = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(matched) << "recovered state matches no committed prefix "
-                          "(acked = "
-                       << acked << " of " << ops.size() << ")\n"
-                       << got;
+  ::sleep(300);
+  return 7;
 }
 
-TEST(DurabilityKillPointTest, RecoversCommittedPrefixAtEveryCrashSite) {
-  const char* specs[] = {
-      nullptr,             // control: clean run, full recovery
-      "wal_append=crash",      // group written, not fsynced
-      "wal_pre_fsync=crash",   // about to fsync
-      "wal_post_fsync=crash",  // durable but not applied or acked
-      "wal_append=crash@4",    // a later group: post-DDL, mid-stream
-      "ckpt_mid=crash",        // segments written, manifest not committed
-      "ckpt_post_truncate=crash",  // WALs gone, old segments not yet GC'd
-  };
-  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (const char* spec : specs) {
-      RunKillPointCase(spec, shards);
-      if (testing::Test::HasFatalFailure()) return;
+// The real-process half of the kill sweep: SIGKILL a child process once
+// it has acked K ops (the kill lands wherever the child has got to by
+// then, checkpoints included), recover its directory in this process and
+// check the acked-prefix invariant.
+TEST(DurabilityKillSmokeTest, SigkilledProcessRecoversAnAckedPrefix) {
+  const std::vector<ScriptOp> ops = BuildOpScript();
+  // The script's checkpoint is op 10; the maintenance cycle (op 12)
+  // checkpoints again.
+  for (size_t kill_after : {size_t{2}, size_t{7}, size_t{10}, size_t{12}}) {
+    SCOPED_TRACE("kill after " + std::to_string(kill_after) + " acks");
+    TempDir tmp;
+    const std::string data_dir = tmp.path + "/data";
+    const std::string ack_path = tmp.path + "/acks";
+
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) _exit(RunKilledChild(data_dir, ack_path));
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    int status = 0;
+    bool exited = false;
+    auto acks_so_far = [&] {
+      std::ifstream in(ack_path);
+      return static_cast<size_t>(
+          std::count(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>(), '\n'));
+    };
+    while (acks_so_far() < kill_after &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (waitpid(pid, &status, WNOHANG) == pid) {
+        exited = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    }
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the child failed on its own (exit "
+        << (WIFEXITED(status) ? WEXITSTATUS(status) : -1) << ")";
+
+    const size_t acked = CountAckedPrefix(ack_path);
+    ASSERT_GE(acked, kill_after);
+    std::unique_ptr<BeasService> recovered = MakeService(data_dir);
+    ASSERT_TRUE(recovered->durable())
+        << recovered->durability_status().ToString();
+    EXPECT_TRUE(
+        RecoveredAckedPrefix(ops, acked, StateFingerprint(recovered.get())));
   }
 }
 
@@ -851,13 +931,7 @@ TEST(DurabilityKillPointTest, RecoversCommittedPrefixAtEveryCrashSite) {
 // Group-commit IO failure: retry, truncate-repair and shard latching.
 // ---------------------------------------------------------------------------
 
-/// Arms an in-process fault spec (BEAS_FAIL_POINTS syntax) and guarantees
-/// disarming, so a failing assertion cannot leak an armed point into
-/// later tests.
-struct FailSpecGuard {
-  explicit FailSpecGuard(const char* spec) { fail::ArmForTesting(spec); }
-  ~FailSpecGuard() { fail::ArmForTesting(nullptr); }
-};
+constexpr const char* kShardWal = "/wal/shard_";
 
 std::vector<int64_t> LivePnums(BeasService* svc) {
   auto info = svc->db()->catalog()->GetTable("call");
@@ -876,24 +950,23 @@ std::vector<int64_t> LivePnums(BeasService* svc) {
 
 TEST(DurabilityFailureRepairTest, TransientGroupFailureIsRetriedAndAcked) {
   ShardOverrideGuard guard(1);  // one WAL shard: routing is deterministic
-  TempDir tmp;
-  std::string data_dir = tmp.path + "/data";
+  FaultInjectingEnv env(5);
+  const std::string data_dir = "/repairfs/data";
   {
-    std::unique_ptr<BeasService> svc = MakeService(data_dir);
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
     ASSERT_TRUE(svc->durable());
     ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
     ASSERT_TRUE(
         svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r")}).ok());
 
-    // The next group commit fails once after its CRC-valid bytes are in
-    // the file — the shape a single failed fsync leaves. The drainer must
-    // cut the failed bytes back, re-append the same group and ack it: a
-    // transient fault costs a retry, not a lost write.
-    {
-      FailSpecGuard fault("wal_group_io=error");
-      Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
-      EXPECT_TRUE(st.ok()) << st.ToString();
-    }
+    // The next group commit's fsync fails once, with its CRC-valid bytes
+    // already in the file. The drainer must cut the failed bytes back,
+    // re-append the same group and ack it: a transient fault costs a
+    // retry, not a lost write.
+    env.ArmFault(FaultOp::kSync, kShardWal, Fault::kFail);
+    Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    env.ClearFaults();
     durability::DurabilityCounters counters = svc->durability_counters();
     EXPECT_GE(counters.wal_retries_total, 1u);
     EXPECT_EQ(counters.wal_latched_shards, 0u);
@@ -904,7 +977,7 @@ TEST(DurabilityFailureRepairTest, TransientGroupFailureIsRetriedAndAcked) {
   // Recovery sees exactly the acked records, with the retried group
   // replayed once: the failed first attempt's bytes were truncated away,
   // not left to shadow or duplicate the re-appended group.
-  std::unique_ptr<BeasService> recovered = MakeService(data_dir);
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
   ASSERT_TRUE(recovered->durable())
       << recovered->durability_status().ToString();
   EXPECT_EQ(LivePnums(recovered.get()), (std::vector<int64_t>{1, 2, 3}));
@@ -912,34 +985,35 @@ TEST(DurabilityFailureRepairTest, TransientGroupFailureIsRetriedAndAcked) {
 
 TEST(DurabilityFailureRepairTest, PersistentFailureExhaustsRetriesAndLatches) {
   ShardOverrideGuard guard(1);
-  TempDir tmp;
-  std::string data_dir = tmp.path + "/data";
+  FaultInjectingEnv env(6);
+  const std::string data_dir = "/repairfs/data";
   {
-    std::unique_ptr<BeasService> svc = MakeService(data_dir);
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
     ASSERT_TRUE(svc->durable());
     ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
     ASSERT_TRUE(
         svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r")}).ok());
 
-    // Every attempt fails: the bounded retry loop must give up after the
-    // configured limit, latch the shard, and surface the typed verdict.
-    {
-      FailSpecGuard fault("wal_group_io=error@*");
-      Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
-      ASSERT_FALSE(st.ok());
-      EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
-    }
+    // Every append of the group fails while the repair succeeds: the
+    // bounded retry loop must give up after the configured limit, latch
+    // the shard, and surface the typed verdict.
+    env.ArmFault(FaultOp::kAppend, kShardWal, Fault::kFail,
+                 FaultInjectingEnv::kEveryCall);
+    Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
+    env.ClearFaults();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
     durability::DurabilityCounters counters = svc->durability_counters();
     EXPECT_GE(counters.wal_retries_total, 3u);
     EXPECT_EQ(counters.wal_latched_shards, 1u);
-    Status st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
+    st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kUnavailable);
     EXPECT_NE(st.ToString().find("latched"), std::string::npos)
         << st.ToString();
   }
   // Everything acked before the latch recovers; nothing after it exists.
-  std::unique_ptr<BeasService> recovered = MakeService(data_dir);
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
   ASSERT_TRUE(recovered->durable())
       << recovered->durability_status().ToString();
   EXPECT_EQ(LivePnums(recovered.get()), (std::vector<int64_t>{1}));
@@ -947,32 +1021,34 @@ TEST(DurabilityFailureRepairTest, PersistentFailureExhaustsRetriesAndLatches) {
 
 TEST(DurabilityFailureRepairTest, UnrepairableFailureLatchesTheShard) {
   ShardOverrideGuard guard(1);
-  TempDir tmp;
-  std::string data_dir = tmp.path + "/data";
+  FaultInjectingEnv env(7);
+  const std::string data_dir = "/repairfs/data";
   {
-    std::unique_ptr<BeasService> svc = MakeService(data_dir);
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
     ASSERT_TRUE(svc->durable());
     ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
     ASSERT_TRUE(
         svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r")}).ok());
 
-    // Group commit fails AND the truncate-repair fails: no retry is
-    // sound, because the file may now end in bytes the accounting cannot
-    // vouch for. The shard must latch immediately.
-    {
-      FailSpecGuard fault("wal_group_io=error;wal_repair_fail=error");
-      Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
-      ASSERT_FALSE(st.ok());
-      EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
-    }
-    Status st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
+    // Group commit fails AND the truncate-repair reports failure: no
+    // retry is sound, because the file may now end in bytes the
+    // accounting cannot vouch for. The shard must latch immediately.
+    // (The cut itself lands, so the nacked group is gone at recovery.)
+    env.ArmFault(FaultOp::kSync, kShardWal, Fault::kFail);
+    env.ArmFault(FaultOp::kTruncate, kShardWal, Fault::kFailAfterEffect);
+    Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
+    env.ClearFaults();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+    EXPECT_EQ(svc->durability_counters().wal_retries_total, 0u);
+    st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kUnavailable);
     EXPECT_NE(st.ToString().find("latched"), std::string::npos)
         << st.ToString();
   }
   // Everything acked before the latch recovers; nothing after it exists.
-  std::unique_ptr<BeasService> recovered = MakeService(data_dir);
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
   ASSERT_TRUE(recovered->durable())
       << recovered->durability_status().ToString();
   EXPECT_EQ(LivePnums(recovered.get()), (std::vector<int64_t>{1}));

@@ -1,18 +1,19 @@
-// Fail-point error-injection sweep: arm an injected IO error (and an
-// ENOSPC-shaped disk-full error) at every durable-write protocol site —
-// WAL append, group commit, fsync boundaries, truncate-repair, checkpoint
-// segment writes, checkpoint commit tail — and assert the typed verdicts:
-// a transient fault is retried and acked without latching the shard, a
-// failed checkpoint reports a typed error and reclaims its half-written
-// segments, and recovery after every injected fault is bit-identical to
-// an in-memory replay of the acked operations. Complements the fork-based
-// kill-point sweep in durability_test.cc (which crashes at the same
-// sites) with the error-return half of the fail-point facility.
+// Env fault sweep: fail one I/O call of every durable-write protocol step
+// through FaultInjectingEnv — the WAL group's append and fsync, the
+// truncate-repair, checkpoint segment writes (plain and disk-full), the
+// seg/ directory fsync, the read-back verification and the WAL rotation
+// after the commit — and assert the typed verdicts: a transient fault is
+// retried and acked without latching the shard, a persistent one latches
+// it with kUnavailable, a failed checkpoint reports a typed error and
+// reclaims its half-written segments, and recovery after every fault
+// matches an in-memory replay of the acked operations. Also covers torn
+// WAL tails, checkpoint fallback and the scrub. The kill-point sweep in
+// durability_test.cc cuts at the same calls.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,7 +21,6 @@
 
 #include "common/crc32.h"
 #include "common/env.h"
-#include "common/failpoint.h"
 #include "common/shard_config.h"
 #include "durability/durability_manager.h"
 #include "durability/segment.h"
@@ -37,32 +37,26 @@ using testing_util::Dt;
 using testing_util::I;
 using testing_util::S;
 using testing_util::ShardOverrideGuard;
+using FaultOp = FaultInjectingEnv::FaultOp;
+using Fault = FaultInjectingEnv::Fault;
 
-/// RAII scratch directory under TMPDIR (CI points this at a tmpfs).
-struct TempDir {
-  std::string path;
+/// Path parts the faults match on: every data shard's WAL (not the meta
+/// WAL), and every file of a checkpoint's segment set.
+constexpr const char* kShardWal = "/wal/shard_";
+constexpr const char* kSegmentFiles = "/seg/ck";
 
-  TempDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
-                       "/beas_failpoint_XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    char* made = mkdtemp(buf.data());
-    EXPECT_NE(made, nullptr);
-    if (made != nullptr) path = made;
+/// One Env fault: `fault` on the `nth` call of `op` on a path containing
+/// `path_part`.
+struct EnvFault {
+  const char* what;
+  FaultOp op;
+  const char* path_part;
+  Fault fault;
+  uint64_t nth = 1;
+
+  void Arm(FaultInjectingEnv* env) const {
+    env->ArmFault(op, path_part, fault, nth);
   }
-  ~TempDir() {
-    if (!path.empty()) Env::Default()->RemoveAll(path);
-  }
-};
-
-/// Arms an in-process fault spec (BEAS_FAIL_POINTS syntax) and guarantees
-/// disarming, so a failing assertion cannot leak an armed point into
-/// later tests.
-struct FailSpecGuard {
-  explicit FailSpecGuard(const char* spec) { fail::ArmForTesting(spec); }
-  ~FailSpecGuard() { fail::ArmForTesting(nullptr); }
 };
 
 Schema CallSchema() {
@@ -145,17 +139,18 @@ std::string StateFingerprint(BeasService* svc) {
 }
 
 /// The fixed op script every sweep case replays: schema, three writes
-/// (the second one under the armed fault), and a constraint.
+/// (the second one under `fault`, armed on `env`, when given), and a
+/// constraint.
 Status ApplyOps(BeasService* svc, Status* faulted_insert,
-                const char* fault_spec) {
+                FaultInjectingEnv* env = nullptr,
+                const EnvFault* fault = nullptr) {
   BEAS_RETURN_NOT_OK(svc->CreateTable("call", CallSchema()).status());
   BEAS_RETURN_NOT_OK(
       svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r1")}));
-  {
-    FailSpecGuard fault(fault_spec);
-    *faulted_insert =
-        svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r2")});
-  }
+  if (fault != nullptr) fault->Arm(env);
+  *faulted_insert =
+      svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r2")});
+  if (env != nullptr) env->ClearFaults();
   BEAS_RETURN_NOT_OK(
       svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r2")}));
   return svc->RegisterConstraint(
@@ -163,106 +158,146 @@ Status ApplyOps(BeasService* svc, Status* faulted_insert,
 }
 
 // ---------------------------------------------------------------------------
-// WAL sites: a single-shot injected error at any point of the group-commit
-// protocol is a transient fault — the drainer repairs, retries and acks.
-// The shard must not latch, and recovery must match the in-memory replay
-// bit for bit. (wal_repair_fail alone never fires: repair only runs after
-// a group failure — the armed-but-unhit case must be a clean no-op too.)
+// WAL faults: a single failed call anywhere in the group commit is a
+// transient fault — the drainer repairs, retries and acks. The shard must
+// not latch, and recovery must match the in-memory replay bit for bit,
+// both on a restart and from the synced bytes alone. (A failed
+// truncate-repair alone never fires: repair only runs after a group
+// failure — the armed-but-unhit case must be a clean no-op too.)
 // ---------------------------------------------------------------------------
 
-TEST(FailPointSweepTest, TransientWalErrorsAreRetriedAndRecoverExactly) {
-  const char* kWalSpecs[] = {
-      "wal_append=error",      "wal_group_io=error", "wal_pre_fsync=error",
-      "wal_post_fsync=error",  "wal_repair_fail=error",
+TEST(EnvFaultSweepTest, TransientWalFaultsAreRetriedAndRecoverExactly) {
+  const EnvFault kWalFaults[] = {
+      {"append fails", FaultOp::kAppend, kShardWal, Fault::kFail},
+      {"fsync fails", FaultOp::kSync, kShardWal, Fault::kFail},
+      {"fsync persists, then fails", FaultOp::kSync, kShardWal,
+       Fault::kFailAfterEffect},
+      {"truncate fails", FaultOp::kTruncate, kShardWal, Fault::kFail},
   };
   for (size_t shards : {size_t{1}, size_t{3}}) {
-    for (const char* spec : kWalSpecs) {
-      SCOPED_TRACE(std::string(spec) + " shards=" + std::to_string(shards));
+    for (const EnvFault& fault : kWalFaults) {
+      SCOPED_TRACE(std::string(fault.what) + " shards=" +
+                   std::to_string(shards));
       ShardOverrideGuard guard(shards);
+      const bool fires = fault.op != FaultOp::kTruncate;
 
-      // In-memory reference: the same ops with the same spec armed (a
-      // no-op without a durability layer) define the expected state.
       std::unique_ptr<BeasService> reference = MakeService("");
       Status ref_faulted;
-      ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted, "").ok());
+      ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted).ok());
       ASSERT_TRUE(ref_faulted.ok());
       std::string expected = StateFingerprint(reference.get());
 
-      TempDir tmp;
-      std::string data_dir = tmp.path + "/data";
+      FaultInjectingEnv env(shards);
+      const std::string data_dir = "/sweepfs/data";
       {
-        std::unique_ptr<BeasService> svc = MakeService(data_dir);
+        std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
         ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
         Status faulted;
-        Status st = ApplyOps(svc.get(), &faulted, spec);
+        Status st = ApplyOps(svc.get(), &faulted, &env, &fault);
         ASSERT_TRUE(st.ok()) << st.ToString();
         EXPECT_TRUE(faulted.ok())
             << "single-shot fault must be retried, got: " << faulted.ToString();
+        EXPECT_EQ(env.injected_faults(), fires ? 1u : 0u);
         durability::DurabilityCounters counters = svc->durability_counters();
+        EXPECT_EQ(counters.wal_retries_total, fires ? 1u : 0u);
         EXPECT_EQ(counters.wal_latched_shards, 0u)
             << "a transient fault must never latch a shard";
         EXPECT_EQ(StateFingerprint(svc.get()), expected);
       }
-      std::unique_ptr<BeasService> recovered = MakeService(data_dir);
-      ASSERT_TRUE(recovered->durable())
-          << recovered->durability_status().ToString();
-      EXPECT_EQ(StateFingerprint(recovered.get()), expected);
+      {
+        std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
+        ASSERT_TRUE(recovered->durable())
+            << recovered->durability_status().ToString();
+        EXPECT_EQ(StateFingerprint(recovered.get()), expected);
+      }
+      // Every ack was fsynced, and the failed attempt's bytes were cut
+      // back durably: the synced bytes alone recover the same state.
+      env.InstallCrashImage();
+      std::unique_ptr<BeasService> crashed = MakeService(data_dir, &env);
+      ASSERT_TRUE(crashed->durable()) << crashed->durability_status().ToString();
+      EXPECT_EQ(StateFingerprint(crashed.get()), expected);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint sites: a failed checkpoint must surface a typed error,
+// Checkpoint faults: a failed checkpoint must surface a typed error,
 // reclaim its half-written segment directory (pressure relief — on
 // ENOSPC the verdict is kResourceExhausted), leave the service serving
-// writes, and leave the directory recoverable. A fault after the commit
-// point (ckpt_post_truncate) reports the error but the checkpoint itself
-// is durable.
+// writes, and leave the directory recoverable, also by a power cut right
+// after the failure. A fault after the commit point (the WAL rotation)
+// reports the error but the checkpoint itself is durable.
 // ---------------------------------------------------------------------------
 
 struct CheckpointCase {
-  const char* spec;
+  const char* what;
+  std::function<void(FaultInjectingEnv*)> arm;
   StatusCode expected_code;
   bool committed;  ///< the checkpoint landed despite the reported error
 };
 
-TEST(FailPointSweepTest, CheckpointErrorsAreTypedAndReclaimed) {
+TEST(EnvFaultSweepTest, CheckpointFaultsAreTypedAndReclaimed) {
+  const std::string data_dir = "/sweepfs/data";
+  auto fault = [](FaultOp op, const char* path_part, Fault effect,
+                  uint64_t nth = 1) {
+    return [=](FaultInjectingEnv* env) {
+      env->ArmFault(op, path_part, effect, nth);
+    };
+  };
   const CheckpointCase kCases[] = {
-      {"ckpt_write=error", StatusCode::kIoError, false},
-      {"ckpt_write=error(enospc)", StatusCode::kResourceExhausted, false},
-      {"ckpt_mid=error", StatusCode::kIoError, false},
-      {"ckpt_verify=error", StatusCode::kIoError, false},
-      {"ckpt_post_truncate=error", StatusCode::kIoError, true},
+      {"segment append fails",
+       fault(FaultOp::kAppend, kSegmentFiles, Fault::kFail),
+       StatusCode::kIoError, false},
+      {"segment append hits a full disk",
+       fault(FaultOp::kAppend, kSegmentFiles, Fault::kFailNoSpace),
+       StatusCode::kResourceExhausted, false},
+      // The checkpoint fsyncs ck<N>/ first, then seg/ (ck<N>'s own entry).
+      {"seg/ fsync fails", fault(FaultOp::kSyncDir, "/seg", Fault::kFail, 2),
+       StatusCode::kIoError, false},
+      {"read-back comes up short",
+       [&](FaultInjectingEnv* env) {
+         env->ArmShortRead(data_dir + "/seg/ck1/t_call.s0.seg");
+       },
+       StatusCode::kCorruption, false},
+      {"WAL rotation rename fails",
+       fault(FaultOp::kRenameFile, "/wal/", Fault::kFail),
+       StatusCode::kIoError, true},
   };
   for (const CheckpointCase& test_case : kCases) {
-    SCOPED_TRACE(test_case.spec);
+    SCOPED_TRACE(test_case.what);
     ShardOverrideGuard guard(1);
 
     std::unique_ptr<BeasService> reference = MakeService("");
     Status ref_faulted;
-    ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted, "").ok());
+    ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted).ok());
+    const std::string at_fault = StateFingerprint(reference.get());
     ASSERT_TRUE(
         reference->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")})
             .ok());
     std::string expected = StateFingerprint(reference.get());
 
-    TempDir tmp;
-    std::string data_dir = tmp.path + "/data";
+    FaultInjectingEnv env(17);
     {
-      std::unique_ptr<BeasService> svc = MakeService(data_dir);
+      std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
       ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
       Status faulted;
-      ASSERT_TRUE(ApplyOps(svc.get(), &faulted, "").ok());
+      ASSERT_TRUE(ApplyOps(svc.get(), &faulted).ok());
       ASSERT_TRUE(faulted.ok());
 
-      {
-        FailSpecGuard fault(test_case.spec);
-        Status st = svc->Checkpoint();
-        ASSERT_FALSE(st.ok()) << test_case.spec;
-        EXPECT_EQ(st.code(), test_case.expected_code) << st.ToString();
-      }
+      test_case.arm(&env);
+      Status st = svc->Checkpoint();
+      env.ClearFaults();
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), test_case.expected_code) << st.ToString();
+      EXPECT_EQ(env.injected_faults(), 1u);
       EXPECT_EQ(svc->durability_counters().checkpoints_total,
                 test_case.committed ? 1u : 0u);
+      // An uncommitted try left no segment directory behind.
+      if (!test_case.committed) {
+        EXPECT_FALSE(env.FileExists(data_dir + "/seg/ck1"));
+      }
+      // A machine crash right here must still recover the acked state.
+      env.CutNow(FaultInjectingEnv::TearPolicy::kDropAll);
 
       // The failure is not sticky: the service still serves durable
       // writes, and the next checkpoint (over the reclaimed space)
@@ -273,55 +308,69 @@ TEST(FailPointSweepTest, CheckpointErrorsAreTypedAndReclaimed) {
       EXPECT_TRUE(retried.ok()) << retried.ToString();
       EXPECT_EQ(StateFingerprint(svc.get()), expected);
     }
-    std::unique_ptr<BeasService> recovered = MakeService(data_dir);
-    ASSERT_TRUE(recovered->durable())
-        << recovered->durability_status().ToString();
-    EXPECT_EQ(StateFingerprint(recovered.get()), expected);
-    // Nothing replays: the post-fault checkpoint captured everything.
-    EXPECT_EQ(recovered->durability_counters().recovery_replayed_records, 0u);
+    {
+      std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
+      ASSERT_TRUE(recovered->durable())
+          << recovered->durability_status().ToString();
+      EXPECT_EQ(StateFingerprint(recovered.get()), expected);
+      // Nothing replays: the post-fault checkpoint captured everything.
+      EXPECT_EQ(recovered->durability_counters().recovery_replayed_records,
+                0u);
+    }
+    env.InstallCrashImage();
+    std::unique_ptr<BeasService> crashed = MakeService(data_dir, &env);
+    ASSERT_TRUE(crashed->durable()) << crashed->durability_status().ToString();
+    EXPECT_EQ(StateFingerprint(crashed.get()), at_fault);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Persistent pressure: when every attempt at a site fails (@* trigger),
-// the bounded retry loop gives up, latches the shard, and surfaces
-// kUnavailable — the typed signal a front door can act on.
+// Persistent faults: when every attempt fails, the group commit gives up,
+// latches the shard, and surfaces kUnavailable — the typed signal a front
+// door can act on. A refused append is repaired and retried until the
+// retry limit; a device whose every fsync fails cannot persist the
+// repair's cut either, so the shard latches on the first failure.
 // ---------------------------------------------------------------------------
 
-TEST(FailPointSweepTest, PersistentWalFaultsLatchWithTypedUnavailable) {
-  const char* kPersistentSpecs[] = {
-      "wal_append=error@*",
-      "wal_group_io=error@*",
-      "wal_pre_fsync=error@*",
+TEST(EnvFaultSweepTest, PersistentWalFaultsLatchWithTypedUnavailable) {
+  struct PersistentCase {
+    EnvFault fault;
+    uint64_t retries;
   };
-  for (const char* spec : kPersistentSpecs) {
-    SCOPED_TRACE(spec);
+  const PersistentCase kCases[] = {
+      {{"every append fails", FaultOp::kAppend, kShardWal, Fault::kFail,
+        FaultInjectingEnv::kEveryCall},
+       3},
+      {{"every fsync fails", FaultOp::kSync, kShardWal, Fault::kFail,
+        FaultInjectingEnv::kEveryCall},
+       0},
+  };
+  for (const PersistentCase& test_case : kCases) {
+    SCOPED_TRACE(test_case.fault.what);
     ShardOverrideGuard guard(1);
-    TempDir tmp;
-    std::string data_dir = tmp.path + "/data";
+    FaultInjectingEnv env(19);
+    const std::string data_dir = "/sweepfs/data";
     {
-      std::unique_ptr<BeasService> svc = MakeService(data_dir);
+      std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
       ASSERT_TRUE(svc->durable());
       ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
       ASSERT_TRUE(
           svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r1")}).ok());
-      {
-        FailSpecGuard fault(spec);
-        Status st =
-            svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r2")});
-        ASSERT_FALSE(st.ok());
-        EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
-      }
+      test_case.fault.Arm(&env);
+      Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r2")});
+      env.ClearFaults();
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
       durability::DurabilityCounters counters = svc->durability_counters();
       EXPECT_EQ(counters.wal_latched_shards, 1u);
-      EXPECT_GE(counters.wal_retries_total, 1u);
+      EXPECT_EQ(counters.wal_retries_total, test_case.retries);
       // The latch is sticky and typed, even after the fault clears.
-      Status st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r1")});
+      st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r1")});
       ASSERT_FALSE(st.ok());
       EXPECT_EQ(st.code(), StatusCode::kUnavailable);
     }
     // Only the pre-fault prefix recovers.
-    std::unique_ptr<BeasService> recovered = MakeService(data_dir);
+    std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
     ASSERT_TRUE(recovered->durable())
         << recovered->durability_status().ToString();
     auto info = recovered->db()->catalog()->GetTable("call");
@@ -445,7 +494,7 @@ TEST(CheckpointFallbackTest, CorruptedNewestCheckpointFallsBackToPrevious) {
 
   std::unique_ptr<BeasService> reference = MakeService("");
   Status ref_faulted;
-  ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted, "").ok());
+  ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted).ok());
   ASSERT_TRUE(
       reference->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")}).ok());
   ASSERT_TRUE(
@@ -457,7 +506,7 @@ TEST(CheckpointFallbackTest, CorruptedNewestCheckpointFallsBackToPrevious) {
     std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
     ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
     Status faulted;
-    ASSERT_TRUE(ApplyOps(svc.get(), &faulted, "").ok());
+    ASSERT_TRUE(ApplyOps(svc.get(), &faulted).ok());
     ASSERT_TRUE(faulted.ok());
     ASSERT_TRUE(svc->Checkpoint().ok());  // ck1
     ASSERT_TRUE(
@@ -500,7 +549,7 @@ TEST(CheckpointFallbackTest, DictionaryFlagOffOnAStringTableFallsBack) {
 
   std::unique_ptr<BeasService> reference = MakeService("");
   Status ref_faulted;
-  ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted, "").ok());
+  ASSERT_TRUE(ApplyOps(reference.get(), &ref_faulted).ok());
   ASSERT_TRUE(
       reference->Insert("call", {I(4), I(4), Dt("2016-01-02"), S("r1")}).ok());
   std::string expected = StateFingerprint(reference.get());
@@ -510,7 +559,7 @@ TEST(CheckpointFallbackTest, DictionaryFlagOffOnAStringTableFallsBack) {
     std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
     ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
     Status faulted;
-    ASSERT_TRUE(ApplyOps(svc.get(), &faulted, "").ok());
+    ASSERT_TRUE(ApplyOps(svc.get(), &faulted).ok());
     ASSERT_TRUE(faulted.ok());
     ASSERT_TRUE(svc->Checkpoint().ok());  // ck1
     ASSERT_TRUE(
@@ -570,7 +619,7 @@ struct ScrubFixture {
     svc = MakeService(data_dir, &env);
     EXPECT_TRUE(svc->durable()) << svc->durability_status().ToString();
     Status faulted;
-    EXPECT_TRUE(ApplyOps(svc.get(), &faulted, "").ok());
+    EXPECT_TRUE(ApplyOps(svc.get(), &faulted).ok());
     EXPECT_TRUE(faulted.ok());
     EXPECT_TRUE(svc->Checkpoint().ok());
     expected = StateFingerprint(svc.get());

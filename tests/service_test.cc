@@ -1835,7 +1835,7 @@ TEST(ServiceReservedNameTest, CreateTableRejectsTheStatsTableName) {
 // submit queue, and the beas_stats gauges that expose them.
 // ---------------------------------------------------------------------------
 
-/// Arms an in-process fault spec (BEAS_FAIL_POINTS syntax) and guarantees
+/// Arms test sleep points (fail::ArmForTesting syntax) and guarantees
 /// disarming, so a failing assertion cannot leak an armed point into
 /// later tests.
 struct ServiceFailGuard {
@@ -2351,44 +2351,37 @@ TEST(ServiceScrubStatsTest, ScrubGaugesAdvanceThroughBeasStats) {
 }
 
 TEST(ServiceWalRetryStatsTest, WalRetryGaugesAdvanceThroughBeasStats) {
-  const char* base = std::getenv("TMPDIR");
-  std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
-                     "/beas_svc_retry_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  ASSERT_NE(mkdtemp(buf.data()), nullptr);
-  std::string dir = buf.data();
-  {
-    ServiceOptions options;
-    options.num_workers = 1;
-    options.durability.dir = dir;
-    BeasService svc(options);
-    ASSERT_TRUE(svc.durable()) << svc.durability_status().ToString();
-    ASSERT_TRUE(svc.CreateTable("kv", Schema({{"k", TypeId::kInt64},
-                                              {"v", TypeId::kString}}))
-                    .ok());
-    // One transient group-commit fault: the drainer retries, the write
-    // lands, and the retry counter surfaces through beas_stats.
-    {
-      ServiceFailGuard fault("wal_group_io=error");
-      ASSERT_TRUE(svc.Insert("kv", {I(1), S("a")}).ok());
+  FaultInjectingEnv env(19);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.durability.dir = "/svcretryfs/data";
+  options.durability.env = &env;
+  BeasService svc(options);
+  ASSERT_TRUE(svc.durable()) << svc.durability_status().ToString();
+  ASSERT_TRUE(svc.CreateTable("kv", Schema({{"k", TypeId::kInt64},
+                                            {"v", TypeId::kString}}))
+                  .ok());
+  // One transient group-commit fault (the WAL fsync fails once): the
+  // drainer retries, the write lands, and the retry counter surfaces
+  // through beas_stats.
+  env.ArmFault(FaultInjectingEnv::FaultOp::kSync, "/wal/shard_",
+               FaultInjectingEnv::Fault::kFail);
+  ASSERT_TRUE(svc.Insert("kv", {I(1), S("a")}).ok());
+  env.ClearFaults();
+  auto resp =
+      svc.Query({"SELECT metric, value FROM beas_stats ORDER BY metric"});
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  double retries = -1, latched = -1;
+  for (const Row& row : resp->result.rows) {
+    if (row[0].AsString() == "wal_retries_total") {
+      retries = row[1].AsDouble();
     }
-    auto resp = svc.Query(
-        {"SELECT metric, value FROM beas_stats ORDER BY metric"});
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    double retries = -1, latched = -1;
-    for (const Row& row : resp->result.rows) {
-      if (row[0].AsString() == "wal_retries_total") {
-        retries = row[1].AsDouble();
-      }
-      if (row[0].AsString() == "wal_latched_shards") {
-        latched = row[1].AsDouble();
-      }
+    if (row[0].AsString() == "wal_latched_shards") {
+      latched = row[1].AsDouble();
     }
-    EXPECT_GE(retries, 1.0);
-    EXPECT_EQ(latched, 0.0) << "a transient fault must not latch the shard";
   }
-  Env::Default()->RemoveAll(dir);
+  EXPECT_GE(retries, 1.0);
+  EXPECT_EQ(latched, 0.0) << "a transient fault must not latch the shard";
 }
 
 }  // namespace

@@ -1,13 +1,90 @@
 #include "support/test_env.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 namespace beas {
 
 namespace {
 constexpr uint64_t kSector = FaultInjectingEnv::kSectorBytes;
+
+const char* FaultOpName(FaultInjectingEnv::FaultOp op) {
+  switch (op) {
+    case FaultInjectingEnv::FaultOp::kAppend: return "append";
+    case FaultInjectingEnv::FaultOp::kSync: return "fsync";
+    case FaultInjectingEnv::FaultOp::kTruncate: return "ftruncate";
+    case FaultInjectingEnv::FaultOp::kNewWritableFile: return "open";
+    case FaultInjectingEnv::FaultOp::kRenameFile: return "rename";
+    case FaultInjectingEnv::FaultOp::kSyncDir: return "fsync dir";
+  }
+  return "io";
+}
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Call faults.
+// ---------------------------------------------------------------------------
+
+template <typename Call>
+auto FaultInjectingEnv::WithFaultsLocked(FaultOp op, const std::string& path,
+                                         const std::string& other_path,
+                                         Call call) -> decltype(call()) {
+  std::optional<Fault> fault = NextFaultLocked(op, path, other_path);
+  if (!fault.has_value()) return call();
+  injected_faults_.fetch_add(1, std::memory_order_relaxed);
+  const std::string what =
+      std::string("injected ") + FaultOpName(op) + " failure: " + path;
+  switch (*fault) {
+    case Fault::kFail:
+      return Status::IoError(what);
+    case Fault::kFailNoSpace:
+      return Status::IoError(what + ": " + std::strerror(ENOSPC));
+    case Fault::kFailAfterEffect: {
+      auto result = call();
+      if (!result.ok()) return result;
+      return Status::IoError(what);
+    }
+    case Fault::kCutBefore:
+      CutLocked(TearPolicy::kKeepAll);
+      return call();
+    case Fault::kCutAfter: {
+      auto result = call();
+      CutLocked(TearPolicy::kKeepAll);
+      return result;
+    }
+  }
+  return call();
+}
+
+std::optional<FaultInjectingEnv::Fault> FaultInjectingEnv::NextFaultLocked(
+    FaultOp op, const std::string& path, const std::string& other_path) {
+  std::optional<Fault> fired;
+  for (ArmedFault& armed : armed_faults_) {
+    if (armed.op != op) continue;
+    if (path.find(armed.path_part) == std::string::npos &&
+        other_path.find(armed.path_part) == std::string::npos) {
+      continue;
+    }
+    ++armed.calls;
+    if (!fired.has_value() &&
+        (armed.nth == kEveryCall || armed.calls == armed.nth)) {
+      fired = armed.fault;
+    }
+  }
+  return fired;
+}
+
+void FaultInjectingEnv::ArmFault(FaultOp op, std::string path_part,
+                                 Fault fault, uint64_t nth) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  armed_faults_.push_back({op, std::move(path_part), fault, nth});
+}
+
+void FaultInjectingEnv::ClearFaults() {
+  std::lock_guard<std::mutex> lk(mutex_);
+  armed_faults_.clear();
+}
 
 // ---------------------------------------------------------------------------
 // File handles.
@@ -20,28 +97,34 @@ class FaultInjectingEnv::MemWritableFile : public WritableFile {
 
   Status Append(const void* data, size_t len) override {
     std::lock_guard<std::mutex> lk(env_->mutex_);
-    env_->AppendLocked(path_, static_cast<const char*>(data), len);
-    return Status::OK();
+    return env_->WithFaultsLocked(FaultOp::kAppend, path_, "", [&] {
+      env_->AppendLocked(path_, static_cast<const char*>(data), len);
+      return Status::OK();
+    });
   }
 
   Status Sync() override {
     std::lock_guard<std::mutex> lk(env_->mutex_);
-    auto it = env_->files_.find(path_);
-    if (it == env_->files_.end()) {
-      return Status::IoError("fsync on removed file: " + path_);
-    }
-    it->second.durable = it->second.current;
-    return Status::OK();
+    return env_->WithFaultsLocked(FaultOp::kSync, path_, "", [&] {
+      auto it = env_->files_.find(path_);
+      if (it == env_->files_.end()) {
+        return Status::IoError("fsync on removed file: " + path_);
+      }
+      it->second.durable = it->second.current;
+      return Status::OK();
+    });
   }
 
   Status Truncate(uint64_t size) override {
     std::lock_guard<std::mutex> lk(env_->mutex_);
-    auto it = env_->files_.find(path_);
-    if (it == env_->files_.end()) {
-      return Status::IoError("ftruncate on removed file: " + path_);
-    }
-    it->second.current.resize(size, '\0');
-    return Status::OK();
+    return env_->WithFaultsLocked(FaultOp::kTruncate, path_, "", [&] {
+      auto it = env_->files_.find(path_);
+      if (it == env_->files_.end()) {
+        return Status::IoError("ftruncate on removed file: " + path_);
+      }
+      it->second.current.resize(size, '\0');
+      return Status::OK();
+    });
   }
 
   uint64_t size() const override {
@@ -91,8 +174,12 @@ Result<std::unique_ptr<WritableFile>> FaultInjectingEnv::NewWritableFile(
     const std::string& path) {
   std::string p = Normalize(path);
   std::lock_guard<std::mutex> lk(mutex_);
-  files_[p];  // creates with entry_durable = false when absent
-  return std::unique_ptr<WritableFile>(new MemWritableFile(this, p));
+  return WithFaultsLocked(
+      FaultOp::kNewWritableFile, p, "",
+      [&]() -> Result<std::unique_ptr<WritableFile>> {
+        files_[p];  // creates with entry_durable = false when absent
+        return std::unique_ptr<WritableFile>(new MemWritableFile(this, p));
+      });
 }
 
 Result<std::unique_ptr<RandomAccessFile>> FaultInjectingEnv::NewRandomAccessFile(
@@ -153,6 +240,12 @@ Status FaultInjectingEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
   std::string f = Normalize(from), t = Normalize(to);
   std::lock_guard<std::mutex> lk(mutex_);
+  return WithFaultsLocked(FaultOp::kRenameFile, f, t,
+                          [&] { return RenameLocked(f, t); });
+}
+
+Status FaultInjectingEnv::RenameLocked(const std::string& f,
+                                       const std::string& t) {
   auto it = files_.find(f);
   if (it == files_.end()) return Status::IoError("rename: no such file: " + f);
   FileState moved = std::move(it->second);
@@ -190,6 +283,11 @@ Status FaultInjectingEnv::RemoveDir(const std::string& path) {
 Status FaultInjectingEnv::SyncDir(const std::string& path) {
   std::string p = Normalize(path);
   std::lock_guard<std::mutex> lk(mutex_);
+  return WithFaultsLocked(FaultOp::kSyncDir, p, "",
+                          [&] { return SyncDirLocked(p); });
+}
+
+Status FaultInjectingEnv::SyncDirLocked(const std::string& p) {
   for (auto& f : files_) {
     if (Parent(f.first) != p) continue;
     f.second.entry_durable = true;
@@ -228,6 +326,10 @@ uint64_t FaultInjectingEnv::bytes_appended() const {
 
 void FaultInjectingEnv::CutNow(TearPolicy policy) {
   std::lock_guard<std::mutex> lk(mutex_);
+  CutLocked(policy);
+}
+
+void FaultInjectingEnv::CutLocked(TearPolicy policy) {
   cut_triggered_ = true;
   cut_armed_ = false;
   LatchImageLocked(policy);
@@ -358,6 +460,7 @@ void FaultInjectingEnv::InstallCrashImage() {
   cut_armed_ = false;
   cut_triggered_ = false;
   short_read_armed_.clear();
+  armed_faults_.clear();
 }
 
 // ---------------------------------------------------------------------------

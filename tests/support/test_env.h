@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,11 +48,22 @@ namespace beas {
 /// length (size metadata races data writeback). Acked (synced) bytes are
 /// never altered.
 ///
+/// ## Call faults
+///
+/// ArmFault() picks one I/O call — the N-th (or every) call of one op on
+/// paths containing a substring — and makes it fail (a plain IoError, or
+/// one with strerror(ENOSPC)'s text, the disk-full shape), take effect
+/// and then report failure (for Sync: the bytes are durable but the
+/// caller sees an error), or cut: CutNow(TearPolicy::kKeepAll) right
+/// before or right after the call. kKeepAll keeps every live file and
+/// directory entry, so such a cut is a process kill at that call.
+///
 /// ## Deterministic corruption
 ///
 /// FlipBit() flips one stored bit (durable and current — modeling cold
 /// bit rot under a valid CRC frame) and ArmShortRead() makes the next
-/// whole-file read view of a path come up short. Both count into
+/// whole-file read view of a path come up short. These, the call faults
+/// and the sectors and entries a cut loses all count into
 /// injected_faults(), exported as the `env_injected_faults` gauge.
 ///
 /// All decisions draw from an Rng seeded at construction, so every crash
@@ -65,6 +77,28 @@ class FaultInjectingEnv : public Env {
     kDropAll,  ///< no unsynced sector survives (clean revert to durable)
     kKeepAll,  ///< every unsynced byte written so far survives
   };
+
+  /// The I/O calls ArmFault() can target.
+  enum class FaultOp {
+    kAppend,
+    kSync,
+    kTruncate,
+    kNewWritableFile,
+    kRenameFile,  ///< matches on either the source or the target path
+    kSyncDir,
+  };
+
+  /// What an armed fault does to the call it hits.
+  enum class Fault {
+    kFail,            ///< no effect; returns IoError
+    kFailNoSpace,     ///< no effect; IoError "No space left on device"
+    kFailAfterEffect, ///< takes effect, then returns IoError
+    kCutBefore,       ///< CutNow(kKeepAll), then the call runs
+    kCutAfter,        ///< the call runs, then CutNow(kKeepAll)
+  };
+
+  /// ArmFault's `nth` for a fault that hits every matching call.
+  static constexpr uint64_t kEveryCall = 0;
 
   explicit FaultInjectingEnv(uint64_t seed) : rng_(seed) {}
 
@@ -107,8 +141,23 @@ class FaultInjectingEnv : public Env {
   /// Replaces the live filesystem with the latched crash image ("reboot
   /// after the power cut"). Requires a triggered cut (or prior CutNow).
   /// Open WritableFile handles from before the install must not be used
-  /// afterwards. Clears the armed/triggered cut state.
+  /// afterwards. Clears the armed/triggered cut state, the armed short
+  /// reads and the armed call faults.
   void InstallCrashImage();
+  /// @}
+
+  /// \name Call faults.
+  /// @{
+
+  /// Arms `fault` on the `nth` (1-based, counted from now) call of `op`
+  /// on a path containing `path_part`, or on every such call when `nth`
+  /// is kEveryCall. Several faults may be armed at once; a call they all
+  /// match counts for each, and the first armed one that fires decides.
+  void ArmFault(FaultOp op, std::string path_part, Fault fault,
+                uint64_t nth = 1);
+
+  /// Disarms every call fault (InstallCrashImage does too).
+  void ClearFaults();
   /// @}
 
   /// \name Deterministic corruption.
@@ -136,6 +185,14 @@ class FaultInjectingEnv : public Env {
     std::string displaced;
   };
 
+  struct ArmedFault {
+    FaultOp op;
+    std::string path_part;
+    Fault fault;
+    uint64_t nth;
+    uint64_t calls = 0;
+  };
+
   struct Image {
     std::map<std::string, std::string> files;
     std::set<std::string> dirs;
@@ -147,6 +204,17 @@ class FaultInjectingEnv : public Env {
   static std::string Normalize(const std::string& path);
   static std::string Parent(const std::string& path);
 
+  /// Runs `call` (an op body, under mutex_) through the armed faults.
+  template <typename Call>
+  auto WithFaultsLocked(FaultOp op, const std::string& path,
+                        const std::string& other_path, Call call)
+      -> decltype(call());
+  std::optional<Fault> NextFaultLocked(FaultOp op, const std::string& path,
+                                       const std::string& other_path);
+  void CutLocked(TearPolicy policy);
+  Status RenameLocked(const std::string& from, const std::string& to);
+  Status SyncDirLocked(const std::string& path);
+
   void AppendLocked(const std::string& path, const char* data, size_t len);
   void LatchImageLocked(TearPolicy policy);
   std::string CrashContentLocked(const FileState& f, TearPolicy policy);
@@ -157,6 +225,7 @@ class FaultInjectingEnv : public Env {
   /// Live directories, with their own entry-durability flag.
   std::map<std::string, bool> dirs_;
   std::set<std::string> short_read_armed_;
+  std::vector<ArmedFault> armed_faults_;
 
   uint64_t appended_total_ = 0;
   bool cut_armed_ = false;

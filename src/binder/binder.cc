@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "sql/parser.h"
 
 namespace beas {
 
@@ -81,11 +80,6 @@ Result<TypeId> AggResultType(AggFn fn, const ExprPtr& arg) {
 }
 
 }  // namespace
-
-Result<BoundQuery> Binder::BindSql(const std::string& sql) {
-  BEAS_ASSIGN_OR_RETURN(SelectStatement stmt, Parser::Parse(sql));
-  return Bind(stmt);
-}
 
 Result<AttrRef> Binder::ResolveColumn(const Context& ctx,
                                       const std::string& table,

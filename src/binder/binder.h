@@ -29,9 +29,6 @@ class Binder {
   /// Binds a parsed statement.
   Result<BoundQuery> Bind(const SelectStatement& stmt);
 
-  /// Convenience: parse + bind.
-  Result<BoundQuery> BindSql(const std::string& sql);
-
  private:
   struct Context;
 

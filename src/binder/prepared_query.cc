@@ -76,28 +76,30 @@ PreparedQuery PrepareQuery(BoundQuery query, std::vector<Value> params) {
   return out;
 }
 
+bool AcceptsParams(const PreparedQuery& prepared,
+                   const std::vector<Value>& params) {
+  if (params.size() != prepared.params.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i].type() != prepared.params[i].type()) return false;
+    if (!prepared.substitutable[i] && params[i] != prepared.params[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<BoundQuery> InstantiatePrepared(const PreparedQuery& prepared,
                                        const std::vector<Value>& params) {
-  if (params.size() != prepared.params.size()) {
-    return Status::Internal("parameter count differs from the template");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (prepared.substitutable[i]) continue;
-    if (params[i].type() != prepared.params[i].type() ||
-        params[i] != prepared.params[i]) {
-      return Status::Internal(
-          "frozen parameter " + std::to_string(i) +
-          " differs (it steered a value-sensitive binder decision)");
-    }
+  if (!AcceptsParams(prepared, params)) {
+    return Status::Internal(
+        "parameters differ from the template's slot types or frozen values");
   }
 
   BoundQuery query = prepared.query;
   if (query.limit_param != 0) {
-    const Value& v = params[static_cast<size_t>(query.limit_param) - 1];
-    if (v.type() != TypeId::kInt64) {
-      return Status::Internal("LIMIT parameter is not an integer");
-    }
-    query.limit = v.AsInt64();
+    // The parser accepts only an INT literal after LIMIT, and the slot
+    // keeps that type.
+    query.limit = params[static_cast<size_t>(query.limit_param) - 1].AsInt64();
   }
   for (size_t ci = 0; ci < query.conjuncts.size(); ++ci) {
     if (!prepared.conjunct_has_params[ci]) continue;

@@ -25,9 +25,15 @@ namespace beas {
 /// literal indices, grouped outputs are matched to GROUP BY slots), so
 /// instantiation requires the new instance to supply the identical value,
 /// else the caller must re-bind from scratch.
+///
+/// Every slot, substitutable or frozen, also fixes its literal's *type*:
+/// the binder coerces a literal by its own type and the column's (an INT
+/// `7` probes an INT key, a DOUBLE `7.5` stays DOUBLE), so an instance
+/// that spells a slot with another type binds differently and must not
+/// reuse this binding.
 struct PreparedQuery {
   BoundQuery query;           ///< the populating instance's binding
-  std::vector<Value> params;  ///< its literal values, in token order
+  std::vector<Value> params;  ///< its template parameters, in order
   std::vector<bool> substitutable;  ///< per slot of `params`
 
   /// Per-conjunct / per-output flags: does this expression contain any
@@ -39,15 +45,20 @@ struct PreparedQuery {
   std::vector<bool> output_name_from_expr;
 };
 
-/// Packages `query` (bound from a SQL text whose literal values are
-/// `params`, in token order — see NormalizeSql/MaskSqlLiterals).
+/// Packages `query` (bound from a masked template whose parameters are
+/// `params` — see MaskSqlLiterals).
 PreparedQuery PrepareQuery(BoundQuery query, std::vector<Value> params);
 
+/// True when `params` can instantiate `prepared`: same arity, the
+/// populating instance's type in every slot, and its exact value in
+/// every frozen slot.
+bool AcceptsParams(const PreparedQuery& prepared,
+                   const std::vector<Value>& params);
+
 /// Instantiates the template for a new parameter vector: substitutes the
-/// substitutable slots, re-derives the conjunct classifications that carry
-/// constants (kEqConst / kInConst), and re-checks that every frozen slot
-/// received an identical value. Errors mean "re-bind the SQL instead" —
-/// frozen-value mismatch, arity mismatch, or a failed coercion.
+/// substitutable slots and re-derives the conjunct classifications that
+/// carry constants (kEqConst / kInConst). Errors mean "re-bind the SQL
+/// instead" — parameters AcceptsParams refuses, or a failed coercion.
 Result<BoundQuery> InstantiatePrepared(const PreparedQuery& prepared,
                                        const std::vector<Value>& params);
 

@@ -382,8 +382,14 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         Status repair = wal.file->Truncate(good_offset);
         if (repair.ok()) repair = wal.file->Sync();
         if (!repair.ok()) {
+          // The group's CRC-valid bytes may still be in the log, so a
+          // restart may replay them: this group's outcome is unknown, and
+          // saying "refused" would be a lie. Later pops are refused.
           wal.io_failed.store(true, std::memory_order_release);
-          io = WalLatchedError();
+          io = Status::IoError(
+              "durability: WAL group commit failed and so did its repair (" +
+              repair.message() + "); the write may or may not survive a "
+              "restart; shard latched");
           break;
         }
         if (attempt >= kWalRetryLimit) {

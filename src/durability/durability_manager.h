@@ -87,13 +87,16 @@ struct ScrubReport {
 /// previous group was fsyncing rides the next group, so the fsync cost is
 /// amortized across concurrent writers.
 ///
-/// A failed group commit nacks every record in the group and truncates
-/// the WAL back to the pre-group offset (fsyncing the cut), so the file
-/// always ends at the last acked byte — a torn append can never sit
-/// mid-file ahead of later acked groups, and a nacked group's CRC-valid
-/// bytes can never be replayed. If the repair itself fails, the shard
-/// latches (io_failed) and nacks everything from then on: the outcomes
-/// of a bad write are "never happened" or "shard refuses writes", never
+/// A failed group commit truncates the WAL back to the pre-group offset
+/// (fsyncing the cut) and retries; a group that still fails is nacked
+/// with kUnavailable. The file always ends at the last acked byte — a
+/// torn append can never sit mid-file ahead of later acked groups, and a
+/// nacked group's CRC-valid bytes can never be replayed. If the repair
+/// itself fails, the group's bytes may still be in the log, so its
+/// writers get kIoError: the write may or may not survive a restart. The
+/// shard then latches (io_failed) and refuses everything from then on
+/// with kUnavailable. The outcomes of a bad write are "never happened",
+/// "outcome unknown" (said as such) or "shard refuses writes", never
 /// "acked but silently unrecoverable".
 ///
 /// ## Structural operations (meta records)

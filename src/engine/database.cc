@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "sql/parser.h"
+
 namespace beas {
 
 namespace {
@@ -157,8 +159,13 @@ Status Database::ValidateForInsert(const std::string& table, Row* row,
 }
 
 Result<BoundQuery> Database::Bind(const std::string& sql) const {
-  Binder binder(&catalog_);
-  return binder.BindSql(sql);
+  BEAS_ASSIGN_OR_RETURN(SqlTemplate tmpl, MaskSqlLiterals(sql));
+  return Bind(tmpl);
+}
+
+Result<BoundQuery> Database::Bind(const SqlTemplate& tmpl) const {
+  BEAS_ASSIGN_OR_RETURN(SelectStatement stmt, Parser::Parse(tmpl));
+  return Binder(&catalog_).Bind(stmt);
 }
 
 Result<std::unique_ptr<PlanNode>> Database::Plan(

@@ -15,6 +15,7 @@
 #include "exec/executor.h"
 #include "plan/engine_profile.h"
 #include "plan/planner.h"
+#include "sql/sql_template.h"
 
 namespace beas {
 
@@ -186,8 +187,13 @@ class Database {
   using DdlHook = std::function<void(const std::string& table)>;
   void RegisterDdlHook(DdlHook hook) { ddl_hooks_.push_back(std::move(hook)); }
 
-  /// Parses + binds a SQL string.
+  /// Parses + binds a SQL string (masks its literals, then binds the
+  /// template).
   Result<BoundQuery> Bind(const std::string& sql) const;
+
+  /// Parses + binds a masked template (MaskSqlLiterals' output, or its
+  /// canonical form).
+  Result<BoundQuery> Bind(const SqlTemplate& tmpl) const;
 
   /// Plans a bound query under a profile.
   Result<std::unique_ptr<PlanNode>> Plan(const BoundQuery& query,

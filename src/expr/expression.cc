@@ -239,10 +239,10 @@ namespace {
 
 /// Resolves one provenance slot against a new instance's literal values:
 /// re-applies the parser's negation fold and the binder's implicit
-/// coercion to the type the cached literal ended up with. A parameter
-/// whose type is incompatible with the cached literal's comparison family
-/// is an error — a fresh bind would reject the query (or bind it
-/// differently), so the caller must fall back to the full front end.
+/// coercion to the type the cached literal ended up with. The caller has
+/// checked that every parameter keeps its populating instance's type, so
+/// this is the coercion a fresh bind applies; a value it cannot take (a
+/// malformed date) is an error, as it is for a fresh bind.
 Result<Value> ResolveParam(int32_t param, TypeId target_type,
                            const std::vector<Value>& params) {
   size_t idx = static_cast<size_t>(param > 0 ? param : -param) - 1;
@@ -260,12 +260,7 @@ Result<Value> ResolveParam(int32_t param, TypeId target_type,
     }
   }
   if (!v.is_null() && v.type() != target_type) {
-    if (IsImplicitlyCoercible(v.type(), target_type)) {
-      BEAS_ASSIGN_OR_RETURN(v, v.CoerceTo(target_type));
-    } else if (!IsComparableTypes(v.type(), target_type)) {
-      return Status::Internal(
-          "parameter type is incompatible with the template literal");
-    }
+    BEAS_ASSIGN_OR_RETURN(v, v.CoerceTo(target_type));
   }
   return v;
 }

@@ -46,8 +46,8 @@ class Expression {
 
   // kLiteral
   Value literal;
-  /// Literal provenance: 0 = none, +k = literal token #(k-1) of the source
-  /// SQL, -k = its negation (see AstExpr::literal_param). Used by the
+  /// Literal provenance: 0 = none, +k = parameter #(k-1) of the masked
+  /// template, -k = its negation (see AstExpr::literal_param). Used by the
   /// service layer to re-instantiate cached bound queries with new
   /// parameters (SubstituteParams).
   int32_t literal_param = 0;
@@ -98,7 +98,7 @@ ExprPtr RebindColumns(const ExprPtr& expr,
 
 /// \brief Returns `expr` with every provenance-tagged literal replaced by
 /// the corresponding value from `params` (the literal values of a new
-/// instance of the same query template, in token order): negation folds
+/// instance of the same query template, in order): negation folds
 /// are re-applied and the binder's implicit coercion to the cached
 /// literal's type is reproduced. Subtrees without parameters are shared,
 /// not copied. Errors if an index is out of range or a coercion fails

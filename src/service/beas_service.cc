@@ -275,7 +275,7 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
     // Sampled before (and never under) this request's ReadScope.
     return QueryStatsSnapshot(request.sql);
   }
-  TemplateInfo tinfo = PrepareTemplate(request.sql);
+  BEAS_ASSIGN_OR_RETURN(TemplateInfo tinfo, PrepareTemplate(request.sql));
   Database::ReadScope lock(&db_);
   // Result-cache hit (execution modes): serve the materialized answer
   // before binding, coverage checking, or any admission reservation — a
@@ -285,7 +285,7 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
   std::string rkey;
   uint64_t rhash = 0;
   if ((mode == QueryMode::kAuto || mode == QueryMode::kBoundedOnly) &&
-      tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
+      result_cache_enabled_.load(std::memory_order_relaxed)) {
     rkey = ResultKeyFor(tinfo, mode, request.options);
     rhash = HashString(rkey);
     QueryResponse hit;
@@ -375,8 +375,9 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
   return resp;
 }
 
-TemplateInfo BeasService::PrepareTemplate(const std::string& sql) {
-  TemplateInfo info = beas::PrepareTemplate(sql, &canonical_forms_);
+Result<TemplateInfo> BeasService::PrepareTemplate(const std::string& sql) {
+  BEAS_ASSIGN_OR_RETURN(TemplateInfo info,
+                        beas::PrepareTemplate(sql, &canonical_forms_));
   if (info.canonicalized) {
     template_canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -854,12 +855,7 @@ Result<QueryResponse> BeasService::QueryStatsSnapshot(
 Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(
     const TemplateInfo& tinfo, bool want_partial) {
   ResolvedPlan out;
-  // The canonical rendering when normalization changed the text (every
-  // equivalent spelling then binds the identical query), the client's
-  // original otherwise.
-  const std::string& sql = tinfo.sql;
-  const bool use_cache =
-      tinfo.have && cache_enabled_.load(std::memory_order_relaxed);
+  const bool use_cache = cache_enabled_.load(std::memory_order_relaxed);
   QueryTemplate key;
   bool have_query = false;
   if (use_cache) {
@@ -871,7 +867,7 @@ Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(
     // parse + bind and the coverage / partial-plan search.
     std::shared_ptr<const PlanCache::Entry> entry =
         cache_.Lookup(key, tinfo.masked.params);
-    if (entry != nullptr && entry->prepared != nullptr) {
+    if (entry != nullptr) {
       Result<BoundQuery> inst =
           InstantiatePrepared(*entry->prepared, tinfo.masked.params);
       if (inst.ok()) {
@@ -912,17 +908,16 @@ Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(
     }
   }
 
-  // Miss (or no cache): bind, check, and — cacheable templates only —
-  // build and insert the entry.
+  // Miss (or no cache): bind the canonical template, check, and —
+  // cacheable templates only — build and insert the entry.
   if (!have_query) {
-    BEAS_ASSIGN_OR_RETURN(out.query, db_.Bind(sql));
+    BEAS_ASSIGN_OR_RETURN(out.query, db_.Bind(tinfo.masked));
   }
   BEAS_ASSIGN_OR_RETURN(out.coverage, session_.Check(out.query));
   if (!out.coverage.covered && want_partial) {
     BEAS_ASSIGN_OR_RETURN(out.partial, session_.ChoosePartialPlan(out.query));
   }
   if (!use_cache) {
-    // Plan cache off, or malformed literal syntax (masking failed).
     out.cacheable = false;
     return out;
   }
@@ -933,19 +928,12 @@ Result<BeasService::ResolvedPlan> BeasService::ResolvePlan(
     return out;
   }
   std::shared_ptr<PlanCache::Entry> entry =
-      MakeEntry(sql, tinfo.masked, tmpl, out.query, out.coverage);
+      MakeEntry(tinfo.masked, tmpl, out.query, out.coverage);
   if (!out.coverage.covered && want_partial) {
     entry->partial_computed = true;
     entry->partial = out.partial;
   }
-  if (entry->prepared != nullptr) {
-    cache_.Insert(key, entry);
-  } else {
-    // Masker/lexer divergence: the template can never be served from the
-    // cache, so the response must not claim eligibility.
-    cache_.NoteUncacheable();
-    out.cacheable = false;
-  }
+  cache_.Insert(key, entry);
   out.entry = std::move(entry);
   return out;
 }
@@ -960,9 +948,8 @@ BoundedExecOptions BeasService::ExecOptionsFor(const ResolvedPlan& plan) const {
 }
 
 std::shared_ptr<PlanCache::Entry> BeasService::MakeEntry(
-    const std::string& sql, const SqlTemplate& masked,
-    const QueryTemplate& tmpl, const BoundQuery& query,
-    const CoverageResult& coverage) {
+    const SqlTemplate& masked, const QueryTemplate& tmpl,
+    const BoundQuery& query, const CoverageResult& coverage) {
   auto entry = std::make_shared<PlanCache::Entry>();
   entry->covered = coverage.covered;
   entry->unsatisfiable = coverage.unsatisfiable;
@@ -982,13 +969,8 @@ std::shared_ptr<PlanCache::Entry> BeasService::MakeEntry(
           std::make_shared<const CompiledPlan>(std::move(*compiled));
     }
   }
-  // Validate the hot-path masker against the reference lexer once per
-  // template; on agreement the entry carries a substitutable binding.
-  Result<SqlTemplate> reference = NormalizeSql(sql);
-  if (reference.ok() && ParamsAgree(reference->params, masked.params)) {
-    entry->prepared = std::make_shared<PreparedQuery>(
-        PrepareQuery(BoundQuery(query), masked.params));
-  }
+  entry->prepared = std::make_shared<PreparedQuery>(
+      PrepareQuery(BoundQuery(query), masked.params));
   return entry;
 }
 

@@ -410,11 +410,11 @@ class BeasService {
   TenantState* TenantFor(const std::string& tenant);
 
   /// This request's template identity (TemplateInfo, template_key.h): the
-  /// masked text, its canonical form from `canonical_forms_` (the
-  /// canonicalizer runs once per masked spelling, not per request), and
-  /// the per-request render-and-re-mask self-check. Counts one
-  /// canonicalization per request served in canonical form.
-  TemplateInfo PrepareTemplate(const std::string& sql);
+  /// masked template in the canonical form from `canonical_forms_` (the
+  /// canonicalizer runs once per masked spelling, not per request). Counts
+  /// one canonicalization per request served in canonical form. A SQL
+  /// text that fails to mask is a parse error.
+  Result<TemplateInfo> PrepareTemplate(const std::string& sql);
 
   /// \name Serving-health snapshot (see kStatsTableName).
   /// @{
@@ -472,8 +472,8 @@ class BeasService {
 
   /// The one plan-cache pipeline; caller holds the shared lock. A hit
   /// instantiates the cached binding and rebinds the cached plans; a miss
-  /// binds, checks, builds the entry and inserts it. Plan cache off, a
-  /// masking failure or an uncacheable template bind and check without
+  /// binds the canonical template, checks, builds the entry and inserts
+  /// it. Plan cache off or an uncacheable template bind and check without
   /// caching. `want_partial` also resolves a not-covered query's
   /// fallback choice (kAuto).
   Result<ResolvedPlan> ResolvePlan(const TemplateInfo& tinfo,
@@ -520,9 +520,8 @@ class BeasService {
                     QueryResponse* resp);
 
   /// Builds a miss's cache entry: coverage fields, compiled step programs
-  /// plus the prepared template (null if validation failed).
-  std::shared_ptr<PlanCache::Entry> MakeEntry(const std::string& sql,
-                                              const SqlTemplate& masked,
+  /// plus the prepared template.
+  std::shared_ptr<PlanCache::Entry> MakeEntry(const SqlTemplate& masked,
                                               const QueryTemplate& tmpl,
                                               const BoundQuery& query,
                                               const CoverageResult& coverage);

@@ -8,43 +8,11 @@ namespace beas {
 
 namespace {
 
-/// True when `params` supplies the exact values of every frozen slot of
-/// the variant's prepared binding — the same check InstantiatePrepared
-/// re-verifies. A variant without a prepared binding carries no frozen
-/// information and matches anything.
-bool FrozenParamsMatch(const PlanCache::Entry& entry,
-                       const std::vector<Value>& params) {
-  if (entry.prepared == nullptr) return true;
-  const PreparedQuery& prepared = *entry.prepared;
-  if (prepared.params.size() != params.size()) return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (prepared.substitutable[i]) continue;
-    if (params[i].type() != prepared.params[i].type() ||
-        params[i] != prepared.params[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Two entries are the same variant iff their frozen slots and frozen
-/// values coincide.
-bool SameFrozenSignature(const PlanCache::Entry& a,
-                         const PlanCache::Entry& b) {
-  if ((a.prepared == nullptr) != (b.prepared == nullptr)) return false;
-  if (a.prepared == nullptr) return true;
-  const PreparedQuery& pa = *a.prepared;
-  const PreparedQuery& pb = *b.prepared;
-  if (pa.params.size() != pb.params.size()) return false;
-  if (pa.substitutable != pb.substitutable) return false;
-  for (size_t i = 0; i < pa.params.size(); ++i) {
-    if (pa.substitutable[i]) continue;
-    if (pa.params[i].type() != pb.params[i].type() ||
-        pa.params[i] != pb.params[i]) {
-      return false;
-    }
-  }
-  return true;
+/// Two entries are the same variant iff their slot types, frozen slots
+/// and frozen values coincide.
+bool SameSignature(const PlanCache::Entry& a, const PlanCache::Entry& b) {
+  return a.prepared->substitutable == b.prepared->substitutable &&
+         AcceptsParams(*a.prepared, b.prepared->params);
 }
 
 }  // namespace
@@ -81,7 +49,7 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::Lookup(
   std::vector<std::shared_ptr<const Entry>>& variants =
       it->second->second.variants;
   for (size_t v = 0; v < variants.size(); ++v) {
-    if (!FrozenParamsMatch(*variants[v], params)) continue;
+    if (!AcceptsParams(*variants[v]->prepared, params)) continue;
     // Freshen both the variant and the template.
     if (v != 0) std::rotate(variants.begin(), variants.begin() + v,
                             variants.begin() + v + 1);
@@ -89,7 +57,7 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::Lookup(
     ++shard.hits;
     return variants.front();
   }
-  ++shard.misses;  // template known, but no variant for these frozen values
+  ++shard.misses;  // template known, but no variant accepts these params
   return nullptr;
 }
 
@@ -103,7 +71,7 @@ void PlanCache::Insert(const QueryTemplate& key,
         it->second->second.variants;
     bool replaced = false;
     for (size_t v = 0; v < variants.size(); ++v) {
-      if (SameFrozenSignature(*variants[v], *entry)) {
+      if (SameSignature(*variants[v], *entry)) {
         variants.erase(variants.begin() + v);
         replaced = true;
         break;

@@ -46,17 +46,18 @@ struct PlanCacheStats {
 /// entries touching the affected table. Plain inserts/deletes are NOT
 /// invalidation events: AcIndex maintenance keeps cached plans valid.
 ///
-/// ## Frozen-parameter variants
+/// ## Typed, frozen-parameter variants
 ///
-/// Some literal slots of a template are *frozen* (see PreparedQuery):
-/// their value steered a binder decision (e.g. `ORDER BY 1` vs
-/// `ORDER BY 2`), so instances differing there need different entries even
-/// though they share the masked text. Each LRU node therefore holds a
-/// small set of variants keyed by their frozen values; the param-aware
-/// Lookup returns the variant whose frozen slots match the incoming
-/// parameters, and Insert replaces only the same-signature variant —
-/// `ORDER BY 1` and `ORDER BY 2` instances coexist instead of evicting
-/// each other on every execution.
+/// One masked text can need several bindings. Every literal slot fixes
+/// its type (an INT `7` and a DOUBLE `7.5` bind to different probe keys),
+/// and some slots are *frozen* (see PreparedQuery): their value steered a
+/// binder decision (e.g. `ORDER BY 1` vs `ORDER BY 2`). Each LRU node
+/// therefore holds a small set of variants keyed by the type of every
+/// slot plus the value of every frozen slot; the param-aware Lookup
+/// returns the variant that accepts the incoming parameters
+/// (AcceptsParams), and Insert replaces only the same-signature variant —
+/// INT and DOUBLE spellings, or `ORDER BY 1` and `ORDER BY 2` instances,
+/// coexist instead of evicting each other on every execution.
 class PlanCache {
  public:
   /// Variants retained per template before the oldest is dropped.
@@ -79,8 +80,7 @@ class PlanCache {
     PartialPlanChoice partial;
 
     /// The template's binding, prepared for parameter substitution so a
-    /// hit skips parse + bind entirely. Null when the template could not
-    /// be validated for preparation (masker/lexer divergence).
+    /// hit skips parse + bind entirely. Never null in a cached entry.
     std::shared_ptr<const PreparedQuery> prepared;
 
     /// Covered templates: the vectorized executor's compiled step
@@ -100,13 +100,13 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the variant whose frozen parameter slots match `params` (a
-  /// variant without a prepared binding matches any), or nullptr. Touches
-  /// the LRU position on a hit only.
+  /// Returns the variant whose prepared binding accepts `params` (slot
+  /// types and frozen values), or nullptr. Touches the LRU position on a
+  /// hit only.
   std::shared_ptr<const Entry> Lookup(const QueryTemplate& key,
                                       const std::vector<Value>& params);
 
-  /// Inserts or replaces the same-frozen-signature variant for `key`,
+  /// Inserts or replaces the same-signature variant for `key`,
   /// evicting the shard's least recently used template when over capacity
   /// and the oldest variant when a template exceeds
   /// kMaxVariantsPerTemplate.

@@ -49,14 +49,6 @@ QueryTemplate BuildQueryTemplate(const SqlTemplate& sql_template,
   return out;
 }
 
-bool ParamsAgree(const std::vector<Value>& a, const std::vector<Value>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type() != b[i].type() || a[i] != b[i]) return false;
-  }
-  return true;
-}
-
 std::shared_ptr<const CanonicalizedTemplate> CanonicalFormMemo::Get(
     const std::string& masked_text) {
   {
@@ -82,26 +74,14 @@ size_t CanonicalFormMemo::entries() const {
   return forms_.size();
 }
 
-TemplateInfo PrepareTemplate(const std::string& sql, CanonicalFormMemo* memo) {
+Result<TemplateInfo> PrepareTemplate(const std::string& sql,
+                                     CanonicalFormMemo* memo) {
+  BEAS_ASSIGN_OR_RETURN(SqlTemplate masked, MaskSqlLiterals(sql));
+  std::shared_ptr<const CanonicalizedTemplate> form = memo->Get(masked.text);
+  CanonicalizedTemplate canon = ApplyCanonicalForm(*form, std::move(masked));
   TemplateInfo info;
-  info.sql = sql;
-  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
-  if (!masked.ok()) return info;
-  info.have = true;
-  info.masked = std::move(*masked);
-  CanonicalizedTemplate canon =
-      ApplyCanonicalForm(*memo->Get(info.masked.text), info.masked);
-  if (!canon.changed) return info;
-  Result<std::string> rendered = RenderTemplate(canon.tmpl);
-  if (!rendered.ok()) return info;
-  Result<SqlTemplate> remasked = MaskSqlLiterals(*rendered);
-  if (!remasked.ok() || remasked->text != canon.tmpl.text ||
-      !ParamsAgree(remasked->params, canon.tmpl.params)) {
-    return info;
-  }
   info.masked = std::move(canon.tmpl);
-  info.sql = std::move(*rendered);
-  info.canonicalized = true;
+  info.canonicalized = canon.changed;
   return info;
 }
 

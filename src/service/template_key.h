@@ -24,11 +24,15 @@ namespace beas {
 /// coverage decision, the bounded plan's step sequence, and every deduced
 /// bound are identical — so they are computed once and reused, with only
 /// the fetch-key constants rebound per instance (RebindPlanConstants).
+/// Instances that spell a slot with another literal type (INT `7`,
+/// DOUBLE `7.5`) bind differently; the plan cache keeps them as separate
+/// variants of one template (plan_cache.h).
 struct QueryTemplate {
   uint64_t hash = 0;          ///< hash of `canonical` (shard + map key)
-  /// The literal-masked SQL text (MaskSqlLiterals). Binding is a
-  /// deterministic function of this text plus the catalog state, so it
-  /// fully identifies the template; catalog changes invalidate entries.
+  /// The canonical masked text (MaskSqlLiterals, then the canonical
+  /// form). The service binds exactly this template, so binding is a
+  /// deterministic function of it, the parameter types and the catalog
+  /// state; catalog changes invalidate entries.
   std::string canonical;
   size_t param_count = 0;           ///< lifted constants
   std::vector<std::string> tables;  ///< referenced tables, lowercased
@@ -43,14 +47,9 @@ struct QueryTemplate {
   std::string uncacheable_reason;
 };
 
-/// Builds the template for a bound query. `sql_template` is the masked
-/// form of the original SQL (MaskSqlLiterals / NormalizeSql).
+/// Builds the template for `query`, bound from `sql_template`.
 QueryTemplate BuildQueryTemplate(const SqlTemplate& sql_template,
                                  const BoundQuery& query);
-
-/// True iff `a` and `b` hold the same parameter values with the same
-/// types, in the same order.
-bool ParamsAgree(const std::vector<Value>& a, const std::vector<Value>& b);
 
 /// \brief Bounded memo of the canonicalizer, keyed by masked text.
 ///
@@ -82,24 +81,18 @@ class CanonicalFormMemo {
 };
 
 /// One request's template identity: the masked template in canonical
-/// form plus the SQL actually executed — the canonical rendering when
-/// normalization changed the text (so every equivalent spelling executes,
-/// and caches, the identical query), the original otherwise. `have` is
-/// false when masking failed; the service then bypasses both caches.
+/// form. It keys both caches, and it is what the service binds, so every
+/// equivalent spelling binds (and caches) the identical query.
 struct TemplateInfo {
-  bool have = false;
   SqlTemplate masked;
-  std::string sql;
-  bool canonicalized = false;
+  bool canonicalized = false;  ///< the canonical form changed the text
 };
 
 /// Masks `sql` and binds its parameters to the memoized canonical form of
-/// its masked text (ApplyCanonicalForm). A changed form is accepted only
-/// after the render-and-re-mask self-check, which runs on every request
-/// because it depends on the parameter values: rendering the canonical
-/// template back to SQL and re-masking it must reproduce it exactly (text
-/// and parameters), otherwise the original spelling is kept.
-TemplateInfo PrepareTemplate(const std::string& sql, CanonicalFormMemo* memo);
+/// its masked text (ApplyCanonicalForm). A SQL text that fails to mask is
+/// a parse error.
+Result<TemplateInfo> PrepareTemplate(const std::string& sql,
+                                     CanonicalFormMemo* memo);
 
 }  // namespace beas
 

@@ -47,8 +47,8 @@ struct AstExpr {
 
   // kLiteral
   Value literal;
-  /// Provenance of the literal in the source text: 0 = none (synthesized,
-  /// e.g. NULL), +k = the value of literal token #(k-1), -k = its
+  /// Provenance of the literal in the masked template: 0 = none
+  /// (synthesized, e.g. NULL), +k = the value of parameter #(k-1), -k = its
   /// negation (the parser folds unary minus into literals). Lets a cached
   /// bound query be re-instantiated with new parameters without reparsing.
   int32_t literal_param = 0;

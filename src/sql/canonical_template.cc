@@ -353,17 +353,16 @@ CanonicalizedTemplate CanonicalizeTemplateText(const std::string& text) {
 }
 
 CanonicalizedTemplate ApplyCanonicalForm(const CanonicalizedTemplate& form,
-                                         const SqlTemplate& masked) {
-  if (!form.changed || form.param_order.size() != masked.params.size()) {
-    CanonicalizedTemplate unchanged;
-    unchanged.tmpl = masked;
-    return unchanged;
-  }
+                                         SqlTemplate masked) {
   CanonicalizedTemplate result;
+  if (!form.changed) {
+    result.tmpl = std::move(masked);
+    return result;
+  }
   result.tmpl.text = form.tmpl.text;
   result.tmpl.params.reserve(form.param_order.size());
   for (size_t idx : form.param_order) {
-    result.tmpl.params.push_back(masked.params[idx]);
+    result.tmpl.params.push_back(std::move(masked.params[idx]));
   }
   result.changed = true;
   result.param_order = form.param_order;

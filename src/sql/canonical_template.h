@@ -24,8 +24,9 @@ namespace beas {
 ///  2. An equality with a parameter on exactly one side is oriented
 ///     parameter-last (`? = t.k` becomes `t.k = ?`; `=` is symmetric).
 ///  3. The comma-separated FROM list is sorted by table name then alias
-///     (the FROM list is a set; a canonicalized query is *executed* in
-///     canonical form, so every spelling returns the canonical answer).
+///     (the FROM list is a set; the service binds and executes the
+///     canonical template, so every spelling returns the canonical
+///     answer).
 ///
 /// Everything outside a conservatively recognized fragment — a single
 /// SELECT over a comma FROM list of plain `table [alias]` items, with an
@@ -37,8 +38,8 @@ struct CanonicalizedTemplate {
   /// Canonical masked text, with `params` permuted to match the '?'
   /// appearance order of the canonical text.
   SqlTemplate tmpl;
-  /// True iff normalization altered the template (callers count these and
-  /// re-render the SQL they execute).
+  /// True iff normalization altered the template (the service counts
+  /// these).
   bool changed = false;
   /// The permutation behind `tmpl.params`: canonical '?' number i binds
   /// the masked template's parameter param_order[i]. Derived from the
@@ -61,19 +62,18 @@ CanonicalizedTemplate CanonicalizeTemplateText(const std::string& masked_text);
 /// Binds one instance's parameters to `form`, a CanonicalizeTemplateText
 /// result for `masked.text`: the canonical text with `masked.params`
 /// permuted by `form.param_order`. Returns `masked` unchanged when `form`
-/// is unchanged or the arities disagree (the masker copies a bare '?' of
-/// the source SQL verbatim, so one masked text can carry fewer parameters
-/// than '?' marks).
+/// is unchanged. `masked` must come from MaskSqlLiterals, which gives
+/// every '?' exactly one parameter.
 CanonicalizedTemplate ApplyCanonicalForm(const CanonicalizedTemplate& form,
-                                         const SqlTemplate& masked);
+                                         SqlTemplate masked);
 
-/// Renders a masked template back into executable SQL by substituting
-/// each '?' with its parameter's literal spelling (strings re-quoted with
-/// '' escaping, integers in decimal, doubles in round-trip precision).
+/// Renders a masked template back into SQL by substituting each '?' with
+/// its parameter's literal spelling (strings re-quoted with '' escaping,
+/// integers in decimal, doubles in round-trip precision).
 /// kInvalidArgument when a parameter cannot be spelled faithfully (e.g. a
-/// non-finite double) or arities disagree. Callers cross-check the result
-/// by re-masking it — the service refuses to canonicalize any template
-/// whose rendering does not mask back to the identical canonical form.
+/// non-finite double) or arities disagree. Not on the serving path (the
+/// service binds the canonical template itself): it is the reference the
+/// tests and the benchmark compare that binding against.
 Result<std::string> RenderTemplate(const SqlTemplate& tmpl);
 
 }  // namespace beas

@@ -1,7 +1,6 @@
 #include "sql/lexer.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -32,103 +31,46 @@ const std::unordered_map<std::string, TokenType>& KeywordMap() {
 
 char Lexer::Peek(size_t ahead) const {
   size_t p = pos_ + ahead;
-  return p < input_.size() ? input_[p] : '\0';
-}
-
-void Lexer::SkipWhitespaceAndComments() {
-  while (pos_ < input_.size()) {
-    char c = input_[pos_];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos_;
-    } else if (c == '-' && Peek(1) == '-') {
-      while (pos_ < input_.size() && input_[pos_] != '\n') ++pos_;
-    } else {
-      break;
-    }
-  }
+  return p < tmpl_.text.size() ? tmpl_.text[p] : '\0';
 }
 
 Result<Token> Lexer::Next() {
-  SkipWhitespaceAndComments();
+  const std::string& input = tmpl_.text;
+  while (pos_ < input.size() &&
+         std::isspace(static_cast<unsigned char>(input[pos_]))) {
+    ++pos_;
+  }
   Token tok;
   tok.pos = pos_;
-  if (pos_ >= input_.size()) {
+  if (pos_ >= input.size()) {
     tok.type = TokenType::kEof;
     return tok;
   }
-  char c = input_[pos_];
+  char c = input[pos_];
 
   // Identifiers and keywords.
   if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
     size_t start = pos_;
-    while (pos_ < input_.size() &&
-           (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-            input_[pos_] == '_')) {
+    while (pos_ < input.size() &&
+           (std::isalnum(static_cast<unsigned char>(input[pos_])) ||
+            input[pos_] == '_')) {
       ++pos_;
     }
-    std::string word = ToLower(input_.substr(start, pos_ - start));
-    auto it = KeywordMap().find(word);
-    if (it != KeywordMap().end()) {
-      tok.type = it->second;
-      tok.text = word;
-    } else {
-      tok.type = TokenType::kIdentifier;
-      tok.text = word;
-    }
+    tok.text = ToLower(input.substr(start, pos_ - start));
+    auto it = KeywordMap().find(tok.text);
+    tok.type = it != KeywordMap().end() ? it->second : TokenType::kIdentifier;
     return tok;
   }
 
-  // Numbers: 123, 123.45, .5 not supported (leading digit required).
-  if (std::isdigit(static_cast<unsigned char>(c))) {
-    size_t start = pos_;
-    bool is_float = false;
-    while (pos_ < input_.size() &&
-           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-    if (Peek() == '.' && std::isdigit(static_cast<unsigned char>(Peek(1)))) {
-      is_float = true;
-      ++pos_;
-      while (pos_ < input_.size() &&
-             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
-    }
-    std::string num = input_.substr(start, pos_ - start);
-    if (is_float) {
-      tok.type = TokenType::kFloatLiteral;
-      tok.float_val = std::strtod(num.c_str(), nullptr);
-    } else {
-      tok.type = TokenType::kIntLiteral;
-      tok.int_val = std::strtoll(num.c_str(), nullptr, 10);
-    }
-    return tok;
-  }
-
-  // String literals.
-  if (c == '\'') {
+  // Lifted literals.
+  if (c == '?') {
     ++pos_;
-    std::string body;
-    while (true) {
-      if (pos_ >= input_.size()) {
-        return Status::ParseError("unterminated string literal at offset " +
-                                  std::to_string(tok.pos));
-      }
-      char ch = input_[pos_];
-      if (ch == '\'') {
-        if (Peek(1) == '\'') {  // escaped quote
-          body.push_back('\'');
-          pos_ += 2;
-          continue;
-        }
-        ++pos_;
-        break;
-      }
-      body.push_back(ch);
-      ++pos_;
+    if (static_cast<size_t>(next_ordinal_) >= tmpl_.params.size()) {
+      return Status::ParseError("template has more '?' than parameters");
     }
-    tok.type = TokenType::kStringLiteral;
-    tok.text = std::move(body);
+    tok.type = TokenType::kLiteral;
+    tok.literal_ordinal = next_ordinal_++;
+    tok.value = &tmpl_.params[tok.literal_ordinal];
     return tok;
   }
 
@@ -161,17 +103,14 @@ Result<Token> Lexer::Next() {
 
 Result<std::vector<Token>> Lexer::Tokenize() {
   std::vector<Token> tokens;
-  int32_t next_ordinal = 0;
   while (true) {
     BEAS_ASSIGN_OR_RETURN(Token tok, Next());
     bool eof = tok.type == TokenType::kEof;
-    if (tok.type == TokenType::kIntLiteral ||
-        tok.type == TokenType::kFloatLiteral ||
-        tok.type == TokenType::kStringLiteral) {
-      tok.literal_ordinal = next_ordinal++;
-    }
     tokens.push_back(std::move(tok));
     if (eof) break;
+  }
+  if (static_cast<size_t>(next_ordinal_) != tmpl_.params.size()) {
+    return Status::ParseError("template has fewer '?' than parameters");
   }
   return tokens;
 }

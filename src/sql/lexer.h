@@ -1,33 +1,37 @@
 #ifndef BEAS_SQL_LEXER_H_
 #define BEAS_SQL_LEXER_H_
 
-#include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "sql/sql_template.h"
 #include "sql/token.h"
 
 namespace beas {
 
-/// \brief Tokenizes a SQL string.
+/// \brief Tokenizes a masked template (MaskSqlLiterals' output).
 ///
-/// Keywords are case-insensitive; identifiers are lowercased. String
-/// literals use single quotes with '' as the escape for a quote.
-/// Comments: `-- to end of line`.
+/// The masker is the only place that recognises literals and comments:
+/// the lexer sees text with every literal already lifted, and reads each
+/// '?' as one kLiteral token whose value is `params[ordinal]`. Keywords
+/// are case-insensitive; identifiers are lowercased.
 class Lexer {
  public:
-  explicit Lexer(std::string input) : input_(std::move(input)) {}
+  /// `tmpl` must outlive the tokens (kLiteral tokens point into it).
+  explicit Lexer(const SqlTemplate& tmpl) : tmpl_(tmpl) {}
+  explicit Lexer(SqlTemplate&&) = delete;
 
-  /// Lexes the whole input; the last token is always kEof.
+  /// Lexes the whole template; the last token is always kEof.
+  /// kParseError when the '?' count differs from the parameter count.
   Result<std::vector<Token>> Tokenize();
 
  private:
   Result<Token> Next();
   char Peek(size_t ahead = 0) const;
-  void SkipWhitespaceAndComments();
 
-  std::string input_;
+  const SqlTemplate& tmpl_;
   size_t pos_ = 0;
+  int32_t next_ordinal_ = 0;
 };
 
 }  // namespace beas

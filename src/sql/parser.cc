@@ -12,10 +12,23 @@ bool IsAggregateName(const std::string& name) {
          name == "max";
 }
 
+/// The literal -`v` (INT64 or DOUBLE) with provenance `param`.
+AstExprPtr NegatedLiteral(const Value& v, int32_t param) {
+  return AstExpr::MakeLiteral(v.type() == TypeId::kInt64
+                                  ? Value::Int64(-v.AsInt64())
+                                  : Value::Double(-v.AsDouble()),
+                              param);
+}
+
 }  // namespace
 
 Result<SelectStatement> Parser::Parse(const std::string& sql) {
-  Lexer lexer(sql);
+  BEAS_ASSIGN_OR_RETURN(SqlTemplate tmpl, MaskSqlLiterals(sql));
+  return Parse(tmpl);
+}
+
+Result<SelectStatement> Parser::Parse(const SqlTemplate& tmpl) {
+  Lexer lexer(tmpl);
   BEAS_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
   BEAS_ASSIGN_OR_RETURN(SelectStatement stmt, parser.ParseSelect());
@@ -175,11 +188,12 @@ Result<SelectStatement> Parser::ParseSelect() {
 
   // LIMIT.
   if (Match(TokenType::kLimit)) {
-    if (Peek().type != TokenType::kIntLiteral) {
+    if (Peek().type != TokenType::kLiteral ||
+        Peek().value->type() != TypeId::kInt64) {
       return ErrorHere("expected integer after LIMIT");
     }
     const Token& tok = Advance();
-    stmt.limit = tok.int_val;
+    stmt.limit = tok.value->AsInt64();
     stmt.limit_param = tok.literal_ordinal + 1;
   }
   return stmt;
@@ -320,15 +334,10 @@ Result<AstExprPtr> Parser::ParseUnary() {
     BEAS_ASSIGN_OR_RETURN(AstExprPtr child, ParseUnary());
     // Fold negation of literals immediately (flipping the provenance sign
     // so instantiation re-applies the negation to new parameters).
-    if (child->type == AstExprType::kLiteral) {
-      if (child->literal.type() == TypeId::kInt64) {
-        return AstExpr::MakeLiteral(Value::Int64(-child->literal.AsInt64()),
-                                    -child->literal_param);
-      }
-      if (child->literal.type() == TypeId::kDouble) {
-        return AstExpr::MakeLiteral(Value::Double(-child->literal.AsDouble()),
-                                    -child->literal_param);
-      }
+    if (child->type == AstExprType::kLiteral &&
+        (child->literal.type() == TypeId::kInt64 ||
+         child->literal.type() == TypeId::kDouble)) {
+      return NegatedLiteral(child->literal, -child->literal_param);
     }
     return AstExpr::MakeUnary(AstUnOp::kNeg, std::move(child));
   }
@@ -336,68 +345,48 @@ Result<AstExprPtr> Parser::ParseUnary() {
 }
 
 Result<AstExprPtr> Parser::ParseLiteralValue() {
-  // Used inside IN lists: literals only. Literal provenance (+k/-k, see
-  // AstExpr::literal_param) is threaded from the token ordinals so bound
-  // queries can be re-instantiated with fresh parameters.
-  switch (Peek().type) {
-    case TokenType::kIntLiteral: {
-      const Token& tok = Advance();
-      return AstExpr::MakeLiteral(Value::Int64(tok.int_val),
-                                  tok.literal_ordinal + 1);
-    }
-    case TokenType::kFloatLiteral: {
-      const Token& tok = Advance();
-      return AstExpr::MakeLiteral(Value::Double(tok.float_val),
-                                  tok.literal_ordinal + 1);
-    }
-    case TokenType::kStringLiteral: {
-      const Token& tok = Advance();
-      return AstExpr::MakeLiteral(Value::String(tok.text),
-                                  tok.literal_ordinal + 1);
-    }
-    case TokenType::kDate: {
-      Advance();
-      if (Peek().type != TokenType::kStringLiteral) {
-        return ErrorHere("expected string after DATE");
-      }
-      const Token& tok = Advance();
-      BEAS_ASSIGN_OR_RETURN(Value v, Value::DateFromString(tok.text));
-      return AstExpr::MakeLiteral(std::move(v), tok.literal_ordinal + 1);
-    }
-    case TokenType::kMinus: {
-      Advance();
-      if (Peek().type == TokenType::kIntLiteral) {
-        const Token& tok = Advance();
-        return AstExpr::MakeLiteral(Value::Int64(-tok.int_val),
-                                    -(tok.literal_ordinal + 1));
-      }
-      if (Peek().type == TokenType::kFloatLiteral) {
-        const Token& tok = Advance();
-        return AstExpr::MakeLiteral(Value::Double(-tok.float_val),
-                                    -(tok.literal_ordinal + 1));
-      }
-      return ErrorHere("expected number after '-'");
-    }
-    case TokenType::kNull:
-      Advance();
-      return AstExpr::MakeLiteral(Value::Null());
-    default:
-      return ErrorHere("expected literal, got " + Peek().ToString());
+  // Used inside IN lists: literals only, optionally DATE-prefixed or
+  // negated. Literal provenance (+k/-k, see AstExpr::literal_param) is
+  // threaded from the token ordinals so bound queries can be
+  // re-instantiated with fresh parameters.
+  if (Match(TokenType::kNull)) return AstExpr::MakeLiteral(Value::Null());
+  const bool date = Match(TokenType::kDate);
+  const bool negate = !date && Match(TokenType::kMinus);
+  const Token& tok = Peek();
+  const TypeId type =
+      tok.type == TokenType::kLiteral ? tok.value->type() : TypeId::kNull;
+  if (date && type != TypeId::kString) {
+    return ErrorHere("expected string after DATE");
   }
+  if (negate && type != TypeId::kInt64 && type != TypeId::kDouble) {
+    return ErrorHere("expected number after '-'");
+  }
+  if (type == TypeId::kNull) {
+    return ErrorHere("expected literal, got " + tok.ToString());
+  }
+  Advance();
+  const int32_t param = tok.literal_ordinal + 1;
+  if (date) {
+    BEAS_ASSIGN_OR_RETURN(Value v, Value::DateFromString(tok.value->AsString()));
+    return AstExpr::MakeLiteral(std::move(v), param);
+  }
+  if (negate) return NegatedLiteral(*tok.value, -param);
+  return AstExpr::MakeLiteral(*tok.value, param);
 }
 
 Result<AstExprPtr> Parser::ParsePrimary() {
   const Token& tok = Peek();
   switch (tok.type) {
-    case TokenType::kIntLiteral:
-    case TokenType::kFloatLiteral:
-    case TokenType::kStringLiteral:
+    case TokenType::kLiteral:
     case TokenType::kNull:
       return ParseLiteralValue();
     case TokenType::kDate:
       // DATE 'YYYY-MM-DD' is a literal; a bare `date` is a column named
       // "date" (common in CDR schemas, e.g. call.date).
-      if (Peek(1).type == TokenType::kStringLiteral) return ParseLiteralValue();
+      if (Peek(1).type == TokenType::kLiteral &&
+          Peek(1).value->type() == TypeId::kString) {
+        return ParseLiteralValue();
+      }
       Advance();
       return AstExpr::MakeColumn("", "date");
     case TokenType::kStar:

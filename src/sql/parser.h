@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "sql/ast.h"
+#include "sql/sql_template.h"
 #include "sql/token.h"
 
 namespace beas {
@@ -24,8 +25,14 @@ namespace beas {
 /// literals.
 class Parser {
  public:
-  /// Parses a single SELECT statement (trailing ';' optional).
+  /// Parses a single SELECT statement (trailing ';' optional): masks its
+  /// literals (MaskSqlLiterals), then parses the template.
   static Result<SelectStatement> Parse(const std::string& sql);
+
+  /// Parses a masked template. Each literal of the AST carries the value
+  /// and the provenance (AstExpr::literal_param) of its '?'. Error
+  /// offsets count positions in `tmpl.text`.
+  static Result<SelectStatement> Parse(const SqlTemplate& tmpl);
 
  private:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}

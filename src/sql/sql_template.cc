@@ -3,42 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "sql/lexer.h"
-
 namespace beas {
-
-Result<SqlTemplate> NormalizeSql(const std::string& sql) {
-  Lexer lexer(sql);
-  BEAS_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  SqlTemplate out;
-  out.text.reserve(sql.size());
-  for (const Token& token : tokens) {
-    if (token.type == TokenType::kEof) break;
-    if (token.type == TokenType::kSemicolon) continue;  // trailing ';'
-    if (!out.text.empty()) out.text += ' ';
-    switch (token.type) {
-      case TokenType::kIntLiteral:
-        out.text += '?';
-        out.params.push_back(Value::Int64(token.int_val));
-        break;
-      case TokenType::kFloatLiteral:
-        out.text += '?';
-        out.params.push_back(Value::Double(token.float_val));
-        break;
-      case TokenType::kStringLiteral:
-        out.text += '?';
-        out.params.push_back(Value::String(token.text));
-        break;
-      case TokenType::kIdentifier:
-        out.text += token.text;  // already lowercased by the lexer
-        break;
-      default:
-        out.text += TokenTypeToString(token.type);
-        break;
-    }
-  }
-  return out;
-}
 
 Result<SqlTemplate> MaskSqlLiterals(const std::string& sql) {
   SqlTemplate out;
@@ -100,6 +65,10 @@ Result<SqlTemplate> MaskSqlLiterals(const std::string& sql) {
       }
       prev = '0';
       continue;
+    }
+    if (c == '?') {
+      return Status::ParseError("unexpected character '?' at offset " +
+                                std::to_string(i));
     }
     out.text.push_back(c);
     prev = c;

@@ -9,34 +9,29 @@
 
 namespace beas {
 
-/// \brief A raw SQL string normalized at the token level: every constant
-/// literal replaced by '?', keywords canonicalized, whitespace and
-/// comments dropped.
+/// \brief A SQL text with every constant literal lifted out: each '?' of
+/// `text` stands for the parameter of the same ordinal in `params`.
 ///
 /// Real workloads are dominated by repeated *parameterized templates* —
 /// the same query text with different constants. The masked text is the
-/// service layer's plan-cache key: binding is deterministic in it plus
-/// the catalog state, and the lifted values are the parameters a cached
-/// prepared binding is re-instantiated with (see binder/prepared_query.h).
+/// service layer's plan-cache key, and the template itself is what the
+/// front end parses (the lexer reads each '?' as one literal token whose
+/// value is its parameter), so the text and parameters that key the
+/// caches are exactly the ones that get bound.
 struct SqlTemplate {
   std::string text;           ///< e.g. "SELECT x FROM t WHERE id = ?"
   std::vector<Value> params;  ///< lifted literals, in appearance order
 };
 
-/// Tokenizes `sql` and lifts its literals. Errors propagate from the lexer
-/// (unterminated strings etc.).
-Result<SqlTemplate> NormalizeSql(const std::string& sql);
-
-/// \brief Hot-path literal masker: one pass over the raw text, no token
-/// stream. Literals become '?' (lifted into `params` in the same order the
-/// lexer numbers them — see Token::literal_ordinal); comments are
-/// stripped; everything else is copied verbatim, so the masked text is a
-/// deterministic cache key for the query's template (case/whitespace
-/// variants of one template get separate, equally correct entries).
-///
-/// The service cross-checks this against NormalizeSql once per template
-/// (at cache-miss time) and refuses to cache on divergence, so the masker
-/// can never cause a wrong answer, only a missed optimization.
+/// \brief The one literal scanner of the SQL front end: one pass over the
+/// raw text. Integer (`42`), decimal (`2.5`) and quoted string (`'it''s'`)
+/// literals become '?' and are lifted into `params` in appearance order;
+/// `--` comments are stripped; everything else is copied verbatim, so the
+/// masked text is a deterministic cache key for the query's template
+/// (case/whitespace variants of one template get separate, equally
+/// correct entries). A digit that continues an identifier (`t1`) is not a
+/// literal. kParseError on an unterminated string or a bare '?' outside a
+/// string literal, so every '?' of the result has exactly one parameter.
 Result<SqlTemplate> MaskSqlLiterals(const std::string& sql);
 
 }  // namespace beas

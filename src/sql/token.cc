@@ -6,9 +6,7 @@ const char* TokenTypeToString(TokenType t) {
   switch (t) {
     case TokenType::kEof: return "<eof>";
     case TokenType::kIdentifier: return "identifier";
-    case TokenType::kIntLiteral: return "integer";
-    case TokenType::kFloatLiteral: return "float";
-    case TokenType::kStringLiteral: return "string";
+    case TokenType::kLiteral: return "literal";
     case TokenType::kSelect: return "SELECT";
     case TokenType::kDistinct: return "DISTINCT";
     case TokenType::kFrom: return "FROM";
@@ -56,12 +54,8 @@ std::string Token::ToString() const {
   switch (type) {
     case TokenType::kIdentifier:
       return "identifier '" + text + "'";
-    case TokenType::kIntLiteral:
-      return "integer " + std::to_string(int_val);
-    case TokenType::kFloatLiteral:
-      return "float " + std::to_string(float_val);
-    case TokenType::kStringLiteral:
-      return "string '" + text + "'";
+    case TokenType::kLiteral:
+      return "literal " + value->ToString();
     default:
       return TokenTypeToString(type);
   }

@@ -4,15 +4,15 @@
 #include <cstdint>
 #include <string>
 
+#include "types/value.h"
+
 namespace beas {
 
 /// \brief Lexical token kinds for the SQL subset BEAS parses.
 enum class TokenType {
   kEof = 0,
   kIdentifier,
-  kIntLiteral,
-  kFloatLiteral,
-  kStringLiteral,
+  kLiteral,  ///< a '?' of the masked template
 
   // Keywords.
   kSelect,
@@ -61,15 +61,15 @@ enum class TokenType {
 /// \brief A lexed token with its source position (for error messages).
 struct Token {
   TokenType type = TokenType::kEof;
-  std::string text;     ///< Identifier/keyword text or string literal body.
-  int64_t int_val = 0;  ///< Value for kIntLiteral.
-  double float_val = 0; ///< Value for kFloatLiteral.
-  size_t pos = 0;       ///< Byte offset in the query string.
+  std::string text;  ///< Identifier/keyword text.
+  size_t pos = 0;    ///< Byte offset in the masked template text.
 
-  /// For literal tokens: the 0-based index among the query's literal
-  /// tokens, in source order — the parameter slot this literal occupies in
-  /// the query's template (see sql_template.h). -1 for non-literals.
+  /// For kLiteral: the 0-based index of this '?' among the template's
+  /// marks — the parameter slot it occupies (see sql_template.h) — and
+  /// that parameter, owned by the template being parsed. -1 / null for
+  /// other tokens.
   int32_t literal_ordinal = -1;
+  const Value* value = nullptr;
 
   std::string ToString() const;
 };

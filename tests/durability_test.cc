@@ -1032,14 +1032,15 @@ TEST(DurabilityFailureRepairTest, UnrepairableFailureLatchesTheShard) {
 
     // Group commit fails AND the truncate-repair reports failure: no
     // retry is sound, because the file may now end in bytes the
-    // accounting cannot vouch for. The shard must latch immediately.
-    // (The cut itself lands, so the nacked group is gone at recovery.)
+    // accounting cannot vouch for. The shard must latch immediately, and
+    // the group's writer learns its outcome is unknown (kIoError). (Here
+    // the cut itself lands, so the group is gone at recovery.)
     env.ArmFault(FaultOp::kSync, kShardWal, Fault::kFail);
     env.ArmFault(FaultOp::kTruncate, kShardWal, Fault::kFailAfterEffect);
     Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
     env.ClearFaults();
     ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
     EXPECT_EQ(svc->durability_counters().wal_retries_total, 0u);
     st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
     ASSERT_FALSE(st.ok());
@@ -1052,6 +1053,44 @@ TEST(DurabilityFailureRepairTest, UnrepairableFailureLatchesTheShard) {
   ASSERT_TRUE(recovered->durable())
       << recovered->durability_status().ToString();
   EXPECT_EQ(LivePnums(recovered.get()), (std::vector<int64_t>{1}));
+}
+
+// A repair that really fails (the truncate has no effect) leaves the
+// group's CRC-valid bytes in the log, so a restart may replay them: the
+// writer must hear "outcome unknown", never "refused".
+TEST(DurabilityFailureRepairTest, FailedRepairReportsAnUnknownOutcome) {
+  ShardOverrideGuard guard(1);
+  FaultInjectingEnv env(7);
+  const std::string data_dir = "/repairfs/data";
+  {
+    std::unique_ptr<BeasService> svc = MakeService(data_dir, &env);
+    ASSERT_TRUE(svc->durable());
+    ASSERT_TRUE(svc->CreateTable("call", CallSchema()).ok());
+    ASSERT_TRUE(
+        svc->Insert("call", {I(1), I(1), Dt("2016-01-01"), S("r")}).ok());
+    env.ArmFault(FaultOp::kSync, kShardWal, Fault::kFail);
+    env.ArmFault(FaultOp::kTruncate, kShardWal, Fault::kFail);
+    Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r")});
+    env.ClearFaults();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    EXPECT_NE(st.ToString().find("may or may not survive"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(env.injected_faults(), 2u);
+    // Later writes to the latched shard are refused, typed as before.
+    st = svc->Insert("call", {I(3), I(3), Dt("2016-01-01"), S("r")});
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+    EXPECT_NE(st.ToString().find("latched"), std::string::npos)
+        << st.ToString();
+  }
+  std::unique_ptr<BeasService> recovered = MakeService(data_dir, &env);
+  ASSERT_TRUE(recovered->durable())
+      << recovered->durability_status().ToString();
+  std::vector<int64_t> pnums = LivePnums(recovered.get());
+  EXPECT_TRUE(pnums == (std::vector<int64_t>{1}) ||
+              pnums == (std::vector<int64_t>{1, 2}))
+      << ::testing::PrintToString(pnums);
 }
 
 // ---------------------------------------------------------------------------

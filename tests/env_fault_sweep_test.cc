@@ -329,21 +329,25 @@ TEST(EnvFaultSweepTest, CheckpointFaultsAreTypedAndReclaimed) {
 // latches the shard, and surfaces kUnavailable — the typed signal a front
 // door can act on. A refused append is repaired and retried until the
 // retry limit; a device whose every fsync fails cannot persist the
-// repair's cut either, so the shard latches on the first failure.
+// repair's cut either, so the shard latches on the first failure and
+// that group's writer gets kIoError (its outcome is unknown).
 // ---------------------------------------------------------------------------
 
 TEST(EnvFaultSweepTest, PersistentWalFaultsLatchWithTypedUnavailable) {
   struct PersistentCase {
     EnvFault fault;
     uint64_t retries;
+    StatusCode first;  ///< the faulted group's status
   };
+  // When every fsync fails, the repair's own fsync fails too: the group's
+  // bytes may or may not survive a restart, and its writer hears so.
   const PersistentCase kCases[] = {
       {{"every append fails", FaultOp::kAppend, kShardWal, Fault::kFail,
         FaultInjectingEnv::kEveryCall},
-       3},
+       3, StatusCode::kUnavailable},
       {{"every fsync fails", FaultOp::kSync, kShardWal, Fault::kFail,
         FaultInjectingEnv::kEveryCall},
-       0},
+       0, StatusCode::kIoError},
   };
   for (const PersistentCase& test_case : kCases) {
     SCOPED_TRACE(test_case.fault.what);
@@ -360,7 +364,7 @@ TEST(EnvFaultSweepTest, PersistentWalFaultsLatchWithTypedUnavailable) {
       Status st = svc->Insert("call", {I(2), I(2), Dt("2016-01-01"), S("r2")});
       env.ClearFaults();
       ASSERT_FALSE(st.ok());
-      EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+      EXPECT_EQ(st.code(), test_case.first) << st.ToString();
       durability::DurabilityCounters counters = svc->durability_counters();
       EXPECT_EQ(counters.wal_latched_shards, 1u);
       EXPECT_EQ(counters.wal_retries_total, test_case.retries);

@@ -22,10 +22,12 @@
 #include "service/result_cache.h"
 #include "service/template_key.h"
 #include "sql/canonical_template.h"
+#include "sql/parser.h"
 #include "sql/sql_template.h"
 #include "support/test_env.h"
 #include "test_util.h"
 #include "workload/tlc_queries.h"
+#include "workload/tlc_schema.h"
 
 namespace beas {
 namespace {
@@ -39,29 +41,29 @@ using testing_util::S;
 // Template normalization.
 // ---------------------------------------------------------------------------
 
-TEST(SqlTemplateTest, LiftsLiteralsAndCanonicalizes) {
-  auto t1 = NormalizeSql("SELECT x FROM t WHERE id = 7 -- comment\n");
-  auto t2 = NormalizeSql("select X  from T where ID=42;");
+TEST(SqlTemplateTest, LiftsLiteralsAndStripsComments) {
+  auto t1 = MaskSqlLiterals("SELECT x FROM t WHERE id = 7 -- comment\n");
+  auto t2 = MaskSqlLiterals("SELECT x FROM t WHERE id = 42");
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(t1->text, t2->text);
-  EXPECT_EQ(t1->text, "SELECT x FROM t WHERE id = ?");
+  EXPECT_EQ(t1->text, "SELECT x FROM t WHERE id = ? \n");
+  EXPECT_EQ(t2->text, "SELECT x FROM t WHERE id = ?");
   ASSERT_EQ(t1->params.size(), 1u);
   EXPECT_EQ(t1->params[0], Value::Int64(7));
   EXPECT_EQ(t2->params[0], Value::Int64(42));
 }
 
 TEST(SqlTemplateTest, InListArityIsPartOfTheTemplate) {
-  auto t2 = NormalizeSql("SELECT x FROM t WHERE id IN (1, 2)");
-  auto t3 = NormalizeSql("SELECT x FROM t WHERE id IN (1, 2, 3)");
+  auto t2 = MaskSqlLiterals("SELECT x FROM t WHERE id IN (1, 2)");
+  auto t3 = MaskSqlLiterals("SELECT x FROM t WHERE id IN (1, 2, 3)");
   ASSERT_TRUE(t2.ok());
   ASSERT_TRUE(t3.ok());
   EXPECT_NE(t2->text, t3->text);
 }
 
 TEST(SqlTemplateTest, DistinguishesStructure) {
-  auto a = NormalizeSql("SELECT x FROM t WHERE id = 1");
-  auto b = NormalizeSql("SELECT x FROM t WHERE id > 1");
+  auto a = MaskSqlLiterals("SELECT x FROM t WHERE id = 1");
+  auto b = MaskSqlLiterals("SELECT x FROM t WHERE id > 1");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->text, b->text);
@@ -85,7 +87,7 @@ class TemplateKeyTest : public ::testing::Test {
   }
 
   QueryTemplate Template(const std::string& sql) {
-    auto sql_tmpl = NormalizeSql(sql);
+    auto sql_tmpl = MaskSqlLiterals(sql);
     EXPECT_TRUE(sql_tmpl.ok());
     auto query = db_.Bind(sql);
     EXPECT_TRUE(query.ok()) << query.status().ToString();
@@ -154,32 +156,6 @@ TEST_F(TemplateKeyTest, ValueDependentTemplatesAreUncacheable) {
   EXPECT_TRUE(fine.cacheable);
 }
 
-TEST(SqlTemplateTest, MaskerAgreesWithLexerLifting) {
-  const char* cases[] = {
-      "SELECT x FROM t WHERE id = 7 AND name = 'it''s' -- trailing\n",
-      "SELECT x FROM t1 WHERE a2 = 10 AND b = 2.5 AND c IN (1, 2, 3)",
-      "SELECT x FROM t WHERE d = DATE '2016-03-15' AND e > -42 LIMIT 9",
-      "SELECT x + 1 FROM t WHERE y BETWEEN 0.5 AND 1.5 ORDER BY 1",
-      "SELECT x FROM t WHERE s = '--not a comment' AND z = 3",
-  };
-  for (const char* sql : cases) {
-    auto reference = NormalizeSql(sql);
-    auto masked = MaskSqlLiterals(sql);
-    ASSERT_TRUE(reference.ok()) << sql;
-    ASSERT_TRUE(masked.ok()) << sql;
-    ASSERT_EQ(reference->params.size(), masked->params.size()) << sql;
-    for (size_t i = 0; i < masked->params.size(); ++i) {
-      EXPECT_EQ(reference->params[i].type(), masked->params[i].type()) << sql;
-      EXPECT_EQ(reference->params[i], masked->params[i]) << sql;
-    }
-  }
-  // Same template, different spacing/case: the mask lifts identically.
-  auto a = MaskSqlLiterals("SELECT x FROM t WHERE id = 7");
-  auto b = MaskSqlLiterals("SELECT x FROM t WHERE id = 123");
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->text, b->text);
-}
-
 // ---------------------------------------------------------------------------
 // Plan cache mechanics.
 // ---------------------------------------------------------------------------
@@ -198,6 +174,8 @@ std::shared_ptr<const PlanCache::Entry> EntryFor(
   auto entry = std::make_shared<PlanCache::Entry>();
   entry->covered = true;
   entry->tables = std::move(tables);
+  entry->prepared =
+      std::make_shared<PreparedQuery>(PrepareQuery(BoundQuery(), {}));
   return entry;
 }
 
@@ -817,46 +795,54 @@ TEST_F(ServiceTest, HeapBytesGaugeExposedThroughBeasStats) {
 // Canonical-form memo.
 // ---------------------------------------------------------------------------
 
-// The pre-memo PrepareTemplate, kept as the reference: canonicalize this
-// instance from scratch, then run the render-and-re-mask self-check.
+// A from-scratch canonicalization of this instance: the reference the
+// memoized PrepareTemplate must reproduce.
 TemplateInfo FreshTemplate(const std::string& sql) {
+  CanonicalizedTemplate canon = CanonicalizeTemplate(*MaskSqlLiterals(sql));
   TemplateInfo info;
-  info.sql = sql;
-  Result<SqlTemplate> masked = MaskSqlLiterals(sql);
-  if (!masked.ok()) return info;
-  info.have = true;
-  info.masked = std::move(*masked);
-  CanonicalizedTemplate canon = CanonicalizeTemplate(info.masked);
-  if (!canon.changed) return info;
-  Result<std::string> rendered = RenderTemplate(canon.tmpl);
-  if (!rendered.ok()) return info;
-  Result<SqlTemplate> remasked = MaskSqlLiterals(*rendered);
-  if (!remasked.ok() || remasked->text != canon.tmpl.text ||
-      !ParamsAgree(remasked->params, canon.tmpl.params)) {
-    return info;
-  }
   info.masked = std::move(canon.tmpl);
-  info.sql = std::move(*rendered);
-  info.canonicalized = true;
+  info.canonicalized = canon.changed;
   return info;
+}
+
+// Same values with the same types, in the same order.
+void ExpectSameParams(const std::vector<Value>& got,
+                      const std::vector<Value>& want, const std::string& sql) {
+  ASSERT_EQ(got.size(), want.size()) << sql;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].type(), want[i].type()) << sql << " #" << i;
+    EXPECT_EQ(got[i], want[i]) << sql << " #" << i;
+  }
 }
 
 void ExpectSameTemplate(const TemplateInfo& got, const TemplateInfo& want,
                         const std::string& sql) {
-  EXPECT_EQ(got.have, want.have) << sql;
   EXPECT_EQ(got.masked.text, want.masked.text) << sql;
-  EXPECT_TRUE(ParamsAgree(got.masked.params, want.masked.params)) << sql;
-  EXPECT_EQ(got.sql, want.sql) << sql;
+  ExpectSameParams(got.masked.params, want.masked.params, sql);
   EXPECT_EQ(got.canonicalized, want.canonicalized) << sql;
 }
 
-// `sql` with every literal replaced by a random value of the same type.
-std::string RandomInstance(const std::string& sql, std::mt19937* rng) {
+// `sql` with every literal replaced by a random value of the same type; a
+// literal that spells a date gets another date of the TLC workload week.
+// With `flip_numeric`, each numeric literal instead becomes a random one
+// of INT `k`, DOUBLE `k.0` and DOUBLE `k.5` (k in 1..8), so equal values
+// of both types meet.
+std::string RandomInstance(const std::string& sql, std::mt19937* rng,
+                           bool flip_numeric = false) {
   Result<SqlTemplate> masked = MaskSqlLiterals(sql);
   EXPECT_TRUE(masked.ok()) << sql;
   static const char* const kStrings[] = {"bank", "R1", "2016-03-15",
                                          "it's", "", "R 7"};
   for (Value& v : masked->params) {
+    if (flip_numeric && v.type() != TypeId::kString) {
+      int64_t k = 1 + (*rng)() % 8;
+      switch ((*rng)() % 3) {
+        case 0: v = Value::Int64(k); break;
+        case 1: v = Value::Double(static_cast<double>(k)); break;
+        default: v = Value::Double(k + 0.5); break;
+      }
+      continue;
+    }
     switch (v.type()) {
       case TypeId::kInt64:
         v = Value::Int64(1 + (*rng)() % 30000);
@@ -865,7 +851,10 @@ std::string RandomInstance(const std::string& sql, std::mt19937* rng) {
         v = Value::Double(((*rng)() % 400) + 0.5);
         break;
       default:
-        v = Value::String(kStrings[(*rng)() % 6]);
+        v = Value::DateFromString(v.AsString()).ok()
+                ? Value::String(StringPrintf("2016-03-%02d",
+                                             8 + static_cast<int>((*rng)() % 9)))
+                : Value::String(kStrings[(*rng)() % 6]);
         break;
     }
   }
@@ -936,7 +925,7 @@ TEST(CanonicalFormMemoTest, MemoHitMatchesAFreshCanonicalization) {
   for (const TlcQuery& q : TlcQueries()) {
     std::string a = RandomInstance(q.sql, &rng);
     std::string b = RandomInstance(q.sql, &rng);
-    std::string executed;
+    TemplateInfo bound;
     for (int variant = 0; variant < 8; ++variant) {
       // Two instances of one spelling, different values: the first puts
       // the spelling's canonical form in the memo, the second is a hit.
@@ -944,18 +933,19 @@ TEST(CanonicalFormMemoTest, MemoHitMatchesAFreshCanonicalization) {
       std::string second = Respell(b, variant);
       ASSERT_EQ(MaskSqlLiterals(first)->text, MaskSqlLiterals(second)->text)
           << first << "\n" << second;
-      ExpectSameTemplate(PrepareTemplate(first, &memo), FreshTemplate(first),
-                         first);
+      ExpectSameTemplate(PrepareTemplate(first, &memo).ValueOrDie(),
+                         FreshTemplate(first), first);
       uint64_t misses = memo.misses();
-      TemplateInfo hit = PrepareTemplate(second, &memo);
+      TemplateInfo hit = PrepareTemplate(second, &memo).ValueOrDie();
       EXPECT_EQ(memo.misses(), misses) << second;
       TemplateInfo fresh = FreshTemplate(second);
       ExpectSameTemplate(hit, fresh, second);
       canonicalized += fresh.canonicalized;
-      // Every spelling of one instance executes the identical SQL, which
-      // a wrong parameter permutation would break.
-      if (variant == 0) executed = hit.sql;
-      EXPECT_EQ(hit.sql, executed) << second;
+      // Every spelling of one instance binds the identical template,
+      // which a wrong parameter permutation would break.
+      if (variant == 0) bound = hit;
+      EXPECT_EQ(hit.masked.text, bound.masked.text) << second;
+      ExpectSameParams(hit.masked.params, bound.masked.params, second);
 
       EXPECT_EQ(CanonicalizeTemplate(*MaskSqlLiterals(first)).param_order,
                 CanonicalizeTemplate(*MaskSqlLiterals(second)).param_order)
@@ -967,21 +957,105 @@ TEST(CanonicalFormMemoTest, MemoHitMatchesAFreshCanonicalization) {
   EXPECT_GT(canonicalized, TlcQueries().size() * 3);
 }
 
-TEST(CanonicalFormMemoTest, ArityMismatchOnAHitKeepsTheOriginalSpelling) {
-  CanonicalFormMemo memo(16);
-  std::string full = "SELECT call.region FROM call WHERE 7 = call.pnum AND "
-                     "call.date = '2016-03-15'";
-  std::string bare = "SELECT call.region FROM call WHERE ? = call.pnum AND "
-                     "call.date = '2016-03-15'";
-  EXPECT_TRUE(PrepareTemplate(full, &memo).canonicalized);
-  uint64_t misses = memo.misses();
-  TemplateInfo got = PrepareTemplate(bare, &memo);
-  EXPECT_EQ(memo.misses(), misses);  // same masked text: a memo hit
-  EXPECT_FALSE(got.canonicalized);
-  EXPECT_EQ(got.sql, bare);
-  EXPECT_EQ(got.masked.text, MaskSqlLiterals(bare)->text);
-  ASSERT_EQ(got.masked.params.size(), 1u);
-  ExpectSameTemplate(got, FreshTemplate(bare), bare);
+// The type of every literal of a bound query, probe constants included,
+// in a fixed walk order.
+void CollectLiteralTypes(const ExprPtr& e, std::vector<TypeId>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kLiteral) out->push_back(e->literal.type());
+  for (const Value& v : e->in_values) out->push_back(v.type());
+  for (const ExprPtr& child : e->children) CollectLiteralTypes(child, out);
+}
+
+std::vector<TypeId> LiteralTypes(const BoundQuery& q) {
+  std::vector<TypeId> out;
+  for (const Conjunct& c : q.conjuncts) {
+    CollectLiteralTypes(c.expr, &out);
+    out.push_back(c.const_val.type());
+    for (const Value& v : c.in_vals) out.push_back(v.type());
+  }
+  for (const OutputItem& item : q.outputs) CollectLiteralTypes(item.expr, &out);
+  return out;
+}
+
+// ROADMAP item 2's property: a cached binding instantiated for a second
+// instance is either refused or identical — text and literal types — to
+// a fresh bind of that instance. Every TLC template, all 8 respellings,
+// random parameters, and numeric slots flipped between INT k, DOUBLE k.0
+// and DOUBLE k.5. Also checks that binding a canonical template gives the
+// same query as binding its rendered SQL (the serving path binds the
+// template; RenderTemplate is the reference).
+TEST(CanonicalFormMemoTest, InstantiatedTemplateEqualsAFreshBind) {
+  Database db;
+  ASSERT_TRUE(CreateTlcTables(&db).ok());
+  std::mt19937 rng(32);
+  size_t instantiated = 0, refused = 0, rendered_checked = 0;
+  auto expect_render_equivalent = [&](const SqlTemplate& tmpl) {
+    Result<std::string> sql = RenderTemplate(tmpl);
+    ASSERT_TRUE(sql.ok()) << tmpl.text;
+    Result<BoundQuery> direct = db.Bind(tmpl);
+    Result<BoundQuery> via_text = db.Bind(*sql);
+    ASSERT_EQ(direct.ok(), via_text.ok()) << *sql;
+    if (!direct.ok()) {
+      EXPECT_EQ(direct.status().code(), via_text.status().code()) << *sql;
+      return;
+    }
+    EXPECT_EQ(direct->ToString(), via_text->ToString()) << *sql;
+    EXPECT_EQ(LiteralTypes(*direct), LiteralTypes(*via_text)) << *sql;
+    ++rendered_checked;
+  };
+  for (const TlcQuery& q : TlcQueries()) {
+    for (int variant = 0; variant < 8; ++variant) {
+      for (int round = 0; round < 6; ++round) {
+        bool flip = round % 2 == 1;
+        std::string first = Respell(RandomInstance(q.sql, &rng, flip), variant);
+        std::string second =
+            Respell(RandomInstance(q.sql, &rng, round >= 2), variant);
+        TemplateInfo a = FreshTemplate(first);
+        TemplateInfo b = FreshTemplate(second);
+        ASSERT_EQ(a.masked.text, b.masked.text) << first << "\n" << second;
+        expect_render_equivalent(a.masked);
+        expect_render_equivalent(b.masked);
+
+        Result<BoundQuery> populated = db.Bind(a.masked);
+        if (!populated.ok()) continue;
+        PreparedQuery prepared = PrepareQuery(*populated, a.masked.params);
+        Result<BoundQuery> inst = InstantiatePrepared(prepared, b.masked.params);
+        Result<BoundQuery> fresh = db.Bind(b.masked);
+        if (!inst.ok()) {
+          ++refused;
+          continue;
+        }
+        ++instantiated;
+        ASSERT_TRUE(fresh.ok())
+            << second << " instantiated from " << first << " but a fresh "
+            << "bind fails: " << fresh.status().ToString();
+        EXPECT_EQ(inst->ToString(), fresh->ToString())
+            << second << "\ninstantiated from " << first;
+        EXPECT_EQ(LiteralTypes(*inst), LiteralTypes(*fresh))
+            << second << "\ninstantiated from " << first;
+      }
+    }
+  }
+  // Neither side of the property is vacuous.
+  EXPECT_GT(instantiated, TlcQueries().size() * 8);
+  EXPECT_GT(refused, TlcQueries().size());
+  EXPECT_GT(rendered_checked, TlcQueries().size() * 8 * 6);
+}
+
+TEST_F(ServiceTest, BareQuestionMarkIsAParseError) {
+  const std::string bare = "SELECT call.region FROM call WHERE ? = call.pnum "
+                           "AND call.date = '2016-03-15'";
+  EXPECT_EQ(Parser::Parse(bare).status().code(), StatusCode::kParseError);
+  MustExecute("SELECT call.region FROM call WHERE 7 = call.pnum AND "
+              "call.date = '2016-03-15'");  // same masked text, cached
+  for (QueryMode mode : {QueryMode::kAuto, QueryMode::kBoundedOnly,
+                         QueryMode::kApproximate, QueryMode::kCheckOnly}) {
+    QueryRequest request{bare, mode};
+    request.approx_budget = 100;
+    auto resp = service_->Query(request);
+    EXPECT_EQ(resp.status().code(), StatusCode::kParseError)
+        << static_cast<int>(mode) << ": " << resp.status().ToString();
+  }
 }
 
 TEST_F(ServiceTest, CanonicalFormMemoIsBoundedUnderConcurrentSpellings) {
@@ -1256,6 +1330,60 @@ TEST_F(ServiceTest, TypeMismatchedParameterFallsBackToFullBind) {
        "AND call.date = '2016-03-15'"});
   ASSERT_TRUE(dbl.ok()) << dbl.status().ToString();
   EXPECT_TRUE(dbl->result.rows.empty());  // no pnum equals 7.5
+}
+
+// ROADMAP item 2's first wrong answer: a cached template kept the literal
+// type of the spelling that populated it. With t(k INT, v INT) and
+// constraint k -> v, `t.k = 9007199254740993` must find its row whatever
+// spelling the service saw first; an INT parameter coerced to an earlier
+// DOUBLE spelling's type (`= 7.5`, `= 7.0`) probes 2^53 instead. The INT
+// and DOUBLE spellings then live as separate variants of one template.
+TEST(TypedTemplateVariantTest, IntProbeIsNeverCoercedToAnEarlierDoubleSpelling) {
+  const std::string big = "SELECT t.v FROM t WHERE t.k = 9007199254740993";
+  struct First {
+    const char* sql;
+    std::vector<Row> rows;
+  };
+  const First kFirsts[] = {
+      {nullptr, {}},
+      {"SELECT t.v FROM t WHERE t.k = 7.5", {}},
+      {"SELECT t.v FROM t WHERE t.k = 7.0", {{I(2)}}},
+  };
+  for (QueryMode mode : {QueryMode::kAuto, QueryMode::kBoundedOnly}) {
+    for (bool result_cache : {true, false}) {
+      for (const First& first : kFirsts) {
+        SCOPED_TRACE(std::string(first.sql ? first.sql : "(fresh)") +
+                     ", mode " + std::to_string(static_cast<int>(mode)) +
+                     ", result cache " + (result_cache ? "on" : "off"));
+        ServiceOptions options;
+        options.num_workers = 1;
+        BeasService svc(options);
+        ASSERT_TRUE(svc.CreateTable("t", Schema({{"k", TypeId::kInt64},
+                                                 {"v", TypeId::kInt64}}))
+                        .ok());
+        ASSERT_TRUE(svc.Insert("t", {I(9007199254740993LL), I(1)}).ok());
+        ASSERT_TRUE(svc.Insert("t", {I(7), I(2)}).ok());
+        ASSERT_TRUE(svc.RegisterConstraint({"tk", "t", {"k"}, {"v"}, 10}).ok());
+        svc.set_result_cache_enabled(result_cache);
+        if (first.sql != nullptr) {
+          auto resp = svc.Query({first.sql, mode});
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          EXPECT_EQ(resp->result.rows, first.rows);
+        }
+        auto resp = svc.Query({big, mode});
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        EXPECT_EQ(resp->result.rows, (std::vector<Row>{{I(1)}}));
+        if (first.sql == nullptr) continue;
+        // The DOUBLE spelling's variant was not evicted by the INT one.
+        auto again = svc.Query({first.sql, mode});
+        ASSERT_TRUE(again.ok()) << again.status().ToString();
+        EXPECT_EQ(again->result.rows, first.rows);
+        if (!result_cache) {
+          EXPECT_TRUE(again->cache_hit);
+        }
+      }
+    }
+  }
 }
 
 // Output literals of grouped/ordered queries are matched by value during

@@ -2,71 +2,174 @@
 
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/sql_template.h"
 
 namespace beas {
 namespace {
 
-std::vector<Token> Lex(const std::string& sql) {
-  Lexer lexer(sql);
+// Token types of `sql`, masked and lexed (the EOF token included).
+std::vector<TokenType> LexTypes(const std::string& sql) {
+  Result<SqlTemplate> tmpl = MaskSqlLiterals(sql);
+  EXPECT_TRUE(tmpl.ok()) << tmpl.status().ToString();
+  if (!tmpl.ok()) return {};
+  Lexer lexer(*tmpl);
   auto tokens = lexer.Tokenize();
   EXPECT_TRUE(tokens.ok()) << tokens.status().ToString();
-  return tokens.ok() ? *tokens : std::vector<Token>{};
+  std::vector<TokenType> types;
+  if (tokens.ok()) {
+    for (const Token& t : *tokens) types.push_back(t.type);
+  }
+  return types;
 }
 
 TEST(LexerTest, KeywordsCaseInsensitive) {
-  auto tokens = Lex("SELECT select SeLeCt");
-  ASSERT_EQ(tokens.size(), 4u);  // 3 + EOF
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(tokens[i].type, TokenType::kSelect);
+  auto types = LexTypes("SELECT select SeLeCt");
+  ASSERT_EQ(types.size(), 4u);  // 3 + EOF
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(types[i], TokenType::kSelect);
 }
 
 TEST(LexerTest, IdentifiersLowercased) {
-  auto tokens = Lex("MyTable my_col2");
-  EXPECT_EQ(tokens[0].type, TokenType::kIdentifier);
-  EXPECT_EQ(tokens[0].text, "mytable");
-  EXPECT_EQ(tokens[1].text, "my_col2");
+  SqlTemplate tmpl{"MyTable my_col2", {}};
+  Lexer lexer(tmpl);
+  auto tokens = lexer.Tokenize();
+  ASSERT_TRUE(tokens.ok());
+  EXPECT_EQ((*tokens)[0].type, TokenType::kIdentifier);
+  EXPECT_EQ((*tokens)[0].text, "mytable");
+  EXPECT_EQ((*tokens)[1].text, "my_col2");
 }
 
-TEST(LexerTest, IntAndFloatLiterals) {
-  auto tokens = Lex("42 3.75 0");
-  EXPECT_EQ(tokens[0].type, TokenType::kIntLiteral);
-  EXPECT_EQ(tokens[0].int_val, 42);
-  EXPECT_EQ(tokens[1].type, TokenType::kFloatLiteral);
-  EXPECT_DOUBLE_EQ(tokens[1].float_val, 3.75);
-  EXPECT_EQ(tokens[2].int_val, 0);
+TEST(LexerTest, EachMarkIsOneLiteralTokenBoundToItsParameter) {
+  SqlTemplate tmpl{"x = ? AND y IN (?, ?)",
+                   {Value::Int64(42), Value::Double(3.75), Value::String("s")}};
+  Lexer lexer(tmpl);
+  auto tokens = lexer.Tokenize();
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  std::vector<const Token*> literals;
+  for (const Token& t : *tokens) {
+    if (t.type == TokenType::kLiteral) literals.push_back(&t);
+  }
+  ASSERT_EQ(literals.size(), 3u);
+  for (int32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(literals[i]->literal_ordinal, i);
+    EXPECT_EQ(literals[i]->value, &tmpl.params[i]);
+  }
 }
 
-TEST(LexerTest, StringLiteralsWithEscapedQuote) {
-  auto tokens = Lex("'hello' 'it''s'");
-  EXPECT_EQ(tokens[0].type, TokenType::kStringLiteral);
-  EXPECT_EQ(tokens[0].text, "hello");
-  EXPECT_EQ(tokens[1].text, "it's");
-}
-
-TEST(LexerTest, UnterminatedStringErrors) {
-  Lexer lexer("'oops");
-  EXPECT_EQ(lexer.Tokenize().status().code(), StatusCode::kParseError);
+TEST(LexerTest, MarkAndParameterCountsMustAgree) {
+  SqlTemplate more{"x = ? AND y = ?", {Value::Int64(1)}};
+  EXPECT_EQ(Lexer(more).Tokenize().status().code(), StatusCode::kParseError);
+  SqlTemplate fewer{"x = ?", {Value::Int64(1), Value::Int64(2)}};
+  EXPECT_EQ(Lexer(fewer).Tokenize().status().code(), StatusCode::kParseError);
 }
 
 TEST(LexerTest, OperatorsTwoChar) {
-  auto tokens = Lex("<= >= <> != < > =");
-  EXPECT_EQ(tokens[0].type, TokenType::kLe);
-  EXPECT_EQ(tokens[1].type, TokenType::kGe);
-  EXPECT_EQ(tokens[2].type, TokenType::kNe);
-  EXPECT_EQ(tokens[3].type, TokenType::kNe);
-  EXPECT_EQ(tokens[4].type, TokenType::kLt);
-  EXPECT_EQ(tokens[5].type, TokenType::kGt);
-  EXPECT_EQ(tokens[6].type, TokenType::kEq);
-}
-
-TEST(LexerTest, CommentsSkipped) {
-  auto tokens = Lex("select -- a comment\n 1");
-  EXPECT_EQ(tokens[0].type, TokenType::kSelect);
-  EXPECT_EQ(tokens[1].type, TokenType::kIntLiteral);
+  auto types = LexTypes("<= >= <> != < > =");
+  ASSERT_EQ(types.size(), 8u);
+  EXPECT_EQ(types[0], TokenType::kLe);
+  EXPECT_EQ(types[1], TokenType::kGe);
+  EXPECT_EQ(types[2], TokenType::kNe);
+  EXPECT_EQ(types[3], TokenType::kNe);
+  EXPECT_EQ(types[4], TokenType::kLt);
+  EXPECT_EQ(types[5], TokenType::kGt);
+  EXPECT_EQ(types[6], TokenType::kEq);
 }
 
 TEST(LexerTest, UnknownCharErrors) {
-  Lexer lexer("select @");
-  EXPECT_EQ(lexer.Tokenize().status().code(), StatusCode::kParseError);
+  SqlTemplate tmpl{"select @", {}};
+  EXPECT_EQ(Lexer(tmpl).Tokenize().status().code(), StatusCode::kParseError);
+}
+
+// ---------------------------------------------------------------------------
+// MaskSqlLiterals: the front end's one literal scanner.
+// ---------------------------------------------------------------------------
+
+TEST(MaskerTest, IntAndFloatLiterals) {
+  auto t = MaskSqlLiterals("42 3.75 0");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->text, "? ? ?");
+  ASSERT_EQ(t->params.size(), 3u);
+  EXPECT_EQ(t->params[0].type(), TypeId::kInt64);
+  EXPECT_EQ(t->params[0].AsInt64(), 42);
+  EXPECT_EQ(t->params[1].type(), TypeId::kDouble);
+  EXPECT_DOUBLE_EQ(t->params[1].AsDouble(), 3.75);
+  EXPECT_EQ(t->params[2].type(), TypeId::kInt64);
+  EXPECT_EQ(t->params[2].AsInt64(), 0);
+}
+
+TEST(MaskerTest, StringLiteralsWithEscapedQuote) {
+  auto t = MaskSqlLiterals("'hello' 'it''s'");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->text, "? ?");
+  ASSERT_EQ(t->params.size(), 2u);
+  EXPECT_EQ(t->params[0], Value::String("hello"));
+  EXPECT_EQ(t->params[1], Value::String("it's"));
+}
+
+TEST(MaskerTest, UnterminatedStringErrors) {
+  EXPECT_EQ(MaskSqlLiterals("'oops").status().code(), StatusCode::kParseError);
+  EXPECT_EQ(Parser::Parse("SELECT a FROM t WHERE b = 'oops").status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(MaskerTest, CommentsStripped) {
+  auto t = MaskSqlLiterals("select -- a comment\n 1");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->text, "select \n ?");
+  ASSERT_EQ(t->params.size(), 1u);
+  EXPECT_EQ(t->params[0], Value::Int64(1));
+  SelectStatement stmt = Parser::Parse("SELECT a -- the column\nFROM t").ValueOrDie();
+  EXPECT_EQ(stmt.from[0].table, "t");
+}
+
+TEST(MaskerTest, DigitsInsideIdentifiersAreNotLiterals) {
+  auto t = MaskSqlLiterals("SELECT t1.a2 FROM t1 WHERE t1.a2 = 10");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->text, "SELECT t1.a2 FROM t1 WHERE t1.a2 = ?");
+}
+
+TEST(MaskerTest, BareMarkIsAParseError) {
+  EXPECT_EQ(MaskSqlLiterals("SELECT a FROM t WHERE b = ?").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(Parser::Parse("SELECT a FROM t WHERE b = ?").status().code(),
+            StatusCode::kParseError);
+  // Inside a string literal it is just a character; in a comment it goes.
+  auto quoted = MaskSqlLiterals("SELECT a FROM t WHERE b = '?' -- why?\n");
+  ASSERT_TRUE(quoted.ok());
+  EXPECT_EQ(quoted->text, "SELECT a FROM t WHERE b = ? \n");
+  EXPECT_EQ(quoted->params, (std::vector<Value>{Value::String("?")}));
+}
+
+// The inputs the masker was once cross-checked against the lexer on: the
+// lifted values and their types, in appearance order.
+TEST(MaskerTest, LiftsValuesAndTypesInAppearanceOrder) {
+  struct Case {
+    const char* sql;
+    std::vector<Value> params;
+  };
+  const Case cases[] = {
+      {"SELECT x FROM t WHERE id = 7 AND name = 'it''s' -- trailing\n",
+       {Value::Int64(7), Value::String("it's")}},
+      {"SELECT x FROM t1 WHERE a2 = 10 AND b = 2.5 AND c IN (1, 2, 3)",
+       {Value::Int64(10), Value::Double(2.5), Value::Int64(1), Value::Int64(2),
+        Value::Int64(3)}},
+      {"SELECT x FROM t WHERE d = DATE '2016-03-15' AND e > -42 LIMIT 9",
+       {Value::String("2016-03-15"), Value::Int64(42), Value::Int64(9)}},
+      {"SELECT x + 1 FROM t WHERE y BETWEEN 0.5 AND 1.5 ORDER BY 1",
+       {Value::Int64(1), Value::Double(0.5), Value::Double(1.5),
+        Value::Int64(1)}},
+      {"SELECT x FROM t WHERE s = '--not a comment' AND z = 3",
+       {Value::String("--not a comment"), Value::Int64(3)}},
+  };
+  for (const Case& c : cases) {
+    auto t = MaskSqlLiterals(c.sql);
+    ASSERT_TRUE(t.ok()) << c.sql;
+    ASSERT_EQ(t->params.size(), c.params.size()) << c.sql;
+    for (size_t i = 0; i < c.params.size(); ++i) {
+      EXPECT_EQ(t->params[i].type(), c.params[i].type()) << c.sql << " #" << i;
+      EXPECT_EQ(t->params[i], c.params[i]) << c.sql << " #" << i;
+    }
+    EXPECT_TRUE(Parser::Parse(c.sql).ok()) << c.sql;
+  }
 }
 
 SelectStatement MustParse(const std::string& sql) {

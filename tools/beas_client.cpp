@@ -179,7 +179,7 @@ int RunSelftest() {
           keys[b] = static_cast<int>(rng() % kStableKeys);
           // Two spellings of one template: the literal-first one is
           // served in canonical form, so the storm also drives the
-          // canonical-form memo and its per-request self-check.
+          // canonical-form memo and binds canonical templates.
           QueryRequest request;
           request.sql =
               b % 2 == 0
